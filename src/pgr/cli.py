@@ -1,7 +1,7 @@
 """Command-line driver.
 
 Exit codes: 0 on success, 1 on a negative verdict (no match, deadlocked,
-safety violation, step limit), 2 on input errors.
+safety violation, step limit), 2 on input errors, 3 on internal errors.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .matching import find_redexes
 from .rewrite import apply_at, normalize
 from .systems import WaitForNet, detect_deadlock, ds_explore, ds_initial_network
 
-OK, VERDICT_NEGATIVE, INPUT_ERROR = 0, 1, 2
+OK, VERDICT_NEGATIVE, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
 
 
 def _load(paths) -> Document:
@@ -250,9 +250,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, PgrError, ValueError) as exc:
+    except (OSError, PgrError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

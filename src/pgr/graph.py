@@ -171,14 +171,25 @@ class Renaming:
 
 
 class PatchDecomposition:
-    """A host graph split into context C, match M and the patch J between them."""
+    """A host graph split into context C, match M and the patch J between them;
+    from ``decompose_at`` only J and M are stored, and C is derived on first use."""
 
-    __slots__ = ("context", "patch", "match")
+    __slots__ = ("_context", "_host", "patch", "match")
 
     def __init__(self, context: Graph, patch: Graph, match: Graph):
-        self.context = context
+        self._context = context
+        self._host = None
         self.patch = patch
         self.match = match
+
+    @property
+    def context(self) -> Graph:
+        if self._context is None:
+            host, j, m = self._host, self.patch.edges, self.match.edges
+            self._context = Graph(host.vertices - self.match.vertices,
+                                  {e: triple for e, triple in host.edges.items()
+                                   if e not in j and e not in m})
+        return self._context
 
     def __eq__(self, other):
         if not isinstance(other, PatchDecomposition):
@@ -264,34 +275,26 @@ def patch_compose(d: PatchDecomposition) -> Graph:
 def decompose_at(g: Graph, match_vertices: Iterable[int], match_edges: Iterable[int]) -> PatchDecomposition:
     """Split ``g`` around the subgraph selected by the given vertex/edge sets.
 
-    The context keeps every edge with both endpoints outside the match; all
-    remaining edges form the patch.  ``patch_compose`` inverts this exactly.
+    The patch is every edge outside the match that touches a match vertex;
+    the context keeps all the rest and is derived from ``g`` on first use.
+    ``patch_compose`` inverts this exactly.
     """
     mv = frozenset(match_vertices)
     me = frozenset(match_edges)
     if not mv <= g.vertices:
         raise NotASubgraph(f"match vertices outside the graph: {sorted(mv - g.vertices)}")
-    if not me <= set(g.edges):
-        raise NotASubgraph(f"match edges outside the graph: {sorted(me - set(g.edges))}")
+    if not me <= g.edges.keys():
+        raise NotASubgraph(f"match edges outside the graph: {sorted(me - g.edges.keys())}")
     for e in me:
         s, _, t = g.edges[e]
         if s not in mv or t not in mv:
             raise NotASubgraph(f"match edge {e} has an endpoint outside the match vertices")
     match = Graph(mv, {e: g.edges[e] for e in me})
-    cv = g.vertices - mv
-    c_edges = {}
-    j_edges = {}
-    for e, (s, lab, t) in g.edges.items():
-        if e in me:
-            continue
-        if s in cv and t in cv:
-            c_edges[e] = (s, lab, t)
-        else:
-            j_edges[e] = (s, lab, t)
-    context = Graph(cv, c_edges)
+    j_edges = {e: g.edges[e] for v in mv for e in g.incident_edges(v) if e not in me}
     j_vertices = {s for s, _, _ in j_edges.values()} | {t for _, _, t in j_edges.values()}
-    patch = Graph(j_vertices, j_edges)
-    return PatchDecomposition(context, patch, match)
+    d = PatchDecomposition(None, Graph(j_vertices, j_edges), match)
+    d._host = g
+    return d
 
 
 # -- isomorphism ------------------------------------------------------------

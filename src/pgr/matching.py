@@ -20,7 +20,8 @@ from .rules import CONTEXT, PatchType, QuasiRule, enumerate_adherence_maps
 
 @dataclass
 class Redex:
-    """One way a rule matches a host, including the chosen adherence map."""
+    """One way a rule matches a host, including the chosen adherence map;
+    the context of ``decomposition`` is derived on first use (a step)."""
 
     rule: QuasiRule
     embedding: Renaming
@@ -52,7 +53,9 @@ def find_pattern_embeddings(host: Graph, pattern: Graph) -> list[Renaming]:
     if len(pattern.vertices) > len(host.vertices) or len(pattern.edges) > len(host.edges):
         return []
 
-    host_pairs = Counter((s, lab, t) for s, lab, t in host.edges.values())
+    host_groups: dict[tuple, list[int]] = {}
+    for e in sorted(host.edges):
+        host_groups.setdefault(host.edges[e], []).append(e)
 
     def degree_sig(g: Graph, v: int):
         return (Counter(g.label(e) for e in g.out_edges(v)),
@@ -97,7 +100,7 @@ def find_pattern_embeddings(host: Graph, pattern: Graph) -> list[Renaming]:
         for e in pattern.incident_edges(v):
             s, lab, t = pattern.edges[e]
             if s in vmap and t in vmap:
-                if host_pairs[(vmap[s], lab, vmap[t])] < pat_pairs[(s, lab, t)]:
+                if len(host_groups.get((vmap[s], lab, vmap[t]), ())) < pat_pairs[(s, lab, t)]:
                     return False
         return True
 
@@ -119,10 +122,6 @@ def find_pattern_embeddings(host: Graph, pattern: Graph) -> list[Renaming]:
     backtrack(0)
 
     results = []
-    host_groups: dict[tuple, list[int]] = {}
-    for e in sorted(host.edges):
-        s, lab, t = host.edges[e]
-        host_groups.setdefault((s, lab, t), []).append(e)
     for vm in vmaps:
         pat_groups: dict[tuple, list[int]] = {}
         for e in sorted(pattern.edges):
@@ -155,7 +154,9 @@ def find_redexes(host: Graph, rule: QuasiRule,
         maps, cut = enumerate_adherence_maps(d.patch, ptype, d, cap)
         truncated = truncated or cut
         for h_l in maps:
-            redexes.append(Redex(rule, emb, d, h_l))
+            redex = Redex(rule, emb, d, h_l)
+            redex.matched_type = ptype  # fills the cached property
+            redexes.append(redex)
     return redexes, truncated
 
 

@@ -25,9 +25,8 @@ from .graph import (
     PatchDecomposition,
     Renaming,
     canonical_form,
-    graph_union,
+    patch_compose,
     rename_graph,
-    validate_patch,
 )
 from .matching import Redex, context_of, find_redexes
 from .rules import CONTEXT, QuasiRule, adherence_ok
@@ -66,7 +65,7 @@ def construct_rhs_patch(redex: Redex, fresh_base: int):
     rule = redex.rule
     counter = itertools.count(fresh_base)
     inst = _instantiate_rhs(rule, counter)
-    t_l = rule.lhs.ptype.renamed(redex.embedding)
+    t_l = redex.matched_type
     t_r = rule.rhs.ptype
     patch = redex.decomposition.patch
 
@@ -117,7 +116,7 @@ def apply_at(host: Graph, redex: Redex,
                          f"(needs at least {floor})")
     inst, j_prime, h_r, sigma = construct_rhs_patch(redex, fresh_base)
     m_prime = rename_graph(rule.rhs.pattern, inst)
-    result = graph_union(graph_union(redex.decomposition.context, j_prime), m_prime)
+    result = patch_compose(PatchDecomposition(redex.decomposition.context, j_prime, m_prime))
     return result, StepCertificate(redex, inst, j_prime, h_r, sigma)
 
 
@@ -140,21 +139,17 @@ def _verify_step_strict(host: Graph, result: Graph, cert: StepCertificate) -> bo
     rule = redex.rule
     d = redex.decomposition
 
-    if validate_patch(d):
-        return False
-    if graph_union(graph_union(d.context, d.patch), d.match) != host:
+    if patch_compose(d) != host:
         return False
     if rename_graph(rule.lhs.pattern, redex.embedding) != d.match:
         return False
-    t_l = rule.lhs.ptype.renamed(redex.embedding)
+    t_l = redex.matched_type
     if not adherence_ok(d.patch, t_l, d, redex.h_l):
         return False
 
     m_prime = rename_graph(rule.rhs.pattern, cert.rhs_instance)
     d_prime = PatchDecomposition(d.context, cert.j_prime, m_prime)
-    if validate_patch(d_prime):
-        return False
-    if graph_union(graph_union(d.context, cert.j_prime), m_prime) != result:
+    if patch_compose(d_prime) != result:
         return False
     t_r = cert.instance_type
     if not adherence_ok(cert.j_prime, t_r, d_prime, cert.h_r):
@@ -198,7 +193,7 @@ def brute_force_step_oracle(host: Graph, redex: Redex,
     counter = itertools.count(fresh_base)
     inst = _instantiate_rhs(rule, counter)
     m_prime = rename_graph(rule.rhs.pattern, inst)
-    t_l = rule.lhs.ptype.renamed(redex.embedding)
+    t_l = redex.matched_type
     t_r = rule.rhs.ptype
 
     by_left: dict[int, list[int]] = {}
@@ -259,7 +254,7 @@ def brute_force_step_oracle(host: Graph, redex: Redex,
                    {t2 for _, _, t2 in jp_edges.values()}
         j_prime = Graph(vertices, jp_edges)
         try:
-            candidate = graph_union(graph_union(d.context, j_prime), m_prime)
+            candidate = patch_compose(PatchDecomposition(d.context, j_prime, m_prime))
         except PgrError:
             continue
         sigma_spaces = []

@@ -188,6 +188,14 @@ def build_rule(lhs_pattern: Graph,
 # -- adherence ---------------------------------------------------------------
 
 
+def patch_shape(d: PatchDecomposition, patch_edge: int) -> tuple[Endpoint, Endpoint]:
+    """A patch edge's endpoint pair with every endpoint off the match read
+    as CONTEXT: the type edge it must be a copy of to adhere."""
+    s, _, t = d.patch.edges[patch_edge]
+    mv = d.match.vertices
+    return (s if s in mv else CONTEXT, t if t in mv else CONTEXT)
+
+
 def edge_adheres(d: PatchDecomposition, patch_edge: int,
                  ptype: PatchType, type_edge: int) -> bool:
     """Decide whether one patch edge may stand in for one type edge.
@@ -195,17 +203,7 @@ def edge_adheres(d: PatchDecomposition, patch_edge: int,
     The patch type must already live over the match graph of ``d`` (i.e. its
     non-context endpoints are match vertices of the host).
     """
-    js, _, jt = d.patch.edges[patch_edge]
-    ts, tt = ptype.edges[type_edge]
-    if js in d.context.vertices and ts != CONTEXT:
-        return False
-    if js in d.match.vertices and js != ts:
-        return False
-    if jt in d.context.vertices and tt != CONTEXT:
-        return False
-    if jt in d.match.vertices and jt != tt:
-        return False
-    return True
+    return patch_shape(d, patch_edge) == ptype.edges[type_edge]
 
 
 def enumerate_adherence_maps(j: Graph, ptype: PatchType, d: PatchDecomposition,
@@ -218,11 +216,12 @@ def enumerate_adherence_maps(j: Graph, ptype: PatchType, d: PatchDecomposition,
     """
     if cap is None:
         cap = default_map_cap()
+    by_shape = _type_groups(ptype, None)
     edge_ids = sorted(j.edges)
     candidates = []
     for e in edge_ids:
-        cands = [te for te, _ in ptype.sorted_edges() if edge_adheres(d, e, ptype, te)]
-        if not cands:
+        cands = by_shape.get(patch_shape(d, e))
+        if cands is None:
             return [], False
         candidates.append(cands)
     total = 1

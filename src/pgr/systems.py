@@ -22,13 +22,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .exceptions import AlphabetClash, BadArity, SelfLoopInTopology
-from .graph import EMPTY_GRAPH, Graph, canonical_form
+from .graph import EMPTY_GRAPH, UNLABELED, Graph, canonical_form
 from .matching import find_redexes
 from .rewrite import StepRecord, apply_at, normalize
 from .rules import CONTEXT as CTX
 from .rules import QuasiRule, RuleSketch, build_rule, desugar_rule
-
-UNLABELED = "_"
 
 
 # -- wait-for graphs ---------------------------------------------------------
@@ -440,7 +438,6 @@ def ds_explore(initial: DsState | Graph, max_sends_per_process: int = 2,
     """
     g0 = initial.graph if isinstance(initial, DsState) else initial
     system = dijkstra_scholten_system()
-    announce = system["announce"]
 
     budgets0 = {v: max_sends_per_process for v in g0.vertices}
     frontier = [(g0, budgets0)]
@@ -457,12 +454,12 @@ def ds_explore(initial: DsState | Graph, max_sends_per_process: int = 2,
         next_frontier = []
         for g, budgets in frontier:
             states.append(g)
-            if find_redexes(g, announce)[0]:
-                announce_states.append(g)
-                if not announce_safe(g):
-                    violations.append(g)
             for name, rule in system.items():
                 redexes, _ = find_redexes(g, rule)
+                if name == "announce" and redexes:
+                    announce_states.append(g)
+                    if not announce_safe(g):
+                        violations.append(g)
                 for redex in redexes:
                     if name == "snd-b" and budgets[redex.embedding.vmap[0]] <= 0:
                         continue

@@ -224,6 +224,25 @@ def test_missing_file(capsys):
     assert code == 2
 
 
+def test_directory_is_input_error(workdir, capsys):
+    code = main(["validate", str(workdir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_crash_is_internal_error_not_verdict(workdir, capsys, monkeypatch):
+    def crash(*_args, **_kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("pgr.cli.find_redexes", crash)
+    code = main(["match", str(workdir / "host.pgr"), str(workdir / "rules.pgr"),
+                 "--rule", "delete"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+
+
 def test_unknown_rule_name(workdir, capsys):
     code = main(["match", str(workdir / "host.pgr"), str(workdir / "rules.pgr"),
                  "--rule", "ghost"])

@@ -1,18 +1,63 @@
 """Match engine: embeddings, redexes, and the naive existence oracle."""
 
 import itertools
+import random
 from collections import Counter
+from pathlib import Path
 
 from fixtures import (
     copy_vertex_rule,
     delete_rule,
     hub_host,
     hub_host_extra_loop,
+    random_graph,
+    random_instances,
+    random_quasi_rule,
     strict_delete_rule,
 )
-from pgr.graph import EMPTY_GRAPH, Graph, Renaming, decompose_at, rename_graph
+from pgr.formats import parse_document
+from pgr.graph import EMPTY_GRAPH, Graph, PatchDecomposition, Renaming, rename_graph
 from pgr.matching import context_of, find_pattern_embeddings, find_redexes
-from pgr.rules import CONTEXT, PatchType, build_rule, edge_adheres
+from pgr.rules import CONTEXT, PatchType, build_rule
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def reference_edge_adheres(d, patch_edge, ptype, type_edge):
+    """Adherence clause by clause: an endpoint in the context needs a CONTEXT
+    placeholder end, an endpoint in the match needs that very vertex."""
+    js, _, jt = d.patch.edges[patch_edge]
+    ts, tt = ptype.edges[type_edge]
+    if js in d.context.vertices and ts != CONTEXT:
+        return False
+    if js in d.match.vertices and js != ts:
+        return False
+    if jt in d.context.vertices and tt != CONTEXT:
+        return False
+    if jt in d.match.vertices and jt != tt:
+        return False
+    return True
+
+
+def full_scan_split(host, match_vertices, match_edges):
+    """Split ``host`` around a match by classifying every host edge."""
+    mv, me = set(match_vertices), set(match_edges)
+    cv = host.vertices - mv
+    c_edges, j_edges = {}, {}
+    for e, (s, lab, t) in host.edges.items():
+        if e not in me:
+            (c_edges if s in cv and t in cv else j_edges)[e] = (s, lab, t)
+    j_vertices = {x for s, _, t in j_edges.values() for x in (s, t)}
+    return PatchDecomposition(Graph(cv, c_edges), Graph(j_vertices, j_edges),
+                              Graph(mv, {e: host.edges[e] for e in me}))
+
+
+def reference_maps(d, ptype):
+    """Every adherence map, each patch edge tried against every type edge."""
+    edge_ids = sorted(d.patch.edges)
+    cands = [[te for te in sorted(ptype.edges)
+              if reference_edge_adheres(d, e, ptype, te)] for e in edge_ids]
+    return [dict(zip(edge_ids, combo)) for combo in itertools.product(*cands)]
 
 
 def naive_redex_exists(host, rule):
@@ -31,17 +76,30 @@ def naive_redex_exists(host, rule):
                                 for s, lab, t in pattern.edges.values())
                 if moved != target:
                     continue
-                d = decompose_at(host, vs, es)
+                d = full_scan_split(host, vs, es)
                 moved_type = PatchType(
                     d.match,
                     {te: (vmap.get(s, CONTEXT) if s != CONTEXT else CONTEXT,
                           vmap.get(t, CONTEXT) if t != CONTEXT else CONTEXT)
                      for te, (s, t) in rule.lhs.ptype.edges.items()})
-                if all(any(edge_adheres(d, j, moved_type, te)
+                if all(any(reference_edge_adheres(d, j, moved_type, te)
                            for te in moved_type.edges)
                        for j in d.patch.edges):
                     return True
     return False
+
+
+def assert_redexes_match_reference(host, rule):
+    """Per embedding, in order: the full-scan split and every reference map."""
+    redexes, truncated = find_redexes(host, rule)
+    assert not truncated
+    expected = []
+    for emb in find_pattern_embeddings(host, rule.lhs.pattern):
+        d = full_scan_split(host, emb.image_vertices(), emb.image_edges())
+        ptype = rule.lhs.ptype.renamed(emb)
+        expected += [(emb, d, ptype, h_l) for h_l in reference_maps(d, ptype)]
+    got = [(r.embedding, r.decomposition, r.matched_type, r.h_l) for r in redexes]
+    assert got == expected, (host, rule)
 
 
 class TestEmbeddings:
@@ -122,6 +180,20 @@ class TestFindRedexes:
             for host in hosts:
                 got = bool(find_redexes(host, rule)[0])
                 assert got == naive_redex_exists(host, rule), (rule, host)
+
+    def test_agrees_with_reference_split_and_maps(self):
+        rng = random.Random(2003)
+        pairs = [(host, rule) for host, rule, _ in random_instances(rng, 150)]
+        for _ in range(150):
+            host = random_graph(rng, list(range(rng.randint(1, 4))), 6)
+            pairs.append((host, random_quasi_rule(rng)))
+        docs = [parse_document(path.read_text(encoding="utf-8"))
+                for path in sorted(SAMPLES.glob("*.pgr"))]
+        pairs += [(g, r) for gd in docs for g in gd.graphs.values()
+                  for rd in docs for r in rd.rules.values()]
+        assert sum(bool(find_redexes(h, r)[0]) for h, r in pairs) > 200
+        for host, rule in pairs:
+            assert_redexes_match_reference(host, rule)
 
     def test_deterministic_rule_one_redex_per_embedding(self):
         host = hub_host()
