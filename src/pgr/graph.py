@@ -12,7 +12,7 @@ reading ``src -label-> tgt`` used by the text format.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict, deque
 from collections.abc import Iterable, Mapping
 
 from .exceptions import DomainGap, EdgeIdClash, InvalidPatch, NotASubgraph
@@ -297,28 +297,169 @@ def decompose_at(g: Graph, match_vertices: Iterable[int], match_edges: Iterable[
     return d
 
 
+# -- canonical labelling ----------------------------------------------------
+#
+# One engine serves canonical forms and isomorphism: individualization-
+# refinement with automorphism pruning (McKay & Piperno, "Practical graph
+# isomorphism, II", J. Symbolic Computation 2014).  Vertices are indexed
+# 0..n-1.  An ordered partition is four lists: ``lab`` holds the vertices in
+# cell order, ``pos`` is its inverse, ``cell`` maps a vertex to the start of
+# its cell and ``end`` maps a cell start to one past the cell's last position.
+
+
+def _refine(adj, lab, pos, cell, end, splitters) -> None:
+    """Split cells in place until the partition is equitable.
+
+    Splitting by a cell W gives each vertex the multiset of keys of its
+    edges to W (label and direction, loops apart; multiplicity counts).
+    The fragments of a split cell are ordered by that multiset, so the
+    result depends only on invariant data.  ``splitters`` are the starts of
+    the cells not yet split by; a split cell that is not pending queues all
+    fragments but its first largest one, which the others determine.
+    """
+    queue = deque(splitters)
+    pending = set(splitters)
+    while queue:
+        w = queue.popleft()
+        pending.discard(w)
+        keys = defaultdict(list)
+        for x in lab[w:end[w]]:
+            for k, y in adj[x]:
+                keys[y].append(k)
+        by_cell = defaultdict(list)
+        for y in keys:
+            by_cell[cell[y]].append(y)
+        for c in sorted(by_cell):
+            e = end[c]
+            ys = sorted((sorted(keys[y]), y) for y in by_cell[c])
+            if len(ys) == e - c and ys[0][0] == ys[-1][0]:
+                continue
+            # Untouched vertices stay at the head of the cell; touched ones
+            # fill its tail in signature order.
+            t = e - len(ys)
+            holes = [pos[y] for _, y in ys if pos[y] < t]
+            for p, v in zip(holes, [v for v in lab[t:e] if v not in keys]):
+                lab[p] = v
+                pos[v] = p
+            starts = [c] if t > c else []
+            for i, (sig, y) in enumerate(ys, t):
+                if i == t or sig != ys[i - t - 1][0]:
+                    starts.append(i)
+                lab[i] = y
+                pos[y] = i
+                cell[y] = starts[-1]
+            for s, b in zip(starts, starts[1:] + [e]):
+                end[s] = b
+            largest = c if c in pending else max(starts, key=lambda s: end[s] - s)
+            fresh = [s for s in starts if s != largest]
+            pending.update(fresh)
+            queue.extend(fresh)
+
+
+def _target_cell(end, n) -> int | None:
+    """Start of the first smallest non-singleton cell, or None if discrete."""
+    starts, c = [], 0
+    while c < n:
+        if end[c] - c > 1:
+            starts.append(c)
+        c = end[c]
+    return min(starts, key=lambda c: end[c] - c, default=None)
+
+
+def _canonical_labelling(g: Graph) -> tuple[list[int], list[EdgeTriple]]:
+    """A vertex order of ``g`` and its certificate: the edges as sorted
+    ``(pos(src), label, pos(tgt))`` triples.  The certificate is the smallest
+    over the leaves of the search tree, so isomorphic graphs share it."""
+    verts = sorted(g.vertices)
+    n = len(verts)
+    index = {v: i for i, v in enumerate(verts)}
+    label_key = {label: 3 * i for i, label in enumerate(sorted(g.labels()))}
+    edges = [(index[s], label, index[t]) for s, label, t in g.edges.values()]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for s, label, t in edges:
+        k = label_key[label]
+        if s == t:
+            adj[s].append((k + 2, s))
+        else:
+            adj[s].append((k, t))
+            adj[t].append((k + 1, s))
+    orbit = list(range(n))  # union-find over the automorphisms found so far
+
+    def find(x):
+        while orbit[x] != x:
+            orbit[x] = orbit[orbit[x]]
+            x = orbit[x]
+        return x
+
+    node = (list(range(n)), list(range(n)), [0] * n, [n] * n)
+    _refine(adj, *node, [0] if n else [])
+    on_first, first, best = True, None, None
+    # A frame: a node's partition, its target cell, the cell's untried and
+    # tried vertices, and whether the node lies on the path to the first leaf.
+    stack = []
+    while node is not None or stack:
+        if node is not None:
+            lab, pos, cell, end = node
+            node, c = None, _target_cell(end, n)
+            if c is not None:
+                stack.append(((lab, pos, cell, end), c, lab[c:end[c]][::-1], [], on_first))
+                continue
+            cert = sorted([(pos[s], label, pos[t]) for s, label, t in edges])
+            if first is None:
+                first = best = (cert, lab)
+            elif cert == first[0]:
+                # Equal leaves give an automorphism; the rest of this subtree
+                # repeats what its first-path sibling already explored.
+                for a, b in zip(first[1], lab):
+                    orbit[find(a)] = find(b)
+                while not stack[-1][4]:
+                    stack.pop()
+            elif cert < best[0]:
+                best = (cert, lab)
+            continue
+        (lab, pos, cell, end), c, untried, tried, on_path = stack[-1]
+        # On the first path the automorphisms found so far fix the prefix,
+        # so one vertex per orbit of the target cell suffices.
+        roots = {find(x) for x in tried} if on_path else ()
+        while untried and find(untried[-1]) in roots:
+            untried.pop()
+        if not untried:
+            stack.pop()
+            continue
+        v = untried.pop()
+        on_first = on_path and not tried
+        tried.append(v)
+        lab, pos, cell, end = node = lab[:], pos[:], cell[:], end[:]
+        p, e = pos[v], end[c]
+        lab[p], lab[c] = lab[c], v
+        pos[lab[p]], pos[v] = p, c
+        end[c], end[c + 1] = c + 1, e
+        for u in lab[c + 1:e]:
+            cell[u] = c + 1
+        _refine(adj, *node, [c])
+    return [verts[i] for i in best[1]], best[0]
+
+
+def canonical_form(g: Graph) -> Graph:
+    """Deterministic representative of ``g``'s isomorphism class.
+
+    ``canonical_form(g) == canonical_form(h)`` holds exactly when the two
+    graphs are isomorphic; vertices are renumbered ``0..n-1`` and edges
+    ``0..m-1``.  The vertex order is the smallest leaf of an
+    individualization-refinement search pruned by automorphisms.
+    """
+    order, cert = _canonical_labelling(g)
+    return Graph.from_triples(range(len(order)), cert)
+
+
+def canonical_renaming(g: Graph) -> Renaming:
+    """The renaming that carries ``g`` onto ``canonical_form(g)``."""
+    vmap = {v: i for i, v in enumerate(_canonical_labelling(g)[0])}
+    ranked = sorted(g.edges, key=lambda e: (vmap[g.src(e)], g.label(e), vmap[g.tgt(e)], e))
+    return Renaming(vmap, {e: i for i, e in enumerate(ranked)})
+
+
 # -- isomorphism ------------------------------------------------------------
-
-
-def _refine_colors(g: Graph) -> dict[int, int]:
-    """Iterated neighborhood refinement; color indices are renaming-invariant."""
-    colors = {v: 0 for v in g.vertices}
-    for _ in range(max(1, len(g.vertices))):
-        sigs = {}
-        for v in g.vertices:
-            out = sorted((g.label(e), colors[g.tgt(e)]) for e in g.out_edges(v))
-            inc = sorted((g.label(e), colors[g.src(e)]) for e in g.in_edges(v))
-            sigs[v] = (colors[v], tuple(out), tuple(inc))
-        ranking = {sig: i for i, sig in enumerate(sorted(set(sigs.values())))}
-        new = {v: ranking[sigs[v]] for v in g.vertices}
-        if new == colors:
-            break
-        colors = new
-    return colors
-
-
-def _pair_counts(g: Graph) -> Counter:
-    return Counter((s, lab, t) for s, lab, t in g.edges.values())
 
 
 def _edge_bijection(g: Graph, h: Graph, vmap: dict[int, int]) -> dict[int, int] | None:
@@ -341,119 +482,24 @@ def _edge_bijection(g: Graph, h: Graph, vmap: dict[int, int]) -> dict[int, int] 
 
 
 def find_isomorphism(g: Graph, h: Graph) -> Renaming | None:
-    """Return a renaming with ``rename_graph(g, phi) == h``, or None."""
+    """Return a renaming with ``rename_graph(g, phi) == h``, or None.
+
+    The graphs are isomorphic exactly when their canonical renamings carry
+    them onto the same graph; the witness is ``canonical_renaming(g)``
+    followed by the inverse of ``canonical_renaming(h)``.
+    """
     if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
         return None
     if Counter(lab for _, lab, _ in g.edges.values()) != Counter(
             lab for _, lab, _ in h.edges.values()):
         return None
-    gcol = _refine_colors(g)
-    hcol = _refine_colors(h)
-    if Counter(gcol.values()) != Counter(hcol.values()):
+    to_canon, from_canon = canonical_renaming(g), canonical_renaming(h)
+    if rename_graph(g, to_canon) != rename_graph(h, from_canon):
         return None
-
-    h_by_color: dict[int, list[int]] = {}
-    for v in sorted(h.vertices):
-        h_by_color.setdefault(hcol[v], []).append(v)
-    g_counts = _pair_counts(g)
-    h_counts = _pair_counts(h)
-
-    # Assign most-constrained vertices first.
-    order = sorted(g.vertices, key=lambda v: (len(h_by_color[gcol[v]]), v))
-    vmap: dict[int, int] = {}
-    used: set[int] = set()
-
-    def pairs_ok(v, w):
-        # Parallel-edge multiplicities between already-assigned vertices must
-        # match exactly on both sides.
-        for e in g.incident_edges(v):
-            s, lab, t = g.edges[e]
-            if s in vmap and t in vmap:
-                if g_counts[(s, lab, t)] != h_counts[(vmap[s], lab, vmap[t])]:
-                    return False
-        return True
-
-    def backtrack(i):
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in h_by_color[gcol[v]]:
-            if w in used:
-                continue
-            vmap[v] = w
-            used.add(w)
-            if pairs_ok(v, w) and backtrack(i + 1):
-                return True
-            del vmap[v]
-            used.discard(w)
-        return False
-
-    if not backtrack(0):
-        return None
-    emap = _edge_bijection(g, h, vmap)
-    if emap is None:  # pragma: no cover - pairs_ok should already prevent this
-        return None
-    return Renaming(vmap, emap)
+    back = from_canon.inverse()
+    return Renaming({v: back.vmap[i] for v, i in to_canon.vmap.items()},
+                    {e: back.emap[i] for e, i in to_canon.emap.items()})
 
 
 def isomorphic(g: Graph, h: Graph) -> bool:
     return find_isomorphism(g, h) is not None
-
-
-# -- canonical form ----------------------------------------------------------
-
-
-def _canonical_vertex_order(g: Graph) -> list[int]:
-    """A vertex order whose induced encoding is minimal over all orders.
-
-    Level-synchronous search: place one vertex at a time, recording as the
-    level's block the refinement color of the vertex plus the edges it closes
-    with already-placed vertices.  Orders whose block sequence is not minimal
-    are pruned; ties are deduplicated by the set of placed vertices (any
-    completion is then identical).
-    """
-    if not g.vertices:
-        return []
-    colors = _refine_colors(g)
-    states: dict[frozenset[int], tuple[int, ...]] = {frozenset(): ()}
-    for _ in range(len(g.vertices)):
-        candidates: dict[frozenset[int], tuple[int, ...]] = {}
-        best = None
-        for placed, order in states.items():
-            pos = {v: i for i, v in enumerate(order)}
-            for v in g.vertices - placed:
-                new_edges = []
-                for e in g.incident_edges(v):
-                    s, lab, t = g.edges[e]
-                    if (s == v or s in pos) and (t == v or t in pos):
-                        k = len(pos)
-                        new_edges.append((pos.get(s, k), lab, pos.get(t, k)))
-                block = (colors[v], tuple(sorted(new_edges)))
-                if best is None or block < best:
-                    best = block
-                    candidates = {placed | {v}: order + (v,)}
-                elif block == best:
-                    candidates.setdefault(placed | {v}, order + (v,))
-        states = candidates
-    return list(next(iter(states.values())))
-
-
-def canonical_form(g: Graph) -> Graph:
-    """Deterministic representative of ``g``'s isomorphism class.
-
-    ``canonical_form(g) == canonical_form(h)`` holds exactly when the two
-    graphs are isomorphic; vertices are renumbered ``0..n-1`` and edges
-    ``0..m-1``.
-    """
-    order = _canonical_vertex_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    triples = sorted((pos[s], lab, pos[t]) for s, lab, t in g.edges.values())
-    return Graph.from_triples(range(len(order)), triples)
-
-
-def canonical_renaming(g: Graph) -> Renaming:
-    """The renaming that carries ``g`` onto ``canonical_form(g)``."""
-    order = _canonical_vertex_order(g)
-    vmap = {v: i for i, v in enumerate(order)}
-    ranked = sorted(g.edges, key=lambda e: (vmap[g.src(e)], g.label(e), vmap[g.tgt(e)], e))
-    return Renaming(vmap, {e: i for i, e in enumerate(ranked)})

@@ -104,22 +104,31 @@ def find_pattern_embeddings(host: Graph, pattern: Graph) -> list[Renaming]:
                     return False
         return True
 
-    def backtrack(i):
-        if i == len(order):
-            vmaps.append(dict(vmap))
-            return
-        v = order[i]
-        for w in cand[v]:
+    # Depth-first over ``order`` with one candidate iterator per assigned
+    # level; a level's current choice is undone before its next one is tried.
+    if not order:
+        vmaps.append({})
+    stack = [iter(cand[order[0]])] if order else []
+    while stack:
+        v = order[len(stack) - 1]
+        if v in vmap:
+            used.discard(vmap.pop(v))
+        for w in stack[-1]:
             if w in used:
                 continue
             vmap[v] = w
             used.add(w)
             if feasible(v):
-                backtrack(i + 1)
+                break
             del vmap[v]
             used.discard(w)
-
-    backtrack(0)
+        else:
+            stack.pop()
+            continue
+        if len(stack) == len(order):
+            vmaps.append(dict(vmap))
+        else:
+            stack.append(iter(cand[order[len(stack)]]))
 
     results = []
     for vm in vmaps:

@@ -5,9 +5,27 @@ into a hub vertex that carries an a-loop and a d-edge out to a third vertex
 with an e-loop.  Most single-node rules in the suite target the hub.
 """
 
+import contextlib
+import sys
+
 from pgr.graph import Graph
 from pgr.rules import CONTEXT as CTX
 from pgr.rules import build_rule
+
+
+@contextlib.contextmanager
+def shallow_recursion(headroom=100):
+    """Lower the recursion limit to the current stack depth plus ``headroom``,
+    so code that recurses once per vertex fails on inputs of a few hundred."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def hub_host() -> Graph:

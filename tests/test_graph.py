@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import hub_host
+from fixtures import hub_host, shallow_recursion
 from pgr.exceptions import DomainGap, EdgeIdClash, InvalidPatch, NotASubgraph
 from pgr.graph import (
     EMPTY_GRAPH,
@@ -329,8 +329,118 @@ class TestCanonicalForm:
         g = hub_host()
         assert rename_graph(g, canonical_renaming(g)) == canonical_form(g)
 
-    @given(graphs(max_vertices=4, max_edges=5), graphs(max_vertices=4, max_edges=5))
+    def test_isomorphic_waitfor_nets_share_a_form(self):
+        # Two states of the wait-for grammar walk at depth 8: four request
+        # vertices (z and s loops) among eight vertices.
+        g = Graph([5, 7, 12, 14, 21, 28, 29, 30], [
+            (0, 5, "_", 7), (1, 7, "_", 29), (2, 7, "s", 7), (3, 7, "z", 7),
+            (4, 12, "_", 14), (5, 14, "_", 28), (6, 14, "s", 14), (7, 14, "z", 14),
+            (8, 21, "_", 28), (9, 21, "s", 21), (10, 21, "z", 21), (11, 28, "_", 30),
+            (12, 29, "_", 21), (13, 30, "_", 29), (14, 30, "s", 30), (15, 30, "z", 30)])
+        h = Graph([7, 12, 14, 21, 22, 30, 31, 32], [
+            (0, 7, "_", 31), (1, 7, "s", 7), (2, 7, "z", 7), (3, 12, "_", 14),
+            (4, 14, "_", 21), (5, 14, "s", 14), (6, 14, "z", 14), (7, 21, "_", 7),
+            (8, 22, "_", 21), (9, 22, "s", 22), (10, 22, "z", 22), (11, 30, "_", 32),
+            (12, 31, "_", 22), (13, 32, "_", 31), (14, 32, "s", 32), (15, 32, "z", 32)])
+        assert brute_force_isomorphic(g, h)
+        assert canonical_form(g) == canonical_form(h)
+
+    def test_large_inputs_need_no_recursion(self):
+        path = Graph.from_triples(range(300), [(i, "a", i + 1) for i in range(299)])
+        moved = rename_graph(path, shift_renaming(path, 1000, 1000))
+        isolated = Graph(range(64))
+        with shallow_recursion():
+            same_path = canonical_form(moved) == canonical_form(path)
+            phi = find_isomorphism(path, moved)
+            isolated_form = canonical_form(isolated)
+            psi = find_isomorphism(isolated, Graph(range(100, 164)))
+        assert same_path
+        assert rename_graph(path, phi) == moved
+        assert isolated_form == isolated
+        assert rename_graph(isolated, psi) == Graph(range(100, 164))
+
+    @given(graphs(max_vertices=4, max_edges=5), graphs(max_vertices=4, max_edges=5),
+           st.randoms(use_true_random=False))
     @settings(max_examples=60)
-    def test_respects_isomorphism_both_ways(self, g, h):
-        same = canonical_form(g) == canonical_form(h)
-        assert same == (find_isomorphism(g, h) is not None)
+    def test_respects_isomorphism_both_ways(self, g, h, rnd):
+        assert (canonical_form(g) == canonical_form(h)) == brute_force_isomorphic(g, h)
+        vs = sorted(g.vertices)
+        perm = vs[:]
+        rnd.shuffle(perm)
+        moved = rename_graph(g, Renaming(dict(zip(vs, perm)), {e: e + 40 for e in g.edges}))
+        assert canonical_form(moved) == canonical_form(g)
+
+
+def random_multigraph(rng, n, m, labels="ab"):
+    vs = rng.sample(range(100), n)
+    return Graph(vs, [(i, rng.choice(vs), rng.choice(labels), rng.choice(vs))
+                      for i in range(m)])
+
+
+def disjoint_copies(part, k):
+    """``k`` copies of ``part``, ids shifted apart: a graph with automorphisms."""
+    edges, vertices = {}, []
+    for i in range(k):
+        vertices += [200 * i + v for v in part.vertices]
+        edges.update({200 * i + e: (200 * i + s, lab, 200 * i + t)
+                      for e, (s, lab, t) in part.edges.items()})
+    return Graph(vertices, edges)
+
+
+def shuffled(rng, g):
+    """A copy of ``g`` under random vertex and edge ids."""
+    vs, es = sorted(g.vertices), sorted(g.edges)
+    return rename_graph(g, Renaming(dict(zip(vs, rng.sample(range(1000), len(vs)))),
+                                    dict(zip(es, rng.sample(range(1000), len(es))))))
+
+
+def perturbed(rng, g):
+    """``g`` with one edge relabelled or retargeted."""
+    edges = dict(g.edges)
+    e = rng.choice(sorted(edges))
+    s, lab, t = edges[e]
+    if rng.random() < 0.5:
+        edges[e] = (s, "b" if lab == "a" else "a", t)
+    else:
+        edges[e] = (s, lab, rng.choice(sorted(g.vertices)))
+    return Graph(g.vertices, edges)
+
+
+class TestAgainstNetworkx:
+    """Verdicts and witnesses against networkx's matcher, on labelled
+    multigraphs with loops and parallel edges too large for brute force."""
+
+    @staticmethod
+    def to_networkx(nx, g):
+        out = nx.MultiDiGraph()
+        out.add_nodes_from(g.vertices)
+        out.add_edges_from((s, t, {"label": lab}) for s, lab, t in g.edges.values())
+        return out
+
+    def test_random_multigraphs(self):
+        nx = pytest.importorskip("networkx")
+
+        def same_labels(a, b):
+            # The edges between one vertex pair: compare label multisets.
+            return Counter(d["label"] for d in a.values()) == \
+                Counter(d["label"] for d in b.values())
+
+        rng = random.Random(2024)
+        verdicts = Counter()
+        for trial in range(240):
+            if trial % 2:
+                g = random_multigraph(rng, rng.randint(6, 9), rng.randint(6, 16))
+            else:
+                size, k = rng.choice(((2, 3), (3, 2), (3, 3)))
+                g = disjoint_copies(random_multigraph(rng, size, rng.randint(1, 5)), k)
+            h = shuffled(rng, g if trial % 3 == 0 else perturbed(rng, g))
+            expected = nx.is_isomorphic(self.to_networkx(nx, g), self.to_networkx(nx, h),
+                                        edge_match=same_labels)
+            verdicts[expected] += 1
+            phi = find_isomorphism(g, h)
+            assert (phi is not None) == expected, (g, h)
+            assert (canonical_form(g) == canonical_form(h)) == expected, (g, h)
+            if expected:
+                assert rename_graph(g, phi) == h
+            assert rename_graph(g, canonical_renaming(g)) == canonical_form(g)
+        assert verdicts[True] > 60 and verdicts[False] > 60

@@ -13,6 +13,7 @@ from fixtures import (
     random_graph,
     random_instances,
     random_quasi_rule,
+    shallow_recursion,
     strict_delete_rule,
 )
 from pgr.formats import parse_document
@@ -142,6 +143,18 @@ class TestEmbeddings:
         host = Graph([3, 1, 2])
         images = [e.vmap[0] for e in find_pattern_embeddings(host, pattern)]
         assert images == [1, 2, 3]
+
+    def test_long_path_pattern_needs_no_recursion(self):
+        # Distinct labels leave one candidate per pattern vertex, so the
+        # search is linear; its depth is the pattern's 300 vertices.
+        n = 300
+        pattern = Graph.from_triples(range(n), [(i, f"l{i}", i + 1) for i in range(n - 1)])
+        host = Graph.from_triples(range(1000, 1000 + n),
+                                  [(1000 + i, f"l{i}", 1001 + i) for i in range(n - 1)])
+        with shallow_recursion():
+            embeddings = find_pattern_embeddings(host, pattern)
+        assert len(embeddings) == 1
+        assert rename_graph(pattern, embeddings[0]) == host
 
 
 class TestFindRedexes:

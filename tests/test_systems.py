@@ -78,6 +78,12 @@ class TestWaitForGrammar:
             net = WaitForNet(g)
             assert net.violations() == [], g
 
+    def test_one_key_per_class_at_every_depth(self):
+        # The walk keeps one state per canonical form; a form that splits an
+        # isomorphism class would leave an extra key.
+        assert [len(grammar_reachable(k)) for k in range(1, 9)] == \
+            [2, 3, 5, 8, 15, 29, 66, 157]
+
 
 class TestMakeNOfM:
     def figure_1_of_1(self):
