@@ -181,6 +181,17 @@ def cmd_dot(args) -> int:
     return OK
 
 
+def _non_negative_int(text: str) -> int:
+    """Argument type of the step, depth and send bounds."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pgr",
@@ -219,20 +230,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system")
     p.add_argument("--strategy", choices=["first", "random"], default="first")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-steps", type=int, default=10000)
+    p.add_argument("--max-steps", type=_non_negative_int, default=10000)
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("deadlock", help="decide deadlock for a wait-for net")
     p.add_argument("file")
     p.add_argument("--graph")
-    p.add_argument("--max-steps", type=int, default=10000)
+    p.add_argument("--max-steps", type=_non_negative_int, default=10000)
     p.set_defaults(func=cmd_deadlock)
 
     p = sub.add_parser("ds-explore",
                        help="exhaustively run termination detection on a topology")
     p.add_argument("topology")
-    p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--max-sends", type=int, default=2)
+    p.add_argument("--max-depth", type=_non_negative_int, default=None)
+    p.add_argument("--max-sends", type=_non_negative_int, default=2)
     p.set_defaults(func=cmd_ds_explore)
 
     p = sub.add_parser("dot", help="export a graph (optionally one redex) as DOT")

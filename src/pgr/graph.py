@@ -462,25 +462,6 @@ def canonical_renaming(g: Graph) -> Renaming:
 # -- isomorphism ------------------------------------------------------------
 
 
-def _edge_bijection(g: Graph, h: Graph, vmap: dict[int, int]) -> dict[int, int] | None:
-    """Match edges of ``g`` to edges of ``h`` along a fixed vertex bijection."""
-    groups: dict[EdgeTriple, list[int]] = {}
-    for e in sorted(h.edges):
-        s, lab, t = h.edges[e]
-        groups.setdefault((s, lab, t), []).append(e)
-    emap = {}
-    used: dict[EdgeTriple, int] = Counter()
-    for e in sorted(g.edges):
-        s, lab, t = g.edges[e]
-        key = (vmap[s], lab, vmap[t])
-        pool = groups.get(key, [])
-        if used[key] >= len(pool):
-            return None
-        emap[e] = pool[used[key]]
-        used[key] += 1
-    return emap
-
-
 def find_isomorphism(g: Graph, h: Graph) -> Renaming | None:
     """Return a renaming with ``rename_graph(g, phi) == h``, or None.
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import os
 import warnings
-from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
@@ -28,7 +27,7 @@ from .exceptions import (
     PositionMismatch,
     SharedName,
 )
-from .graph import Graph, PatchDecomposition, Renaming, _edge_bijection, rename_graph
+from .graph import Graph, PatchDecomposition, Renaming, find_isomorphism, rename_graph
 
 # Reserved endpoint standing for "some context vertex".  Vertex ids are
 # integers, so the sentinel can never collide with one.
@@ -48,10 +47,6 @@ def default_map_cap() -> int:
     if cap <= 0:
         raise ValueError("PGR_MAX_MAPS must be positive")
     return cap
-
-
-def _ep_key(ep: Endpoint):
-    return (1, 0) if ep == CONTEXT else (0, ep)
 
 
 class PatchType:
@@ -216,7 +211,9 @@ def enumerate_adherence_maps(j: Graph, ptype: PatchType, d: PatchDecomposition,
     """
     if cap is None:
         cap = default_map_cap()
-    by_shape = _type_groups(ptype, None)
+    by_shape: dict[tuple[Endpoint, Endpoint], list[int]] = {}
+    for te, pair in ptype.sorted_edges():
+        by_shape.setdefault(pair, []).append(te)
     edge_ids = sorted(j.edges)
     candidates = []
     for e in edge_ids:
@@ -342,150 +339,53 @@ def expand_black_node_shorthand(sketch: RuleSketch) -> QuasiRule:
 # -- rule isomorphism --------------------------------------------------------
 
 
-def _vertex_signature(rule: QuasiRule, v: int, in_lhs: bool, in_rhs: bool):
-    sig = [in_lhs, in_rhs]
-    for side in (rule.lhs, rule.rhs):
-        pat = side.pattern
-        if v in pat.vertices:
-            sig.append(tuple(sorted((pat.label(e), "o") for e in pat.out_edges(v))))
-            sig.append(tuple(sorted((pat.label(e), "i") for e in pat.in_edges(v))))
-            touch = sorted(("c" if s == CONTEXT else "v", "c" if t == CONTEXT else "v",
-                            s == v, t == v)
-                           for s, t in side.ptype.edges.values() if v in (s, t))
-            sig.append(tuple(touch))
-        else:
-            sig.append(None)
-            sig.append(None)
-            sig.append(None)
-    return tuple(sig)
+def _rule_graph(rule: QuasiRule) -> tuple[Graph, list[Endpoint], list[int]]:
+    """The rule as one labelled graph, with the ids that its vertices and its
+    first edges stand for.
 
-
-def _type_groups(ptype: PatchType, vmap: Mapping[int, int] | None):
-    """Type edges grouped by endpoint pair, optionally transported by vmap."""
-
-    def move(ep):
-        if ep == CONTEXT:
-            return CONTEXT
-        return vmap[ep] if vmap is not None else ep
-
-    groups: dict[tuple, list[int]] = {}
-    for e, (s, t) in ptype.sorted_edges():
-        groups.setdefault((move(s), move(t)), []).append(e)
-    return groups
+    Vertex 0 is CONTEXT; then come the rule vertices and the type edges.
+    Edges 0.. are the pattern edges, under side-prefixed labels; marker
+    loops (no ``:`` in them) tell the kinds and the sides of vertices apart.
+    """
+    verts = sorted(rule.lhs.pattern.vertices | rule.rhs.pattern.vertices)
+    types = sorted(rule.lhs.ptype.edges) + sorted(rule.rhs.ptype.edges)
+    vertex = {CONTEXT: 0, **{v: i for i, v in enumerate(verts, 1)}}
+    node = {e: i for i, e in enumerate(types, len(verts) + 1)}
+    pattern_ids, triples, structure = [], [], [(0, "ctx", 0)]
+    for mark, side in (("L", rule.lhs), ("R", rule.rhs)):
+        for e, (s, label, t) in side.pattern.sorted_edges():
+            pattern_ids.append(e)
+            triples.append((vertex[s], f"{mark}:{label}", vertex[t]))
+        structure += [(vertex[v], mark, vertex[v]) for v in sorted(side.pattern.vertices)]
+        for e, (s, t) in side.ptype.sorted_edges():
+            structure += [(node[e], f"type {mark}", node[e]),
+                          (vertex[s], "src", node[e]), (node[e], "tgt", vertex[t])]
+    structure += [(node[e], "trace", node[t]) for e, t in sorted(rule.trace.items())]
+    return (Graph.from_triples(range(1 + len(verts) + len(types)), triples + structure),
+            [CONTEXT, *verts, *types], pattern_ids)
 
 
 def rules_isomorphic(r1: QuasiRule, r2: QuasiRule) -> Renaming | None:
     """A witness renaming between two rules, or None.
 
     The witness fixes CONTEXT, maps both patterns and patch types, and
-    commutes with the traces.
+    commutes with the traces.  Each rule is encoded as one labelled graph
+    whose vertices are CONTEXT, the rule vertices and the type edges, each
+    marked by kind and side, and whose edges are the side-prefixed pattern
+    edges, a ``src`` and a ``tgt`` edge per type edge and a ``trace`` edge
+    from each right type edge to its left image.  The rules are isomorphic
+    exactly when the encodings are, and ``find_isomorphism``'s witness is
+    read back onto the rule ids.
     """
-    v1 = sorted(r1.lhs.pattern.vertices | r1.rhs.pattern.vertices)
-    v2 = sorted(r2.lhs.pattern.vertices | r2.rhs.pattern.vertices)
-    if len(v1) != len(v2):
+    (g1, ids1, pattern1), (g2, ids2, pattern2) = _rule_graph(r1), _rule_graph(r2)
+    w = find_isomorphism(g1, g2)
+    if w is None:
         return None
-    sizes1 = (len(r1.lhs.pattern.edges), len(r1.rhs.pattern.edges),
-              len(r1.lhs.ptype.edges), len(r1.rhs.ptype.edges))
-    sizes2 = (len(r2.lhs.pattern.edges), len(r2.rhs.pattern.edges),
-              len(r2.lhs.ptype.edges), len(r2.rhs.ptype.edges))
-    if sizes1 != sizes2:
-        return None
-
-    def memberships(rule, v):
-        return (v in rule.lhs.pattern.vertices, v in rule.rhs.pattern.vertices)
-
-    sig2: dict[tuple, list[int]] = {}
-    for v in v2:
-        sig2.setdefault(_vertex_signature(r2, v, *memberships(r2, v)), []).append(v)
-
-    cand = {}
-    for v in v1:
-        key = _vertex_signature(r1, v, *memberships(r1, v))
-        if key not in sig2:
-            return None
-        cand[v] = sig2[key]
-
-    order = sorted(v1, key=lambda v: (len(cand[v]), v))
-
-    def check_vmap(vmap):
-        for side1, side2 in ((r1.lhs, r2.lhs), (r1.rhs, r2.rhs)):
-            c1 = Counter((vmap[s], lab, vmap[t]) for s, lab, t in side1.pattern.edges.values())
-            c2 = Counter(side2.pattern.edges.values())
-            if c1 != c2:
-                return None
-            if {vmap[v] for v in side1.pattern.vertices} != set(side2.pattern.vertices):
-                return None
-        # Left type edges: any within-group pairing works, but the choice must
-        # let the right groups commute with both traces.
-        lgroups1 = _type_groups(r1.lhs.ptype, vmap)
-        lgroups2 = _type_groups(r2.lhs.ptype, None)
-        rgroups1 = _type_groups(r1.rhs.ptype, vmap)
-        rgroups2 = _type_groups(r2.rhs.ptype, None)
-        if set(lgroups1) != set(lgroups2) or set(rgroups1) != set(rgroups2):
-            return None
-        if any(len(lgroups1[k]) != len(lgroups2[k]) for k in lgroups1):
-            return None
-        if any(len(rgroups1[k]) != len(rgroups2[k]) for k in rgroups1):
-            return None
-
-        def assign_left(keys, acc):
-            if not keys:
-                yield dict(acc)
-                return
-            k, rest = keys[0], keys[1:]
-            for perm in itertools.permutations(lgroups2[k]):
-                step = dict(zip(lgroups1[k], perm))
-                yield from assign_left(rest, {**acc, **step})
-
-        for lmap in assign_left(sorted(lgroups1, key=lambda k: (_ep_key(k[0]), _ep_key(k[1]))), {}):
-            rmap = {}
-            ok = True
-            for k in sorted(rgroups1, key=lambda k: (_ep_key(k[0]), _ep_key(k[1]))):
-                matched = None
-                for perm in itertools.permutations(rgroups2[k]):
-                    trial = dict(zip(rgroups1[k], perm))
-                    if all(r2.trace[img] == lmap[r1.trace[e]] for e, img in trial.items()):
-                        matched = trial
-                        break
-                if matched is None:
-                    ok = False
-                    break
-                rmap.update(matched)
-            if ok:
-                emap = dict(lmap)
-                emap.update(rmap)
-                for side1, side2 in ((r1.lhs.pattern, r2.lhs.pattern),
-                                     (r1.rhs.pattern, r2.rhs.pattern)):
-                    part = _edge_bijection(side1, side2, vmap)
-                    if part is None:
-                        return None
-                    emap.update(part)
-                return Renaming(vmap, emap)
-        return None
-
-    vmap: dict[int, int] = {}
-    used: set[int] = set()
-
-    def backtrack(i):
-        if i == len(order):
-            return check_vmap(dict(vmap))
-        v = order[i]
-        for w in cand[v]:
-            if w in used:
-                continue
-            m1 = memberships(r1, v)
-            if m1 != memberships(r2, w):
-                continue
-            vmap[v] = w
-            used.add(w)
-            found = backtrack(i + 1)
-            if found is not None:
-                return found
-            del vmap[v]
-            used.discard(w)
-        return None
-
-    return backtrack(0)
+    n = len(r1.lhs.pattern.vertices | r1.rhs.pattern.vertices)
+    vmap = {ids1[i]: ids2[j] for i, j in w.vmap.items() if 0 < i <= n}
+    emap = {ids1[i]: ids2[j] for i, j in w.vmap.items() if i > n}
+    emap.update((pattern1[k], pattern2[j]) for k, j in w.emap.items() if k < len(pattern1))
+    return Renaming(vmap, emap)
 
 
 # -- importing span-style rules ---------------------------------------------

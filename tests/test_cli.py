@@ -202,6 +202,22 @@ def test_ds_explore_depth_cap(workdir, capsys):
     assert "depth capped" in out
 
 
+@pytest.mark.parametrize("command, files, flag", [
+    ("normalize", ["host.pgr", "rules.pgr"], "--max-steps"),
+    ("deadlock", ["chain.pgr"], "--max-steps"),
+    ("ds-explore", ["line3.topo"], "--max-depth"),
+    ("ds-explore", ["line3.topo"], "--max-sends"),
+])
+def test_negative_bound_is_input_error(workdir, capsys, command, files, flag):
+    # An empty run under a negative bound must not read as a verdict.
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *(str(workdir / f) for f in files), flag, "-1"])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: expected a non-negative integer, got '-1'" in err
+    assert "Traceback" not in err
+
+
 def test_dot_plain(workdir, capsys):
     code = main(["dot", str(workdir / "host.pgr")])
     out = capsys.readouterr().out

@@ -1,5 +1,10 @@
 """Rule model: adherence, validation, shorthand expansion, imports."""
 
+import itertools
+import random
+import time
+from collections import Counter
+
 import pytest
 
 from fixtures import (
@@ -8,7 +13,11 @@ from fixtures import (
     invert_pull_rule,
     parallel_drop_rule,
     parallel_edge_host,
+    random_deterministic_rule,
+    random_quasi_rule,
     redirect_rule,
+    renamed_rule_copy,
+    shallow_recursion,
 )
 from pgr.exceptions import (
     BadArity,
@@ -18,7 +27,7 @@ from pgr.exceptions import (
     PositionMismatch,
     SharedName,
 )
-from pgr.graph import EMPTY_GRAPH, Graph, PatchDecomposition, decompose_at
+from pgr.graph import EMPTY_GRAPH, Graph, PatchDecomposition, decompose_at, rename_graph
 from pgr.matching import find_pattern_embeddings, find_redexes
 from pgr.rules import (
     CONTEXT,
@@ -320,6 +329,139 @@ class TestRulesIsomorphic:
         keep_in = build_rule(lhs, base, Graph([10]), [(CONTEXT, 10, "p")])
         keep_out = build_rule(lhs, base, Graph([10]), [(10, CONTEXT, "q")])
         assert rules_isomorphic(keep_in, keep_out) is None
+
+
+def brute_force_rules_isomorphic(r1, r2) -> bool:
+    """Try every vertex bijection, then every bijection of the left and of
+    the right type edges; CONTEXT stays fixed."""
+    v1 = sorted(r1.lhs.pattern.vertices | r1.rhs.pattern.vertices)
+    v2 = sorted(r2.lhs.pattern.vertices | r2.rhs.pattern.vertices)
+    l1, l2 = sorted(r1.lhs.ptype.edges), sorted(r2.lhs.ptype.edges)
+    t1, t2 = sorted(r1.rhs.ptype.edges), sorted(r2.rhs.ptype.edges)
+    if (len(v1), len(l1), len(t1)) != (len(v2), len(l2), len(t2)):
+        return False
+    sides = ((r1.lhs, r2.lhs), (r1.rhs, r2.rhs))
+    for image in itertools.permutations(v2):
+        vmap = dict(zip(v1, image))
+        if any({vmap[v] for v in a.pattern.vertices} != b.pattern.vertices
+               or Counter((vmap[s], lab, vmap[t]) for s, lab, t in a.pattern.edges.values())
+               != Counter(b.pattern.edges.values()) for a, b in sides):
+            continue
+
+        def move(ep):
+            return CONTEXT if ep == CONTEXT else vmap[ep]
+
+        def carries(a, b, emap):
+            return all(b.ptype.edges[emap[e]] == (move(s), move(t))
+                       for e, (s, t) in a.ptype.edges.items())
+
+        for left in itertools.permutations(l2):
+            lmap = dict(zip(l1, left))
+            if not carries(r1.lhs, r2.lhs, lmap):
+                continue
+            for right in itertools.permutations(t2):
+                rmap = dict(zip(t1, right))
+                if carries(r1.rhs, r2.rhs, rmap) and all(
+                        r2.trace[rmap[e]] == lmap[img] for e, img in r1.trace.items()):
+                    return True
+    return False
+
+
+def assert_rule_witness(r1, r2, w):
+    """``w`` carries patterns, patch types and traces of r1 onto r2's."""
+    for a, b in ((r1.lhs, r2.lhs), (r1.rhs, r2.rhs)):
+        assert rename_graph(a.pattern, w) == b.pattern
+        moved = a.ptype.renamed(w)
+        assert {w.emap[e]: pair for e, pair in moved.edges.items()} == b.ptype.edges
+    assert {w.emap[e]: w.emap[img] for e, img in r1.trace.items()} == r2.trace
+
+
+def parallel_placeholder_rule(multiplicities):
+    """k left type edges ctx -> 0; left edge i has multiplicities[i] right
+    copies ctx -> 10."""
+    keys = {f"k{i}": (CONTEXT, 0) for i in range(len(multiplicities))}
+    rhs_types = [(CONTEXT, 10, f"k{i}")
+                 for i, m in enumerate(multiplicities) for _ in range(m)]
+    return build_rule(Graph([0]), keys, Graph([10]), rhs_types)
+
+
+def path_rule(n):
+    """Both patterns are n-vertex a-paths; context edges enter the left head
+    and leave its tail, and the right pattern keeps only the incoming ones."""
+    lhs = Graph.from_triples(range(n), [(i, "a", i + 1) for i in range(n - 1)])
+    rhs = Graph(range(n, 2 * n), [(n + i, n + i, "a", n + i + 1) for i in range(n - 1)])
+    return build_rule(lhs, {"in": (CONTEXT, 0), "out": (n - 1, CONTEXT)},
+                      rhs, [(CONTEXT, n, "in")])
+
+
+def mutated_rule_copy(rule, rng):
+    """A renamed copy with one trace entry re-pointed or, failing that, one
+    type-edge endpoint moved; the result may still be isomorphic."""
+    types = [dict(rule.lhs.ptype.edges), dict(rule.rhs.ptype.edges)]
+    trace = dict(rule.trace)
+    if trace and len(types[0]) > 1:
+        e = rng.choice(sorted(trace))
+        trace[e] = rng.choice([t for t in sorted(types[0]) if t != trace[e]])
+    else:
+        side = 0 if types[0] and (not types[1] or rng.random() < 0.5) else 1
+        pattern = (rule.lhs, rule.rhs)[side].pattern
+        e = rng.choice(sorted(types[side]))
+        s, t = types[side][e]
+        moved = rng.choice(sorted(pattern.vertices))
+        types[side][e] = (moved, t) if t == CONTEXT or rng.random() < 0.5 else (s, moved)
+    schemes = [Scheme(x.pattern, PatchType(x.pattern, te))
+               for x, te in zip((rule.lhs, rule.rhs), types)]
+    return renamed_rule_copy(QuasiRule(*schemes, trace), rng)
+
+
+class TestRulesIsomorphicOracle:
+    def test_agrees_with_brute_force(self):
+        rng = random.Random(2024)
+        verdicts = Counter()
+        for i in range(450):
+            make = random_deterministic_rule if i % 2 else random_quasi_rule
+            rule = make(rng)
+            if i % 3 == 0:
+                other = renamed_rule_copy(rule, rng)
+            elif i % 3 == 1 and rule.lhs.ptype.edges:
+                other = mutated_rule_copy(rule, rng)
+            else:
+                other = make(rng)
+            w = rules_isomorphic(rule, other)
+            assert (w is not None) == brute_force_rules_isomorphic(rule, other)
+            if w is not None:
+                assert_rule_witness(rule, other, w)
+            verdicts[w is not None] += 1
+        # Both verdicts occur often enough for the agreement to mean something.
+        assert verdicts[True] >= 150 and verdicts[False] >= 150
+
+    def test_shared_vertex_keeps_its_sides_apart(self):
+        # Vertex 0 lies on both sides; only the side of its a-loop differs.
+        left = build_rule(Graph([0], [(0, 0, "a", 0)]), {}, Graph([0]), [])
+        right = build_rule(Graph([0]), {}, Graph([0], [(1, 0, "a", 0)]), [])
+        assert not brute_force_rules_isomorphic(left, right)
+        assert rules_isomorphic(left, right) is None
+
+    def test_large_rules_need_no_recursion(self):
+        rule = path_rule(300)
+        copy = renamed_rule_copy(rule, random.Random(5))
+        with shallow_recursion():
+            w = rules_isomorphic(rule, copy)
+        assert w is not None
+        assert_rule_witness(rule, copy, w)
+
+    def test_parallel_placeholders(self):
+        # Eight interchangeable left type edges: the verdict depends only on
+        # the multiset of trace multiplicities.
+        base = parallel_placeholder_rule([2, 1, 1, 1, 1, 1, 1, 0])
+        same = parallel_placeholder_rule([0, 1, 1, 1, 2, 1, 1, 1])
+        other = parallel_placeholder_rule([2, 2, 1, 1, 1, 1, 0, 0])
+        start = time.perf_counter()
+        w = rules_isomorphic(base, same)
+        assert w is not None
+        assert_rule_witness(base, same, w)
+        assert rules_isomorphic(base, other) is None
+        assert time.perf_counter() - start < 10
 
 
 class TestImports:
