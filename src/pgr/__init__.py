@@ -36,12 +36,12 @@ from .rules import (
     Scheme,
     build_rule,
     desugar_rule,
-    edge_adheres,
     enumerate_adherence_maps,
     expand_black_node_shorthand,
     expand_name_shorthand,
     import_dpo,
     import_spo,
+    match_positions,
     rules_isomorphic,
     validate_quasi_rule,
 )

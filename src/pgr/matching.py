@@ -12,10 +12,9 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 from .graph import Graph, PatchDecomposition, Renaming, decompose_at
-from .rules import CONTEXT, PatchType, QuasiRule, enumerate_adherence_maps
+from .rules import CONTEXT, PatchType, QuasiRule, enumerate_adherence_maps, match_positions
 
 
 @dataclass
@@ -27,11 +26,6 @@ class Redex:
     embedding: Renaming
     decomposition: PatchDecomposition
     h_l: dict[int, int]
-
-    @cached_property
-    def matched_type(self) -> PatchType:
-        """The left patch type transported onto the match subgraph."""
-        return self.rule.lhs.ptype.renamed(self.embedding)
 
     def match_summary(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (tuple(sorted(self.decomposition.match.vertices)),
@@ -159,13 +153,10 @@ def find_redexes(host: Graph, rule: QuasiRule,
     truncated = False
     for emb in find_pattern_embeddings(host, rule.lhs.pattern):
         d = decompose_at(host, emb.image_vertices(), emb.image_edges())
-        ptype = rule.lhs.ptype.renamed(emb)
-        maps, cut = enumerate_adherence_maps(d.patch, ptype, d, cap)
+        maps, cut = enumerate_adherence_maps(
+            d.patch, rule.lhs.ptype, match_positions(rule.lhs.pattern, emb), cap)
         truncated = truncated or cut
-        for h_l in maps:
-            redex = Redex(rule, emb, d, h_l)
-            redex.matched_type = ptype  # fills the cached property
-            redexes.append(redex)
+        redexes += [Redex(rule, emb, d, h_l) for h_l in maps]
     return redexes, truncated
 
 

@@ -29,7 +29,7 @@ from .graph import (
     rename_graph,
 )
 from .matching import Redex, context_of, find_redexes
-from .rules import CONTEXT, QuasiRule, adherence_ok
+from .rules import CONTEXT, QuasiRule, adherence_ok, match_positions
 
 
 @dataclass
@@ -41,11 +41,6 @@ class StepCertificate:
     j_prime: Graph
     h_r: dict[int, int]
     sigma: dict[int, int]
-
-    @property
-    def instance_type(self):
-        """The right patch type transported onto the fresh pattern copy."""
-        return self.redex.rule.rhs.ptype.renamed(self.rhs_instance)
 
 
 def _instantiate_rhs(rule: QuasiRule, counter) -> Renaming:
@@ -65,7 +60,6 @@ def construct_rhs_patch(redex: Redex, fresh_base: int):
     rule = redex.rule
     counter = itertools.count(fresh_base)
     inst = _instantiate_rhs(rule, counter)
-    t_l = redex.matched_type
     t_r = rule.rhs.ptype
     patch = redex.decomposition.patch
 
@@ -78,7 +72,7 @@ def construct_rhs_patch(redex: Redex, fresh_base: int):
     sigma = {}
     for t, (ts, tt) in sorted(t_r.edges.items()):
         left = rule.trace[t]
-        lts, ltt = t_l.edges[left]
+        lts, ltt = rule.lhs.ptype.edges[left]
         for j in by_left.get(left, ()):
             js, lab, jt = patch.edges[j]
             if CONTEXT not in (ts, tt):
@@ -128,50 +122,57 @@ def verify_step(host: Graph, result: Graph, cert: StepCertificate) -> bool:
     onto the corresponding left patch edges.  Malformed certificates count
     as failures rather than raising.
     """
+    return _redex_ok(host, cert.redex) and _rewrite_ok(result, cert)
+
+
+def _redex_ok(host: Graph, redex: Redex) -> bool:
+    """The left half: the decomposition composes to the host, its match is
+    the image of the left pattern, and the left map adheres."""
+    rule, d = redex.rule, redex.decomposition
     try:
-        return _verify_step_strict(host, result, cert)
+        return (patch_compose(d) == host
+                and rename_graph(rule.lhs.pattern, redex.embedding) == d.match
+                and adherence_ok(d.patch, rule.lhs.ptype,
+                                 match_positions(rule.lhs.pattern, redex.embedding),
+                                 redex.h_l))
     except (PgrError, KeyError, ValueError):
         return False
 
 
-def _verify_step_strict(host: Graph, result: Graph, cert: StepCertificate) -> bool:
+def _rewrite_ok(result: Graph, cert: StepCertificate) -> bool:
+    """The right half: the new decomposition composes to the result, the
+    right map adheres, and sigma pairs new patch edges with old ones."""
     redex = cert.redex
     rule = redex.rule
     d = redex.decomposition
-
-    if patch_compose(d) != host:
-        return False
-    if rename_graph(rule.lhs.pattern, redex.embedding) != d.match:
-        return False
-    t_l = redex.matched_type
-    if not adherence_ok(d.patch, t_l, d, redex.h_l):
-        return False
-
-    m_prime = rename_graph(rule.rhs.pattern, cert.rhs_instance)
-    d_prime = PatchDecomposition(d.context, cert.j_prime, m_prime)
-    if patch_compose(d_prime) != result:
-        return False
-    t_r = cert.instance_type
-    if not adherence_ok(cert.j_prime, t_r, d_prime, cert.h_r):
-        return False
-
-    if set(cert.sigma) != set(cert.j_prime.edges):
-        return False
-    for t in t_r.edges:
-        left = rule.trace[t]
-        new_edges = sorted(e for e, te in cert.h_r.items() if te == t)
-        old_edges = sorted(e for e, te in redex.h_l.items() if te == left)
-        images = [cert.sigma[e] for e in new_edges]
-        if sorted(images) != old_edges:
+    t_r = rule.rhs.ptype
+    try:
+        m_prime = rename_graph(rule.rhs.pattern, cert.rhs_instance)
+        d_prime = PatchDecomposition(d.context, cert.j_prime, m_prime)
+        if patch_compose(d_prime) != result:
             return False
-        for e in new_edges:
-            j = cert.sigma[e]
-            if cert.j_prime.label(e) != d.patch.label(j):
+        at = match_positions(rule.rhs.pattern, cert.rhs_instance)
+        if not adherence_ok(cert.j_prime, t_r, at, cert.h_r):
+            return False
+        if set(cert.sigma) != set(cert.j_prime.edges):
+            return False
+        for t in t_r.edges:
+            left = rule.trace[t]
+            new_edges = sorted(e for e, te in cert.h_r.items() if te == t)
+            old_edges = sorted(e for e, te in redex.h_l.items() if te == left)
+            images = [cert.sigma[e] for e in new_edges]
+            if sorted(images) != old_edges:
                 return False
-            cxt_new = context_of(e, cert.h_r, d_prime, t_r)
-            cxt_old = context_of(j, redex.h_l, d, t_l)
-            if not cxt_new <= cxt_old:
-                return False
+            for e in new_edges:
+                j = cert.sigma[e]
+                if cert.j_prime.label(e) != d.patch.label(j):
+                    return False
+                cxt_new = context_of(e, cert.h_r, d_prime, t_r)
+                cxt_old = context_of(j, redex.h_l, d, rule.lhs.ptype)
+                if not cxt_new <= cxt_old:
+                    return False
+    except (PgrError, KeyError, ValueError):
+        return False
     return True
 
 
@@ -183,9 +184,10 @@ def brute_force_step_oracle(host: Graph, redex: Redex,
     constraints alone: per right type edge, as many edges as its trace image
     has adherents, each endpoint either forced by the type edge or drawn from
     the context vertices the old edges touch, labels drawn from the old label
-    multiset in every arrangement.  Every candidate is paired with every
-    per-type-edge bijection and pushed through ``verify_step``; surviving
-    results are deduplicated by canonical form.
+    multiset in every arrangement.  The left half of ``verify_step`` checks
+    the redex once (a failing one yields ``[]``); every candidate, paired with
+    every per-type-edge bijection, then goes through its right half, and
+    surviving results are deduplicated by canonical form.
     """
     rule = redex.rule
     d = redex.decomposition
@@ -193,7 +195,6 @@ def brute_force_step_oracle(host: Graph, redex: Redex,
     counter = itertools.count(fresh_base)
     inst = _instantiate_rhs(rule, counter)
     m_prime = rename_graph(rule.rhs.pattern, inst)
-    t_l = redex.matched_type
     t_r = rule.rhs.ptype
 
     by_left: dict[int, list[int]] = {}
@@ -206,6 +207,8 @@ def brute_force_step_oracle(host: Graph, redex: Redex,
     if total > size_bound:
         raise BoundTooSmall(f"replacement patch needs {total} edges, "
                             f"bound is {size_bound}")
+    if not _redex_ok(host, redex):
+        return []
 
     per_type_options: list[tuple[int, list[list[tuple[int, str, int]]]]] = []
     for t, (ts, tt) in sorted(t_r.edges.items()):
@@ -215,7 +218,7 @@ def brute_force_step_oracle(host: Graph, redex: Redex,
             continue
         labels = sorted(d.patch.label(j) for j in old)
         ctx_choices = sorted({v for j in old
-                              for v in context_of(j, redex.h_l, d, t_l)})
+                              for v in context_of(j, redex.h_l, d, rule.lhs.ptype)})
         slot_endpoints = []
         if ts == CONTEXT:
             sources = ctx_choices
@@ -267,7 +270,7 @@ def brute_force_step_oracle(host: Graph, redex: Redex,
             for part in sigma_parts:
                 sigma.update(part)
             cert = StepCertificate(redex, inst, j_prime, h_r, sigma)
-            if verify_step(host, candidate, cert):
+            if _rewrite_ok(candidate, cert):
                 key = canonical_form(candidate)
                 results.setdefault(key, candidate)
                 break

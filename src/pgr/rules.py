@@ -27,7 +27,7 @@ from .exceptions import (
     PositionMismatch,
     SharedName,
 )
-from .graph import Graph, PatchDecomposition, Renaming, find_isomorphism, rename_graph
+from .graph import Graph, Renaming, find_isomorphism, rename_graph
 
 # Reserved endpoint standing for "some context vertex".  Vertex ids are
 # integers, so the sentinel can never collide with one.
@@ -43,9 +43,12 @@ def default_map_cap() -> int:
     raw = os.environ.get("PGR_MAX_MAPS")
     if raw is None:
         return DEFAULT_MAP_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap <= 0:
-        raise ValueError("PGR_MAX_MAPS must be positive")
+        raise ValueError(f"PGR_MAX_MAPS must be a positive integer, got {raw!r}")
     return cap
 
 
@@ -69,7 +72,12 @@ class PatchType:
         return len(pairs) == len(set(pairs))
 
     def renamed(self, ren: Renaming) -> "PatchType":
-        """Transport the annotation onto the renamed pattern; ids are kept."""
+        """Transport the annotation onto the renamed pattern; ids are kept.
+
+        Matching and rewriting never transport a type: adherence reads each
+        patch edge back through ``match_positions``.  This serves callers
+        that carry a type along a witness, e.g. of ``rules_isomorphic``.
+        """
         new_pattern = rename_graph(self.pattern, ren)
 
         def move(ep):
@@ -183,28 +191,24 @@ def build_rule(lhs_pattern: Graph,
 # -- adherence ---------------------------------------------------------------
 
 
-def patch_shape(d: PatchDecomposition, patch_edge: int) -> tuple[Endpoint, Endpoint]:
-    """A patch edge's endpoint pair with every endpoint off the match read
-    as CONTEXT: the type edge it must be a copy of to adhere."""
-    s, _, t = d.patch.edges[patch_edge]
-    mv = d.match.vertices
-    return (s if s in mv else CONTEXT, t if t in mv else CONTEXT)
+def match_positions(pattern: Graph, ren: Renaming) -> dict[int, int]:
+    """Map each match vertex of an embedding back to its pattern vertex."""
+    return {ren.vmap[p]: p for p in pattern.vertices}
 
 
-def edge_adheres(d: PatchDecomposition, patch_edge: int,
-                 ptype: PatchType, type_edge: int) -> bool:
-    """Decide whether one patch edge may stand in for one type edge.
-
-    The patch type must already live over the match graph of ``d`` (i.e. its
-    non-context endpoints are match vertices of the host).
-    """
-    return patch_shape(d, patch_edge) == ptype.edges[type_edge]
+def patch_shape(j: Graph, e: int, at: Mapping[int, int]) -> tuple[Endpoint, Endpoint]:
+    """Patch edge ``e``'s endpoints read through ``at`` (match vertex to
+    pattern vertex), every endpoint off the match read as CONTEXT: the type
+    edge it must be a copy of to adhere."""
+    s, _, t = j.edges[e]
+    return (at.get(s, CONTEXT), at.get(t, CONTEXT))
 
 
-def enumerate_adherence_maps(j: Graph, ptype: PatchType, d: PatchDecomposition,
+def enumerate_adherence_maps(j: Graph, ptype: PatchType, at: Mapping[int, int],
                              cap: int | None = None) -> tuple[list[dict[int, int]], bool]:
     """All total adherence maps from patch ``j`` into ``ptype``.
 
+    ``at`` maps the match vertices to the pattern vertices of ``ptype``.
     Returns the maps in lexicographic order over (patch edge id, type edge
     id) together with a flag telling whether the listing was cut off at
     ``cap``.  An empty list means the patch does not adhere at all.
@@ -217,7 +221,7 @@ def enumerate_adherence_maps(j: Graph, ptype: PatchType, d: PatchDecomposition,
     edge_ids = sorted(j.edges)
     candidates = []
     for e in edge_ids:
-        cands = by_shape.get(patch_shape(d, e))
+        cands = by_shape.get(patch_shape(j, e, at))
         if cands is None:
             return [], False
         candidates.append(cands)
@@ -229,12 +233,13 @@ def enumerate_adherence_maps(j: Graph, ptype: PatchType, d: PatchDecomposition,
     return maps, total > cap
 
 
-def adherence_ok(j: Graph, ptype: PatchType, d: PatchDecomposition,
+def adherence_ok(j: Graph, ptype: PatchType, at: Mapping[int, int],
                  mapping: Mapping[int, int]) -> bool:
-    """Check a given map: total on the patch and edge-wise adherent."""
+    """Check a given map: total on the patch, and every patch edge, read
+    through ``at``, has the shape of its type edge."""
     if set(mapping) != set(j.edges):
         return False
-    return all(te in ptype.edges and edge_adheres(d, e, ptype, te)
+    return all(te in ptype.edges and patch_shape(j, e, at) == ptype.edges[te]
                for e, te in mapping.items())
 
 

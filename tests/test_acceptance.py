@@ -28,7 +28,6 @@ from pgr.formats import parse_graph, parse_rules, serialize_graph, serialize_rul
 from pgr.graph import (
     EMPTY_GRAPH,
     Graph,
-    PatchDecomposition,
     canonical_form,
     decompose_at,
     find_isomorphism,
@@ -46,6 +45,7 @@ from pgr.rules import (
     expand_name_shorthand,
     import_dpo,
     import_spo,
+    match_positions,
     rules_isomorphic,
 )
 from pgr.systems import (
@@ -124,8 +124,8 @@ def test_criterion_3_unique_adherence_for_simple_types():
         # shapes cover the general case (spot-checked below).
         checked = adherent = 0
         for m_verts in ([0], [0, 1]):
-            c_graph = Graph([100])
             m_graph = Graph(m_verts)
+            at = {v: v for v in m_verts}  # the match is the pattern itself
             type_pairs = [(CONTEXT, v) for v in m_verts] \
                 + [(v, CONTEXT) for v in m_verts] \
                 + [(u, v) for u in m_verts for v in m_verts]
@@ -143,8 +143,7 @@ def test_criterion_3_unique_adherence_for_simple_types():
                             vs = {x for s, _, t in edges.values()
                                   for x in (s, t)}
                             j = Graph(vs, edges)
-                            d = PatchDecomposition(c_graph, j, m_graph)
-                            maps, _ = enumerate_adherence_maps(j, ptype, d)
+                            maps, _ = enumerate_adherence_maps(j, ptype, at)
                             checked += 1
                             if maps:
                                 adherent += 1
@@ -173,11 +172,10 @@ def test_criterion_3_unique_adherence_for_simple_types():
         # Parallel edges: each copy picks candidates independently.
         m_graph = Graph([0])
         two_loops = Graph([0], {10: (0, "a", 0), 11: (0, "a", 0)})
-        d = PatchDecomposition(Graph([100]), two_loops, m_graph)
         simple = PatchType(m_graph, {0: (0, 0)})
-        assert len(enumerate_adherence_maps(two_loops, simple, d)[0]) == 1
+        assert len(enumerate_adherence_maps(two_loops, simple, {0: 0})[0]) == 1
         quasi = PatchType(m_graph, {0: (0, 0), 1: (0, 0)})
-        assert len(enumerate_adherence_maps(two_loops, quasi, d)[0]) == 4
+        assert len(enumerate_adherence_maps(two_loops, quasi, {0: 0})[0]) == 4
 
 
 def test_criterion_4_determinism_and_oracle_agreement():
@@ -203,7 +201,7 @@ def test_criterion_5_quasi_blowup():
                    if e.vmap[0] == 0][0]
             d = decompose_at(host, emb.image_vertices(), emb.image_edges())
             maps, truncated = enumerate_adherence_maps(
-                d.patch, rule.lhs.ptype.renamed(emb), d)
+                d.patch, rule.lhs.ptype, match_positions(rule.lhs.pattern, emb))
             assert not truncated
             assert len(maps) == 2 ** n
 

@@ -103,6 +103,16 @@ def test_match_lists_redexes(workdir, capsys):
     assert "match vertices [2]" in out
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "0"])
+def test_bad_map_cap_is_input_error(workdir, capsys, monkeypatch, value):
+    monkeypatch.setenv("PGR_MAX_MAPS", value)
+    code = main(["match", str(workdir / "host.pgr"), str(workdir / "rules.pgr"),
+                 "--rule", "delete"])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"error: PGR_MAX_MAPS must be a positive integer, got {value!r}\n"
+
+
 def test_match_none_is_negative_verdict(workdir, capsys):
     code = main(["match", str(workdir / "host.pgr"), str(workdir / "rules.pgr"),
                  "--rule", "strict"])

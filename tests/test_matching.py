@@ -98,8 +98,8 @@ def assert_redexes_match_reference(host, rule):
     for emb in find_pattern_embeddings(host, rule.lhs.pattern):
         d = full_scan_split(host, emb.image_vertices(), emb.image_edges())
         ptype = rule.lhs.ptype.renamed(emb)
-        expected += [(emb, d, ptype, h_l) for h_l in reference_maps(d, ptype)]
-    got = [(r.embedding, r.decomposition, r.matched_type, r.h_l) for r in redexes]
+        expected += [(emb, d, h_l) for h_l in reference_maps(d, ptype)]
+    got = [(r.embedding, r.decomposition, r.h_l) for r in redexes]
     assert got == expected, (host, rule)
 
 

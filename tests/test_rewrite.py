@@ -31,7 +31,7 @@ from pgr.graph import (
     isomorphic,
     rename_graph,
 )
-from pgr.matching import find_redexes
+from pgr.matching import Redex, find_redexes
 from pgr.rewrite import (
     StepCertificate,
     apply_at,
@@ -49,6 +49,24 @@ def only_redex(host, rule):
     redexes, _ = find_redexes(host, rule)
     assert len(redexes) == 1
     return redexes[0]
+
+
+def two_position_step():
+    """A step whose pattern has two isolated vertices, of which only the
+    first takes an edge from the context.  The host edge 9 -> 5 becomes a
+    loop on each of the two fresh vertices."""
+    rule = build_rule(Graph([0, 1]), {"in": (CONTEXT, 0), "loop": (1, 1)},
+                      Graph([10, 11]), [(10, 10, "in"), (11, 11, "in")])
+    host = Graph.from_triples([5, 6, 9], [(9, "x", 5)])
+    redex = only_redex(host, rule)
+    assert redex.embedding.vmap == {0: 5, 1: 6}
+    result, cert = apply_at(host, redex)
+    return host, result, cert
+
+
+def tampered_left(redex, embedding=None, h_l=None):
+    return Redex(redex.rule, embedding or redex.embedding, redex.decomposition,
+                 h_l or redex.h_l)
 
 
 class TestConstructRhsPatch:
@@ -194,6 +212,39 @@ class TestVerifyStep:
         result, cert = apply_at(host, redex)
         assert not verify_step(hub_host_extra_loop(), result, cert)
 
+    def test_rejects_swapped_positions(self):
+        # Same match graph, but 5 now stands for the vertex without a
+        # ``ctx ->`` placeholder.
+        host, result, cert = two_position_step()
+        assert verify_step(host, result, cert)
+        swapped = tampered_left(cert.redex, embedding=Renaming({0: 6, 1: 5}))
+        assert rename_graph(swapped.rule.lhs.pattern, swapped.embedding) \
+            == swapped.decomposition.match
+        bad = StepCertificate(swapped, cert.rhs_instance, cert.j_prime,
+                              cert.h_r, cert.sigma)
+        assert not verify_step(host, result, bad)
+
+    def test_rejects_left_map_to_other_shape(self):
+        host, result, cert = two_position_step()
+        left = cert.redex.rule.lhs.ptype.edges
+        (j, te), = cert.redex.h_l.items()
+        other, = [t for t in left if t != te]
+        assert left[other] != left[te]
+        bad = StepCertificate(tampered_left(cert.redex, h_l={j: other}),
+                              cert.rhs_instance, cert.j_prime, cert.h_r, cert.sigma)
+        assert not verify_step(host, result, bad)
+
+    def test_rejects_right_map_to_other_shape(self):
+        # Swapped, each loop still pairs with the one old edge and touches no
+        # context, so only its shape, read through the instance, is wrong.
+        host, result, cert = two_position_step()
+        right = cert.redex.rule.rhs.ptype.edges
+        e1, e2 = sorted(cert.h_r)
+        assert right[cert.h_r[e1]] != right[cert.h_r[e2]]
+        bad = StepCertificate(cert.redex, cert.rhs_instance, cert.j_prime,
+                              {e1: cert.h_r[e2], e2: cert.h_r[e1]}, cert.sigma)
+        assert not verify_step(host, result, bad)
+
 
 class TestBruteForceOracle:
     def test_empty_right_type_yields_context_plus_copy(self):
@@ -229,6 +280,12 @@ class TestBruteForceOracle:
             oracle_classes.add(classes[0])
         applied = {canonical_form(apply_at(host, r)[0]) for r in redexes}
         assert oracle_classes == applied
+
+    def test_tampered_redex_yields_nothing(self):
+        host, result, cert = two_position_step()
+        assert brute_force_step_oracle(host, cert.redex) == [canonical_form(result)]
+        swapped = tampered_left(cert.redex, embedding=Renaming({0: 6, 1: 5}))
+        assert brute_force_step_oracle(host, swapped) == []
 
     def test_bound_too_small(self):
         host = hub_host()

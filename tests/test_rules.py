@@ -27,7 +27,14 @@ from pgr.exceptions import (
     PositionMismatch,
     SharedName,
 )
-from pgr.graph import EMPTY_GRAPH, Graph, PatchDecomposition, decompose_at, rename_graph
+from pgr.graph import (
+    EMPTY_GRAPH,
+    Graph,
+    PatchDecomposition,
+    Renaming,
+    decompose_at,
+    rename_graph,
+)
 from pgr.matching import find_pattern_embeddings, find_redexes
 from pgr.rules import (
     CONTEXT,
@@ -36,13 +43,15 @@ from pgr.rules import (
     QuasiRule,
     RuleSketch,
     Scheme,
+    adherence_ok,
     build_rule,
-    edge_adheres,
     enumerate_adherence_maps,
     expand_black_node_shorthand,
     expand_name_shorthand,
     import_dpo,
     import_spo,
+    match_positions,
+    patch_shape,
     rules_isomorphic,
     validate_quasi_rule,
 )
@@ -57,44 +66,68 @@ def single_vertex_decomposition():
     return PatchDecomposition(c, j, m)
 
 
+# The match vertex 5 of ``single_vertex_decomposition`` at its own position.
+AT = {5: 5}
+
+
+def one_edge(d, e):
+    """The patch of ``d`` cut down to edge ``e``."""
+    s, lab, t = d.patch.edges[e]
+    return Graph({s, t}, {e: (s, lab, t)})
+
+
 class TestEdgeAdheres:
+    """Whether one patch edge adheres, read through the match positions."""
+
     def test_loop_never_adheres_to_context_edge(self):
         d = single_vertex_decomposition()
         t = PatchType(d.match, {0: (CONTEXT, 5)})
-        assert not edge_adheres(d, 22, t, 0)
+        assert patch_shape(d.patch, 22, AT) == (5, 5)
+        assert not adherence_ok(one_edge(d, 22), t, AT, {22: 0})
 
     def test_incoming_context_edge(self):
         d = single_vertex_decomposition()
         t = PatchType(d.match, {0: (CONTEXT, 5)})
-        assert edge_adheres(d, 20, t, 0)
-        assert not edge_adheres(d, 21, t, 0)
+        assert patch_shape(d.patch, 20, AT) == (CONTEXT, 5)
+        assert adherence_ok(one_edge(d, 20), t, AT, {20: 0})
+        assert not adherence_ok(one_edge(d, 21), t, AT, {21: 0})
 
     def test_in_match_edge(self):
         d = single_vertex_decomposition()
         t = PatchType(d.match, {0: (5, 5), 1: (5, CONTEXT)})
-        assert edge_adheres(d, 22, t, 0)
-        assert not edge_adheres(d, 22, t, 1)
+        assert adherence_ok(one_edge(d, 22), t, AT, {22: 0})
+        assert not adherence_ok(one_edge(d, 22), t, AT, {22: 1})
+
+    def test_shape_is_read_in_pattern_coordinates(self):
+        d = single_vertex_decomposition()
+        at = match_positions(Graph([0]), Renaming({0: 5, 1: 9}))
+        assert at == {5: 0}  # built from the pattern, not the whole map
+        assert patch_shape(d.patch, 20, at) == (CONTEXT, 0)
+        assert patch_shape(d.patch, 22, at) == (0, 0)
+        t = PatchType(Graph([0]), {0: (CONTEXT, 0), 1: (0, CONTEXT), 2: (0, 0)})
+        assert adherence_ok(d.patch, t, at, {20: 0, 21: 1, 22: 2})
+        assert not adherence_ok(d.patch, t, at, {20: 0, 21: 1})
 
 
 class TestEnumerateAdherenceMaps:
     def test_simple_type_unique_map(self):
         d = single_vertex_decomposition()
         t = PatchType(d.match, {0: (CONTEXT, 5), 1: (5, CONTEXT), 2: (5, 5)})
-        maps, truncated = enumerate_adherence_maps(d.patch, t, d)
+        maps, truncated = enumerate_adherence_maps(d.patch, t, AT)
         assert not truncated
         assert maps == [{20: 0, 21: 1, 22: 2}]
 
     def test_empty_patch_has_one_empty_map(self):
         d = PatchDecomposition(Graph([9]), EMPTY_GRAPH, Graph([5]))
         t = PatchType(d.match, {0: (CONTEXT, 5)})
-        maps, truncated = enumerate_adherence_maps(EMPTY_GRAPH, t, d)
+        maps, truncated = enumerate_adherence_maps(EMPTY_GRAPH, t, AT)
         assert maps == [{}]
         assert not truncated
 
     def test_non_adherent_patch_yields_nothing(self):
         d = single_vertex_decomposition()
         t = PatchType(d.match, {0: (CONTEXT, 5)})
-        maps, truncated = enumerate_adherence_maps(d.patch, t, d)
+        maps, truncated = enumerate_adherence_maps(d.patch, t, AT)
         assert maps == []
         assert not truncated
 
@@ -106,7 +139,7 @@ class TestEnumerateAdherenceMaps:
                if e.vmap[0] == 0][0]
         d = decompose_at(host, emb.image_vertices(), emb.image_edges())
         maps, truncated = enumerate_adherence_maps(
-            d.patch, rule.lhs.ptype.renamed(emb), d)
+            d.patch, rule.lhs.ptype, match_positions(rule.lhs.pattern, emb))
         assert len(maps) == 2 ** n
         assert not truncated
 
@@ -117,7 +150,7 @@ class TestEnumerateAdherenceMaps:
                if e.vmap[0] == 0][0]
         d = decompose_at(host, emb.image_vertices(), emb.image_edges())
         maps, truncated = enumerate_adherence_maps(
-            d.patch, rule.lhs.ptype.renamed(emb), d, cap=5)
+            d.patch, rule.lhs.ptype, match_positions(rule.lhs.pattern, emb), cap=5)
         assert len(maps) == 5
         assert truncated
 
@@ -129,7 +162,7 @@ class TestEnumerateAdherenceMaps:
                if e.vmap[0] == 0][0]
         d = decompose_at(host, emb.image_vertices(), emb.image_edges())
         maps, truncated = enumerate_adherence_maps(
-            d.patch, rule.lhs.ptype.renamed(emb), d)
+            d.patch, rule.lhs.ptype, match_positions(rule.lhs.pattern, emb))
         assert len(maps) == 3
         assert truncated
 
