@@ -24,6 +24,7 @@ from .rewrite import apply_at, normalize
 from .systems import WaitForNet, detect_deadlock, ds_explore, ds_initial_network
 
 OK, VERDICT_NEGATIVE, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
+CAPPED = "warning: adherence map enumeration was capped"
 
 
 def _load(paths) -> Document:
@@ -91,7 +92,7 @@ def cmd_match(args) -> int:
         print(f"redex {i}: rule {rname} in {gname}; match vertices "
               f"{list(mv)}, match edges {list(me)}; adherence {{{h_l}}}")
     if truncated:
-        print("warning: adherence map enumeration was capped", file=sys.stderr)
+        print(CAPPED, file=sys.stderr)
     print(f"{len(redexes)} redex(es)")
     return OK if redexes else VERDICT_NEGATIVE
 
@@ -112,6 +113,11 @@ def cmd_apply(args) -> int:
     return OK
 
 
+def _warn_if_capped(trace) -> None:
+    if any(rec.truncated for rec in trace):
+        print(CAPPED, file=sys.stderr)
+
+
 def cmd_normalize(args) -> int:
     doc = _load([args.graphs, args.rules])
     gname, host = _pick(doc.graphs, args.graph, "graph")
@@ -120,8 +126,10 @@ def cmd_normalize(args) -> int:
         nf, trace = normalize(host, system, strategy=args.strategy,
                               seed=args.seed, max_steps=args.max_steps)
     except StepLimitReached as exc:
+        _warn_if_capped(exc.trace)
         print(f"step limit reached after {len(exc.trace)} steps", file=sys.stderr)
         return VERDICT_NEGATIVE
+    _warn_if_capped(trace)
     for i, rec in enumerate(trace):
         print(f"step {i}: {rec.rule} at vertices {list(rec.match_vertices)}")
     print(f"normal form of {gname} after {len(trace)} step(s):")
@@ -141,8 +149,10 @@ def cmd_deadlock(args) -> int:
     try:
         report = detect_deadlock(net, max_steps=args.max_steps)
     except StepLimitReached as exc:
+        _warn_if_capped(exc.trace)
         print(f"step limit reached after {len(exc.trace)} steps", file=sys.stderr)
         return VERDICT_NEGATIVE
+    _warn_if_capped(report.trace)
     print(f"{gname}: {report.verdict}")
     if report.deadlocked:
         print(serialize_graph(report.normal_form, "blocked"), end="")

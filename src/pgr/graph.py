@@ -26,7 +26,7 @@ EdgeTriple = tuple[int, str, int]
 class Graph:
     """A finite directed multigraph with labeled edges."""
 
-    __slots__ = ("_vertices", "_edges", "_hash", "_out", "_in")
+    __slots__ = ("_vertices", "_edges", "_hash", "_out", "_in", "_by_label")
 
     def __init__(self, vertices: Iterable[int] = (), edges=()):
         """Create a graph.
@@ -52,6 +52,7 @@ class Graph:
         self._hash = None
         self._out = None
         self._in = None
+        self._by_label = None
 
     @classmethod
     def from_triples(cls, vertices: Iterable[int], triples: Iterable[EdgeTriple] = ()) -> "Graph":
@@ -96,6 +97,14 @@ class Graph:
 
     def in_edges(self, v: int) -> list[int]:
         return self._indexes()[1][v]
+
+    def label_index(self) -> dict[str, list[int]]:
+        """Edge ids by label, in id order; built once."""
+        if self._by_label is None:
+            self._by_label = {}
+            for e in sorted(self._edges):
+                self._by_label.setdefault(self._edges[e][1], []).append(e)
+        return self._by_label
 
     def incident_edges(self, v: int) -> set[int]:
         out, inc = self._indexes()

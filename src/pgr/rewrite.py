@@ -303,11 +303,12 @@ def successors(host: Graph, system: dict[str, QuasiRule], dedup: bool = True,
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One entry of a normalization trace."""
+    """One entry of a normalization trace; ``truncated`` flags a capped search."""
 
     rule: str
     match_vertices: tuple[int, ...]
     match_edges: tuple[int, ...]
+    truncated: bool = False
 
 
 def normalize(host: Graph, system: dict[str, QuasiRule], strategy: str = "first",
@@ -318,10 +319,12 @@ def normalize(host: Graph, system: dict[str, QuasiRule], strategy: str = "first"
 
     ``first`` picks the first redex of the first applicable rule in declared
     order; ``random`` draws uniformly from all (rule, redex) pairs with the
-    given seed.  Raises StepLimitReached (carrying the partial trace) if no
-    normal form is found within ``max_steps``.  ``canonical`` renames the
-    final result into canonical form; it stays off by default so trace ids
-    keep pointing into the intermediate graphs.
+    given seed.  A step's record is ``truncated`` when a redex search of that
+    step hit the map cap, so it chose from an incomplete list.  Raises
+    StepLimitReached (carrying the partial trace) if no normal form is found
+    within ``max_steps``.  ``canonical`` renames the final result into
+    canonical form; it stays off by default so trace ids keep pointing into
+    the intermediate graphs.
     """
     if strategy not in ("first", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -329,26 +332,19 @@ def normalize(host: Graph, system: dict[str, QuasiRule], strategy: str = "first"
     g = host
     trace: list[StepRecord] = []
     for _ in range(max_steps):
-        choice = None
-        if strategy == "first":
-            for name, rule in system.items():
-                redexes, _ = find_redexes(g, rule, cap)
-                if redexes:
-                    choice = (name, redexes[0])
-                    break
-        else:
-            pool = []
-            for name, rule in system.items():
-                redexes, _ = find_redexes(g, rule, cap)
-                pool.extend((name, r) for r in redexes)
-            if pool:
-                choice = pool[rng.randrange(len(pool))]
-        if choice is None:
+        pool, truncated = [], False
+        for name, rule in system.items():
+            redexes, cut = find_redexes(g, rule, cap)
+            truncated = truncated or cut
+            pool.extend((name, r) for r in redexes)
+            if pool and strategy == "first":
+                break
+        if not pool:
             return (canonical_form(g) if canonical else g), trace
-        name, redex = choice
+        name, redex = pool[0] if strategy == "first" else pool[rng.randrange(len(pool))]
         g, _ = apply_at(g, redex)
         mv, me = redex.match_summary()
-        trace.append(StepRecord(name, mv, me))
+        trace.append(StepRecord(name, mv, me, truncated))
     # One more look: the limit only matters if a redex is still there.
     if any(find_redexes(g, rule, cap)[0] for rule in system.values()):
         raise StepLimitReached(g, trace)

@@ -55,7 +55,7 @@ def default_map_cap() -> int:
 class PatchType:
     """Unlabeled placeholder edges over a pattern graph and CONTEXT."""
 
-    __slots__ = ("pattern", "edges")
+    __slots__ = ("pattern", "edges", "_by_shape")
 
     def __init__(self, pattern: Graph, edges: Mapping[int, tuple[Endpoint, Endpoint]] = ()):
         self.pattern = pattern
@@ -66,6 +66,7 @@ class PatchType:
             for ep in (s, t):
                 if ep != CONTEXT and ep not in pattern.vertices:
                     raise ValueError(f"type edge {e}: endpoint {ep} not a pattern vertex")
+        self._by_shape = None
 
     def is_simple(self) -> bool:
         pairs = list(self.edges.values())
@@ -88,6 +89,14 @@ class PatchType:
 
     def sorted_edges(self):
         return sorted(self.edges.items())
+
+    def by_shape(self) -> dict[tuple[Endpoint, Endpoint], list[int]]:
+        """Type edge ids grouped by endpoint pair, in id order; built once."""
+        if self._by_shape is None:
+            self._by_shape = {}
+            for te, pair in self.sorted_edges():
+                self._by_shape.setdefault(pair, []).append(te)
+        return self._by_shape
 
     def __eq__(self, other):
         if not isinstance(other, PatchType):
@@ -215,13 +224,10 @@ def enumerate_adherence_maps(j: Graph, ptype: PatchType, at: Mapping[int, int],
     """
     if cap is None:
         cap = default_map_cap()
-    by_shape: dict[tuple[Endpoint, Endpoint], list[int]] = {}
-    for te, pair in ptype.sorted_edges():
-        by_shape.setdefault(pair, []).append(te)
     edge_ids = sorted(j.edges)
     candidates = []
     for e in edge_ids:
-        cands = by_shape.get(patch_shape(j, e, at))
+        cands = ptype.by_shape().get(patch_shape(j, e, at))
         if cands is None:
             return [], False
         candidates.append(cands)

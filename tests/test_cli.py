@@ -1,6 +1,7 @@
 """Command-line driver: commands, outputs, exit codes."""
 
 import pytest
+from fixtures import shallow_recursion
 
 from pgr.cli import main
 from pgr.formats import parse_graph
@@ -165,6 +166,63 @@ def test_normalize_random_seeded(workdir, capsys):
     code = main(["normalize", str(workdir / "host.pgr"), str(workdir / "rules.pgr"),
                  "--strategy", "random", "--seed", "3"])
     assert code == 0
+
+
+QUASI = """
+graph fan {
+  node 0; node 1; node 2;
+  0: 0 -a-> 0;
+  1: 1 -x-> 0;
+  2: 2 -x-> 0;
+}
+rule pick {
+  lhs { node 0; 0: 0 -a-> 0; type p: ctx -> 0; type q: ctx -> 0; }
+  rhs { node 10; type: ctx -> 10 from p; }
+}
+"""
+
+
+@pytest.mark.parametrize("strategy", ["first", "random"])
+def test_normalize_warns_when_a_step_was_capped(tmp_path, capsys, monkeypatch, strategy):
+    # Two in-edges over two parallel placeholders give four maps; the cap is 2.
+    (tmp_path / "fan.pgr").write_text(QUASI)
+    argv = ["normalize", str(tmp_path / "fan.pgr"), str(tmp_path / "fan.pgr"),
+            "--strategy", strategy, "--seed", "1"]
+    uncapped = main(argv), capsys.readouterr()
+    monkeypatch.setenv("PGR_MAX_MAPS", "2")
+    capped = main(argv), capsys.readouterr()
+    assert uncapped[0] == capped[0] == 0
+    assert uncapped[1].err == ""
+    assert capped[1].err == "warning: adherence map enumeration was capped\n"
+    assert capped[1].out.startswith("step 0: pick at vertices [0]\n"
+                                    "normal form of fan after 1 step(s):\n")
+    if strategy == "first":  # the first redex does not depend on the cap
+        assert capped[1].out == uncapped[1].out
+
+
+def test_normalize_step_limit_warns_when_capped(tmp_path, capsys, monkeypatch):
+    (tmp_path / "fan.pgr").write_text(QUASI.replace("node 10;", "node 10; 10: 10 -a-> 10;"))
+    monkeypatch.setenv("PGR_MAX_MAPS", "2")
+    code = main(["normalize", str(tmp_path / "fan.pgr"), str(tmp_path / "fan.pgr"),
+                 "--max-steps", "2"])
+    assert code == 1
+    assert capsys.readouterr().err == ("warning: adherence map enumeration was capped\n"
+                                       "step limit reached after 2 steps\n")
+
+
+def test_match_long_same_label_path(tmp_path, capsys):
+    # Every edge is labelled a, so only the edge-following search answers
+    # quickly; the rule has no type edges, so just the whole host matches.
+    n = 1200
+    path = "".join(f"{i}: {i} -a-> {i + 1}; " for i in range(n - 1))
+    nodes = "".join(f"node {i}; " for i in range(n))
+    (tmp_path / "host.pgr").write_text(f"graph P {{ {nodes}{path}}}")
+    (tmp_path / "rule.pgr").write_text(
+        f"rule whole {{ lhs {{ {nodes}{path}}} rhs {{ node {n}; }} }}")
+    with shallow_recursion():
+        code = main(["match", str(tmp_path / "host.pgr"), str(tmp_path / "rule.pgr")])
+    assert code == 0
+    assert capsys.readouterr().out.endswith("1 redex(es)\n")
 
 
 def test_deadlock_negative(workdir, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from fixtures import (
     delete_rule,
     hub_host,
     hub_host_extra_loop,
+    random_deterministic_rule,
     random_graph,
     random_instances,
     random_quasi_rule,
@@ -18,10 +20,113 @@ from fixtures import (
 )
 from pgr.formats import parse_document
 from pgr.graph import EMPTY_GRAPH, Graph, PatchDecomposition, Renaming, rename_graph
-from pgr.matching import context_of, find_pattern_embeddings, find_redexes
+from pgr.matching import _embedding_key, context_of, find_pattern_embeddings, find_redexes
+from pgr.rewrite import apply_at
 from pgr.rules import CONTEXT, PatchType, build_rule
+from pgr.systems import WaitForNet, deadlock_rules, detect_deadlock
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def reference_embeddings(host, pattern):
+    """The full-scan search the edge-following one replaced: every host
+    vertex whose label degrees suffice is a candidate for every pattern
+    vertex, and the results are sorted by the same key."""
+    if len(pattern.vertices) > len(host.vertices) or len(pattern.edges) > len(host.edges):
+        return []
+
+    host_groups: dict[tuple, list[int]] = {}
+    for e in sorted(host.edges):
+        host_groups.setdefault(host.edges[e], []).append(e)
+
+    def degree_sig(g: Graph, v: int):
+        return (Counter(g.label(e) for e in g.out_edges(v)),
+                Counter(g.label(e) for e in g.in_edges(v)))
+
+    host_sigs = {v: degree_sig(host, v) for v in host.vertices}
+    pat_sigs = {v: degree_sig(pattern, v) for v in pattern.vertices}
+
+    def candidates(pv):
+        po, pi = pat_sigs[pv]
+        out = []
+        for hv in sorted(host.vertices):
+            ho, hi = host_sigs[hv]
+            if all(ho[lab] >= n for lab, n in po.items()) and \
+               all(hi[lab] >= n for lab, n in pi.items()):
+                out.append(hv)
+        return out
+
+    cand = {pv: candidates(pv) for pv in pattern.vertices}
+    if any(not c for c in cand.values()):
+        return []
+
+    # Connected-first ordering keeps the search tied to what is already
+    # assigned; ties broken toward scarcer candidate sets.
+    order: list[int] = []
+    remaining = set(pattern.vertices)
+    while remaining:
+        anchored = [v for v in remaining
+                    if any((pattern.src(e) in order or pattern.tgt(e) in order)
+                           for e in pattern.incident_edges(v))]
+        pool = anchored or list(remaining)
+        nxt = min(pool, key=lambda v: (len(cand[v]), v))
+        order.append(nxt)
+        remaining.discard(nxt)
+
+    pat_pairs = Counter((s, lab, t) for s, lab, t in pattern.edges.values())
+    vmaps: list[dict[int, int]] = []
+    vmap: dict[int, int] = {}
+    used: set[int] = set()
+
+    def feasible(v):
+        for e in pattern.incident_edges(v):
+            s, lab, t = pattern.edges[e]
+            if s in vmap and t in vmap:
+                if len(host_groups.get((vmap[s], lab, vmap[t]), ())) < pat_pairs[(s, lab, t)]:
+                    return False
+        return True
+
+    # Depth-first over ``order`` with one candidate iterator per assigned
+    # level; a level's current choice is undone before its next one is tried.
+    if not order:
+        vmaps.append({})
+    stack = [iter(cand[order[0]])] if order else []
+    while stack:
+        v = order[len(stack) - 1]
+        if v in vmap:
+            used.discard(vmap.pop(v))
+        for w in stack[-1]:
+            if w in used:
+                continue
+            vmap[v] = w
+            used.add(w)
+            if feasible(v):
+                break
+            del vmap[v]
+            used.discard(w)
+        else:
+            stack.pop()
+            continue
+        if len(stack) == len(order):
+            vmaps.append(dict(vmap))
+        else:
+            stack.append(iter(cand[order[len(stack)]]))
+
+    results = []
+    for vm in vmaps:
+        pat_groups: dict[tuple, list[int]] = {}
+        for e in sorted(pattern.edges):
+            s, lab, t = pattern.edges[e]
+            pat_groups.setdefault((vm[s], lab, vm[t]), []).append(e)
+        pools = [(edges, host_groups[key]) for key, edges in sorted(pat_groups.items())]
+        for choice in itertools.product(
+                *[itertools.permutations(hs, len(ps)) for ps, hs in pools]):
+            emap = {}
+            for (ps, _), images in zip(pools, choice):
+                emap.update(zip(ps, images))
+            results.append(Renaming(vm, emap))
+    results.sort(key=_embedding_key)
+    return results
 
 
 def reference_edge_adheres(d, patch_edge, ptype, type_edge):
@@ -91,16 +196,84 @@ def naive_redex_exists(host, rule):
 
 
 def assert_redexes_match_reference(host, rule):
-    """Per embedding, in order: the full-scan split and every reference map."""
+    """Per reference embedding, in order: the full-scan split and every
+    reference map."""
     redexes, truncated = find_redexes(host, rule)
     assert not truncated
     expected = []
-    for emb in find_pattern_embeddings(host, rule.lhs.pattern):
+    for emb in reference_embeddings(host, rule.lhs.pattern):
         d = full_scan_split(host, emb.image_vertices(), emb.image_edges())
         ptype = rule.lhs.ptype.renamed(emb)
         expected += [(emb, d, h_l) for h_l in reference_maps(d, ptype)]
     got = [(r.embedding, r.decomposition, r.h_l) for r in redexes]
     assert got == expected, (host, rule)
+
+
+def assert_search_matches_reference(host, rule):
+    """Without a type the search lists the reference embeddings in order;
+    with the left type it keeps a subsequence of them, and each embedding
+    it leaves out has no adherence map under the reference."""
+    pattern, ptype = rule.lhs.pattern, rule.lhs.ptype
+    expected = reference_embeddings(host, pattern)
+    assert find_pattern_embeddings(host, pattern) == expected, (host, pattern)
+    kept = iter(find_pattern_embeddings(host, pattern, ptype))
+    nxt = next(kept, None)
+    dropped = 0
+    for emb in expected:
+        if emb == nxt:
+            nxt = next(kept, None)
+            continue
+        d = full_scan_split(host, emb.image_vertices(), emb.image_edges())
+        assert reference_maps(d, ptype.renamed(emb)) == [], (host, rule, emb)
+        dropped += 1
+    assert nxt is None, (host, rule)
+    assert_redexes_match_reference(host, rule)
+    return dropped
+
+
+def n_of_m_net(rng, procs):
+    """A wait-for net: some processes each wait for n of m others."""
+    requests = []
+    for p in rng.sample(range(procs), rng.randint(1, procs)):
+        targets = rng.sample([q for q in range(procs) if q != p], rng.randint(1, min(3, procs - 1)))
+        requests.append((p, targets, rng.randint(1, len(targets))))
+    vertices, triples = list(range(procs)), []
+    for r, (p, targets, n) in enumerate(requests, start=procs):
+        vertices.append(r)
+        triples += [(p, "_", r), (r, "z", r)] + [(r, "_", t) for t in targets] + [(r, "s", r)] * n
+    return Graph.from_triples(vertices, triples)
+
+
+class TestEdgeFollowingSearch:
+    """The edge-following search against the full-scan one it replaced."""
+
+    def test_random_hosts_and_rules(self):
+        rng = random.Random(6)
+        dropped = no_redex = 0
+        for i in range(600):
+            host = random_graph(rng, list(range(rng.randint(1, 5))), 8)
+            rule = random_deterministic_rule(rng) if i % 2 else random_quasi_rule(rng)
+            dropped += assert_search_matches_reference(host, rule)
+            no_redex += not find_redexes(host, rule)[0]
+        assert dropped > 100 and no_redex > 100
+
+    def test_every_graph_of_deadlock_detection(self):
+        # Replays normalize's first-redex choice from each net to its normal form.
+        rng = random.Random(9)
+        rules = deadlock_rules()
+        for procs in (4, 6, 8, 10):
+            g = n_of_m_net(rng, procs)
+            assert WaitForNet(g).is_valid()
+            report = detect_deadlock(g)
+            steps = 0
+            while True:
+                for rule in rules.values():
+                    assert_search_matches_reference(g, rule)
+                redexes = [r for rule in rules.values() for r in find_redexes(g, rule)[0]]
+                if not redexes:
+                    break
+                g, steps = apply_at(g, redexes[0])[0], steps + 1
+            assert (g, steps) == (report.normal_form, len(report.trace))
 
 
 class TestEmbeddings:
@@ -157,6 +330,21 @@ class TestEmbeddings:
         assert rename_graph(pattern, embeddings[0]) == host
 
 
+    def test_same_label_path_is_not_cubic(self):
+        # With one label every host vertex fits every pattern vertex, so a
+        # search that scans the host per level is cubic (150 vertices took
+        # seconds); following edges makes each wrong start die in place.
+        n = 300
+        pattern = Graph.from_triples(range(n), [(i, "a", i + 1) for i in range(n - 1)])
+        host = rename_graph(pattern, Renaming({v: v + 1000 for v in range(n)},
+                                              {e: e + 1000 for e in range(n - 1)}))
+        start = time.perf_counter()
+        with shallow_recursion():
+            embeddings = find_pattern_embeddings(host, pattern)
+        assert time.perf_counter() - start < 5
+        assert [rename_graph(pattern, emb) for emb in embeddings] == [host]
+
+
 class TestFindRedexes:
     def test_strict_rule_blocked_by_patch(self):
         redexes, _ = find_redexes(hub_host(), strict_delete_rule())
@@ -206,7 +394,7 @@ class TestFindRedexes:
                   for rd in docs for r in rd.rules.values()]
         assert sum(bool(find_redexes(h, r)[0]) for h, r in pairs) > 200
         for host, rule in pairs:
-            assert_redexes_match_reference(host, rule)
+            assert_search_matches_reference(host, rule)
 
     def test_deterministic_rule_one_redex_per_embedding(self):
         host = hub_host()
