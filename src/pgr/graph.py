@@ -191,6 +191,13 @@ class PatchDecomposition:
         self.patch = patch
         self.match = match
 
+    @classmethod
+    def derived(cls, host: Graph, patch: Graph, match: Graph) -> "PatchDecomposition":
+        """J and M of ``host``, whose context is derived on first use."""
+        d = cls(None, patch, match)
+        d._host = host
+        return d
+
     @property
     def context(self) -> Graph:
         if self._context is None:
@@ -252,11 +259,12 @@ def validate_patch(d: PatchDecomposition) -> list[str]:
     out = []
     if c.vertices & m.vertices:
         out.append(f"context and match share vertices: {sorted(c.vertices & m.vertices)}")
-    if set(c.edges) & set(m.edges):
-        out.append(f"context and match share edges: {sorted(set(c.edges) & set(m.edges))}")
-    overlap = set(j.edges) & (set(c.edges) | set(m.edges))
+    shared = sorted(e for e in m.edges if e in c.edges)
+    if shared:
+        out.append(f"context and match share edges: {shared}")
+    overlap = sorted(e for e in j.edges if e in c.edges or e in m.edges)
     if overlap:
-        out.append(f"patch edges reuse context/match edge ids: {sorted(overlap)}")
+        out.append(f"patch edges reuse context/match edge ids: {overlap}")
     for e, (s, _, t) in j.sorted_edges():
         s_in_c, s_in_m = s in c.vertices, s in m.vertices
         t_in_c, t_in_m = t in c.vertices, t in m.vertices
@@ -278,7 +286,9 @@ def patch_compose(d: PatchDecomposition) -> Graph:
     violations = validate_patch(d)
     if violations:
         raise InvalidPatch(violations)
-    return graph_union(graph_union(d.context, d.patch), d.match)
+    # Valid parts have pairwise disjoint edge ids, so one build suffices.
+    c, j, m = d.context, d.patch, d.match
+    return Graph(c.vertices | j.vertices | m.vertices, {**c.edges, **j.edges, **m.edges})
 
 
 def decompose_at(g: Graph, match_vertices: Iterable[int], match_edges: Iterable[int]) -> PatchDecomposition:
@@ -301,9 +311,7 @@ def decompose_at(g: Graph, match_vertices: Iterable[int], match_edges: Iterable[
     match = Graph(mv, {e: g.edges[e] for e in me})
     j_edges = {e: g.edges[e] for v in mv for e in g.incident_edges(v) if e not in me}
     j_vertices = {s for s, _, _ in j_edges.values()} | {t for _, _, t in j_edges.values()}
-    d = PatchDecomposition(None, Graph(j_vertices, j_edges), match)
-    d._host = g
-    return d
+    return PatchDecomposition.derived(g, Graph(j_vertices, j_edges), match)
 
 
 # -- canonical labelling ----------------------------------------------------

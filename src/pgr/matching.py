@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Set
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 from .graph import Graph, PatchDecomposition, Renaming, decompose_at
 from .rules import CONTEXT, PatchType, QuasiRule, enumerate_adherence_maps, match_positions
@@ -37,66 +40,61 @@ def _embedding_key(r: Renaming):
             tuple(sorted(r.vmap.items())), tuple(sorted(r.emap.items())))
 
 
-def find_pattern_embeddings(host: Graph, pattern: Graph,
-                            ptype: PatchType | None = None) -> list[Renaming]:
-    """All vertex- and edge-injective embeddings of ``pattern`` into ``host``.
-
-    The first vertex of each pattern component takes its candidates from
-    the host's ``label_index``, every later one from the edges of a placed
-    neighbour's image that carry the label and direction of a pattern edge.
-    With ``ptype``, the left patch type of a rule, embeddings that cannot
-    adhere are left out: a pattern vertex that no type edge leaves needs an
-    image with exactly its pattern out-degree, and likewise for in-edges.
-
-    The empty pattern has exactly one (empty) embedding.  Results come in a
-    canonical order: lexicographic on (sorted image vertices, sorted image
-    edges, then the maps themselves); ``ptype`` only removes entries.
-    """
-    index, edges = host.label_index(), host.edges
-    if len(pattern.vertices) > len(host.vertices) or len(pattern.edges) > len(host.edges) \
-            or not pattern.labels() <= index.keys():
-        return []
-    # Per pattern vertex, ``(out, label, n)``: its image has at least n such
-    # edges on that side, or, for label None, exactly n edges there.
+def _needs(pattern: Graph, ptype: PatchType | None) -> dict[int, list[tuple]]:
+    """Per pattern vertex, ``(out, label, n)``: its image has at least n such
+    edges on that side, or, for label None, exactly n edges there."""
     need: dict[int, list[tuple]] = {v: [] for v in pattern.vertices}
     for v, out in itertools.product(pattern.vertices, (True, False)):
         es = (pattern.out_edges if out else pattern.in_edges)(v)
         if ptype is not None and all(pair[not out] != v for pair in ptype.by_shape()):
             need[v].append((out, None, len(es)))
         need[v] += [(out, lab, n) for lab, n in Counter(pattern.label(e) for e in es).items()]
+    return need
 
-    def rarest(v):
-        return min(((len(index[lab]), lab, out) for out, lab, _ in need[v] if lab),
-                   default=(len(host.edges) + 1, None, None))
 
-    # Breadth-first per component from its rarest vertex; each later vertex
-    # is anchored on the pattern edge that reached it.
+def _plan(pattern: Graph, roots: list[int]):
+    """Breadth-first order over ``pattern``, one component after another,
+    each from the first of ``roots`` in it.  ``via[v]`` is the placed
+    neighbour, label and direction of the pattern edge that reached v (None
+    for a component root); ``checks[v]`` lists the edge multiplicities
+    between v and the vertices placed before it."""
     order: list[int] = []
-    anchor: dict[int, tuple | None] = {}
-    for root in sorted(pattern.vertices, key=lambda v: (rarest(v)[0], v)):
-        if root not in anchor:
-            anchor[root] = None
+    via: dict[int, tuple | None] = {}
+    for root in roots:
+        if root not in via:
+            via[root] = None
             queue = [root]
             for v in queue:
                 for e in sorted(pattern.incident_edges(v)):
                     s, lab, t = pattern.edges[e]
-                    if (w := t if s == v else s) not in anchor:
-                        anchor[w] = (v, lab, s == v)
+                    if (w := t if s == v else s) not in via:
+                        via[w] = (v, lab, s == v)
                         queue.append(w)
             order += queue
     checks: dict[int, list] = {v: [] for v in order}
     for (s, lab, t), n in Counter(pattern.edges.values()).items():
         checks[max(s, t, key=order.index)].append((s, lab, t, n))
+    return order, via, checks
 
-    def between(hs, lab, ht):
-        return [e for e in host.out_edges(hs) if edges[e] == (hs, lab, ht)]
+
+def _between(host: Graph, hs: int, lab: str, ht: int) -> list[int]:
+    edges = host.edges
+    return [e for e in host.out_edges(hs) if edges[e] == (hs, lab, ht)]
+
+
+def _vertex_maps(host: Graph, need, plan, start, used: set[int]) -> list[dict[int, int]]:
+    """Injective vertex maps along ``plan`` that keep every need and edge
+    multiplicity and avoid ``used``; a component root takes its candidates
+    from ``start(v)``, every later vertex from the edges of the image of the
+    neighbour that reached it."""
+    order, via, checks = plan
+    edges = host.edges
+    used = set(used)
 
     def candidates(v):
-        if anchor[v] is None:
-            _, lab, out = rarest(v)
-            return iter(sorted(host.vertices) if lab is None else
-                        dict.fromkeys(edges[e][0 if out else 2] for e in index[lab]))
-        u, lab, out = anchor[v]
+        if via[v] is None:
+            return iter(start(v))
+        u, lab, out = via[v]
         es = host.out_edges(vmap[u]) if out else host.in_edges(vmap[u])
         return iter(dict.fromkeys(edges[e][2 if out else 0] for e in es if edges[e][1] == lab))
 
@@ -104,13 +102,12 @@ def find_pattern_embeddings(host: Graph, pattern: Graph,
         return all(len(es) == n if lab is None else sum(edges[e][1] == lab for e in es) >= n
                    for out, lab, n in need[v]
                    for es in [host.out_edges(w) if out else host.in_edges(w)]) and \
-            all(len(between(vmap[s], lab, vmap[t])) >= n for s, lab, t, n in checks[v])
+            all(len(_between(host, vmap[s], lab, vmap[t])) >= n for s, lab, t, n in checks[v])
 
     # Depth-first over ``order`` with one candidate iterator per assigned
     # level; a level's current choice is undone before its next one is tried.
     vmaps: list[dict[int, int]] = [] if order else [{}]
     vmap: dict[int, int] = {}
-    used: set[int] = set()
     stack = [candidates(order[0])] if order else []
     while stack:
         v = order[len(stack) - 1]
@@ -129,13 +126,72 @@ def find_pattern_embeddings(host: Graph, pattern: Graph,
             vmaps.append(dict(vmap))
         else:
             stack.append(candidates(order[len(stack)]))
+    return vmaps
+
+
+def find_pattern_embeddings(host: Graph, pattern: Graph, ptype: PatchType | None = None,
+                            anchors: Set[int] | None = None,
+                            plans: dict | None = None) -> list[Renaming]:
+    """All vertex- and edge-injective embeddings of ``pattern`` into ``host``.
+
+    The first vertex of each pattern component takes its candidates from
+    the host's ``label_index``, every later one from the edges of a placed
+    neighbour's image that carry the label and direction of a pattern edge.
+    With ``ptype``, the left patch type of a rule, embeddings that cannot
+    adhere are left out: a pattern vertex that no type edge leaves needs an
+    image with exactly its pattern out-degree, and likewise for in-edges.
+
+    With ``anchors``, only the embeddings whose image meets them are listed:
+    the search starts from each anchor in turn, placing each pattern vertex
+    there as the root of its component, and keeps the anchors already tried
+    out of the image, so every embedding is found once.  ``plans`` is a dict
+    the caller may keep across calls with the same pattern and type; the
+    host-independent part of the search is built into it once.
+
+    The empty pattern has exactly one (empty) embedding, which meets no
+    anchor.  Results come in a canonical order: lexicographic on (sorted
+    image vertices, sorted image edges, then the maps themselves); ``ptype``
+    and ``anchors`` only remove entries.
+    """
+    if len(pattern.vertices) > len(host.vertices) or len(pattern.edges) > len(host.edges):
+        return []
+    plans = {} if plans is None else plans
+    if None not in plans:
+        plans[None] = _needs(pattern, ptype)
+    need = plans[None]
+
+    def rarest(v):
+        return min(((len(host.label_index().get(lab, ())), lab, out)
+                    for out, lab, _ in need[v] if lab),
+                   default=(len(host.edges) + 1, None, None))
+
+    def scan(v):
+        _, lab, out = rarest(v)
+        return (sorted(host.vertices) if lab is None else dict.fromkeys(
+            host.edges[e][0 if out else 2] for e in host.label_index().get(lab, ())))
+
+    if anchors is None:
+        if not pattern.labels() <= host.label_index().keys():
+            return []
+        # Components in order of their rarest vertex, each from that vertex.
+        plan = _plan(pattern, sorted(pattern.vertices, key=lambda v: (rarest(v)[0], v)))
+        vmaps = _vertex_maps(host, need, plan, scan, set())
+    else:
+        vmaps, tried = [], set()
+        for a in sorted(anchors & host.vertices):
+            for p in sorted(pattern.vertices):
+                if p not in plans:
+                    plans[p] = _plan(pattern, [p, *sorted(pattern.vertices)])
+                vmaps += _vertex_maps(host, need, plans[p],
+                                      lambda v, a=a, p=p: (a,) if v == p else scan(v), tried)
+            tried.add(a)
 
     results = []
     for vm in vmaps:
         pat_groups: dict[tuple, list[int]] = {}
         for e, (s, lab, t) in pattern.sorted_edges():
             pat_groups.setdefault((vm[s], lab, vm[t]), []).append(e)
-        pools = [(ps, between(*key)) for key, ps in sorted(pat_groups.items())]
+        pools = [(ps, _between(host, *key)) for key, ps in sorted(pat_groups.items())]
         for choice in itertools.product(
                 *[itertools.permutations(hs, len(ps)) for ps, hs in pools]):
             results.append(Renaming(vm, {p: h for (ps, _), images in zip(pools, choice)
@@ -144,22 +200,97 @@ def find_pattern_embeddings(host: Graph, pattern: Graph,
     return results
 
 
-def find_redexes(host: Graph, rule: QuasiRule,
-                 cap: int | None = None) -> tuple[list[Redex], bool]:
+def _adherent(host: Graph, rule: QuasiRule, emb: Renaming, cap: int | None):
+    """The decomposition of ``host`` at an embedding of the left pattern,
+    its adherence maps and whether their listing was capped."""
+    d = decompose_at(host, emb.image_vertices(), emb.image_edges())
+    maps, cut = enumerate_adherence_maps(
+        d.patch, rule.lhs.ptype, match_positions(rule.lhs.pattern, emb), cap)
+    return d, maps, cut
+
+
+def find_redexes(host: Graph, rule: QuasiRule, cap: int | None = None,
+                 anchors: Set[int] | None = None) -> tuple[list[Redex], bool]:
     """All redexes of ``rule`` in ``host`` in canonical order.
 
     Per embedding, one redex per adherence map (deterministic rules admit at
-    most one).  Embeddings whose patch does not adhere are dropped.  The
-    second component flags that some enumeration hit the map cap.
+    most one).  Embeddings whose patch does not adhere are dropped; with
+    ``anchors``, so are those whose match misses them.  The second
+    component flags that some enumeration hit the map cap.
     """
     redexes, truncated = [], False
-    for emb in find_pattern_embeddings(host, rule.lhs.pattern, rule.lhs.ptype):
-        d = decompose_at(host, emb.image_vertices(), emb.image_edges())
-        maps, cut = enumerate_adherence_maps(
-            d.patch, rule.lhs.ptype, match_positions(rule.lhs.pattern, emb), cap)
+    for emb in find_pattern_embeddings(host, rule.lhs.pattern, rule.lhs.ptype, anchors):
+        d, maps, cut = _adherent(host, rule, emb, cap)
         truncated = truncated or cut
         redexes += [Redex(rule, emb, d, h_l) for h_l in maps]
     return redexes, truncated
+
+
+class _Entry(NamedTuple):
+    key: tuple
+    embedding: Renaming
+    patch: Graph
+    match: Graph
+    maps: list[dict[int, int]]
+    capped: bool
+
+
+class RedexSets:
+    """The redexes of each rule of a system in a host that changes by steps.
+
+    A step keeps the context of its redex and replaces only the patch J and
+    the match M.  So an embedding whose image avoids M and the context
+    endpoints of J keeps its edges, its patch and its adherence maps, and
+    every other redex of the result meets a vertex the step created or
+    whose edges it changed.  Per rule, the embeddings that have maps are
+    kept as entries sorted by ``_embedding_key``.  A rule is searched in
+    full when first asked for; ``advance`` then only collects the vertices
+    each step touched, and the next ask drops the entries that meet them
+    and searches anew from those still in the host, as ``anchors``.
+    """
+
+    def __init__(self, host: Graph, system: dict[str, QuasiRule], cap: int | None = None):
+        self.host = host
+        self.system = system
+        self.cap = cap
+        self._entries: dict[str, list[_Entry]] = {}
+        self._touched: dict[str, set[int]] = {}
+        self._plans: dict[str, dict] = {name: {} for name in system}
+
+    def entries(self, name: str) -> tuple[list[_Entry], bool]:
+        """The entries of rule ``name`` in the current host, in redex order,
+        and whether the map listing of any of them was capped."""
+        if name not in self._entries:
+            self._entries[name] = self._search(name, None)
+        elif self._touched[name]:
+            touched = self._touched[name]
+            kept = [x for x in self._entries[name] if x.match.vertices.isdisjoint(touched)]
+            self._entries[name] = sorted(kept + self._search(name, touched & self.host.vertices),
+                                         key=itemgetter(0))
+        self._touched[name] = set()
+        entries = self._entries[name]
+        return entries, any(x.capped for x in entries)
+
+    def _search(self, name: str, anchors: set[int] | None) -> list[_Entry]:
+        rule, found = self.system[name], []
+        for emb in find_pattern_embeddings(self.host, rule.lhs.pattern, rule.lhs.ptype,
+                                           anchors, self._plans[name]):
+            d, maps, cut = _adherent(self.host, rule, emb, self.cap)
+            if maps:
+                found.append(_Entry(_embedding_key(emb), emb, d.patch, d.match, maps, cut))
+        return found
+
+    def redex(self, name: str, entry: _Entry, h_l: dict[int, int]) -> Redex:
+        """The redex of an entry and one of its maps, in the current host."""
+        return Redex(self.system[name], entry.embedding,
+                     PatchDecomposition.derived(self.host, entry.patch, entry.match), h_l)
+
+    def advance(self, host: Graph, touched: set[int]) -> None:
+        """Move to ``host``, one step on; ``touched`` holds every vertex the
+        step removed, created or changed the edges of."""
+        self.host = host
+        for pending in self._touched.values():
+            pending |= touched
 
 
 def context_of(e: int, h: dict[int, int], d: PatchDecomposition,

@@ -10,6 +10,7 @@ re-checks them declaratively, independent of the constructive path.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random as random_module
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from .graph import (
     patch_compose,
     rename_graph,
 )
-from .matching import Redex, context_of, find_redexes
+from .matching import Redex, RedexSets, context_of, find_redexes
 from .rules import CONTEXT, QuasiRule, adherence_ok, match_positions
 
 
@@ -125,54 +126,68 @@ def verify_step(host: Graph, result: Graph, cert: StepCertificate) -> bool:
     return _redex_ok(host, cert.redex) and _rewrite_ok(result, cert)
 
 
+def _false_on_error(check):
+    """Malformed certificates count as failures rather than raising."""
+    @functools.wraps(check)
+    def guarded(*args):
+        try:
+            return check(*args)
+        except (PgrError, KeyError, ValueError):
+            return False
+    return guarded
+
+
+@_false_on_error
 def _redex_ok(host: Graph, redex: Redex) -> bool:
     """The left half: the decomposition composes to the host, its match is
     the image of the left pattern, and the left map adheres."""
     rule, d = redex.rule, redex.decomposition
-    try:
-        return (patch_compose(d) == host
-                and rename_graph(rule.lhs.pattern, redex.embedding) == d.match
-                and adherence_ok(d.patch, rule.lhs.ptype,
-                                 match_positions(rule.lhs.pattern, redex.embedding),
-                                 redex.h_l))
-    except (PgrError, KeyError, ValueError):
-        return False
+    return (patch_compose(d) == host
+            and rename_graph(rule.lhs.pattern, redex.embedding) == d.match
+            and adherence_ok(d.patch, rule.lhs.ptype,
+                             match_positions(rule.lhs.pattern, redex.embedding),
+                             redex.h_l))
 
 
+@_false_on_error
 def _rewrite_ok(result: Graph, cert: StepCertificate) -> bool:
-    """The right half: the new decomposition composes to the result, the
-    right map adheres, and sigma pairs new patch edges with old ones."""
+    """The right half: ``_candidate_ok`` and ``_sigma_ok``."""
+    d_prime = PatchDecomposition(cert.redex.decomposition.context, cert.j_prime,
+                                 rename_graph(cert.redex.rule.rhs.pattern, cert.rhs_instance))
+    return _candidate_ok(result, cert, d_prime) and _sigma_ok(cert, d_prime)
+
+
+@_false_on_error
+def _candidate_ok(result: Graph, cert: StepCertificate, d_prime: PatchDecomposition) -> bool:
+    """What does not depend on sigma's values: the new decomposition
+    composes to the result, the right map adheres, and sigma is defined on
+    exactly the new patch edges."""
+    rule = cert.redex.rule
+    return (patch_compose(d_prime) == result
+            and adherence_ok(cert.j_prime, rule.rhs.ptype,
+                             match_positions(rule.rhs.pattern, cert.rhs_instance), cert.h_r)
+            and set(cert.sigma) == set(cert.j_prime.edges))
+
+
+@_false_on_error
+def _sigma_ok(cert: StepCertificate, d_prime: PatchDecomposition) -> bool:
+    """Per right type edge, sigma is a bijection onto the old patch edges of
+    its trace image that keeps labels and the context vertex touched."""
     redex = cert.redex
-    rule = redex.rule
-    d = redex.decomposition
-    t_r = rule.rhs.ptype
-    try:
-        m_prime = rename_graph(rule.rhs.pattern, cert.rhs_instance)
-        d_prime = PatchDecomposition(d.context, cert.j_prime, m_prime)
-        if patch_compose(d_prime) != result:
+    rule, d, t_r = redex.rule, redex.decomposition, redex.rule.rhs.ptype
+    for t in t_r.edges:
+        left = rule.trace[t]
+        new_edges = sorted(e for e, te in cert.h_r.items() if te == t)
+        old_edges = sorted(e for e, te in redex.h_l.items() if te == left)
+        if sorted(cert.sigma[e] for e in new_edges) != old_edges:
             return False
-        at = match_positions(rule.rhs.pattern, cert.rhs_instance)
-        if not adherence_ok(cert.j_prime, t_r, at, cert.h_r):
-            return False
-        if set(cert.sigma) != set(cert.j_prime.edges):
-            return False
-        for t in t_r.edges:
-            left = rule.trace[t]
-            new_edges = sorted(e for e, te in cert.h_r.items() if te == t)
-            old_edges = sorted(e for e, te in redex.h_l.items() if te == left)
-            images = [cert.sigma[e] for e in new_edges]
-            if sorted(images) != old_edges:
+        for e in new_edges:
+            j = cert.sigma[e]
+            if cert.j_prime.label(e) != d.patch.label(j):
                 return False
-            for e in new_edges:
-                j = cert.sigma[e]
-                if cert.j_prime.label(e) != d.patch.label(j):
-                    return False
-                cxt_new = context_of(e, cert.h_r, d_prime, t_r)
-                cxt_old = context_of(j, redex.h_l, d, rule.lhs.ptype)
-                if not cxt_new <= cxt_old:
-                    return False
-    except (PgrError, KeyError, ValueError):
-        return False
+            if not (context_of(e, cert.h_r, d_prime, t_r)
+                    <= context_of(j, redex.h_l, d, rule.lhs.ptype)):
+                return False
     return True
 
 
@@ -185,8 +200,9 @@ def brute_force_step_oracle(host: Graph, redex: Redex,
     has adherents, each endpoint either forced by the type edge or drawn from
     the context vertices the old edges touch, labels drawn from the old label
     multiset in every arrangement.  The left half of ``verify_step`` checks
-    the redex once (a failing one yields ``[]``); every candidate, paired with
-    every per-type-edge bijection, then goes through its right half, and
+    the redex once (a failing one yields ``[]``); every candidate then goes
+    once through the sigma-free part of its right half, and paired with
+    every per-type-edge bijection through the rest, until one passes; the
     surviving results are deduplicated by canonical form.
     """
     rule = redex.rule
@@ -256,8 +272,9 @@ def brute_force_step_oracle(host: Graph, redex: Redex,
         vertices = {s for s, _, _ in jp_edges.values()} | \
                    {t2 for _, _, t2 in jp_edges.values()}
         j_prime = Graph(vertices, jp_edges)
+        d_prime = PatchDecomposition(d.context, j_prime, m_prime)
         try:
-            candidate = patch_compose(PatchDecomposition(d.context, j_prime, m_prime))
+            candidate = patch_compose(d_prime)
         except PgrError:
             continue
         sigma_spaces = []
@@ -265,15 +282,15 @@ def brute_force_step_oracle(host: Graph, redex: Redex,
             old = by_left.get(rule.trace[t], [])
             sigma_spaces.append([dict(zip(slots_by_type[t], perm))
                                  for perm in itertools.permutations(old)])
-        for sigma_parts in itertools.product(*sigma_spaces):
-            sigma = {}
-            for part in sigma_parts:
-                sigma.update(part)
-            cert = StepCertificate(redex, inst, j_prime, h_r, sigma)
-            if _rewrite_ok(candidate, cert):
-                key = canonical_form(candidate)
-                results.setdefault(key, candidate)
-                break
+        # Every sigma is defined on all slots, so the candidate part of the
+        # check holds for all of them or for none.
+        certs = (StepCertificate(redex, inst, j_prime, h_r,
+                                 {e: j for part in parts for e, j in part.items()})
+                 for parts in itertools.product(*sigma_spaces))
+        first = next(certs)
+        if _candidate_ok(candidate, first, d_prime) and \
+                any(_sigma_ok(cert, d_prime) for cert in itertools.chain([first], certs)):
+            results.setdefault(canonical_form(candidate), candidate)
     return sorted(results,
                   key=lambda g: (len(g.vertices), tuple(sorted(g.edges.values()))))
 
@@ -319,8 +336,11 @@ def normalize(host: Graph, system: dict[str, QuasiRule], strategy: str = "first"
 
     ``first`` picks the first redex of the first applicable rule in declared
     order; ``random`` draws uniformly from all (rule, redex) pairs with the
-    given seed.  A step's record is ``truncated`` when a redex search of that
-    step hit the map cap, so it chose from an incomplete list.  Raises
+    given seed.  The redex lists are those of ``find_redexes``, kept across
+    steps in a ``RedexSets``: after a step, only the embeddings that meet a
+    vertex it touched are searched again, from those vertices.  A step's
+    record is ``truncated`` when a redex list it read was capped by the map
+    cap, so it chose from an incomplete list.  Raises
     StepLimitReached (carrying the partial trace) if no normal form is found
     within ``max_steps``.  ``canonical`` renames the final result into
     canonical form; it stays off by default so trace ids keep pointing into
@@ -330,23 +350,27 @@ def normalize(host: Graph, system: dict[str, QuasiRule], strategy: str = "first"
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = random_module.Random(seed)
     g = host
+    sets = RedexSets(host, system, cap)
     trace: list[StepRecord] = []
     for _ in range(max_steps):
         pool, truncated = [], False
-        for name, rule in system.items():
-            redexes, cut = find_redexes(g, rule, cap)
+        for name in system:
+            entries, cut = sets.entries(name)
             truncated = truncated or cut
-            pool.extend((name, r) for r in redexes)
+            pool += [(name, x, h_l) for x in entries for h_l in x.maps]
             if pool and strategy == "first":
                 break
         if not pool:
             return (canonical_form(g) if canonical else g), trace
-        name, redex = pool[0] if strategy == "first" else pool[rng.randrange(len(pool))]
-        g, _ = apply_at(g, redex)
+        name, entry, h_l = pool[0] if strategy == "first" else pool[rng.randrange(len(pool))]
+        redex = sets.redex(name, entry, h_l)
+        g, cert = apply_at(g, redex)
+        d = redex.decomposition
+        sets.advance(g, d.patch.vertices | d.match.vertices | cert.rhs_instance.image_vertices())
         mv, me = redex.match_summary()
         trace.append(StepRecord(name, mv, me, truncated))
     # One more look: the limit only matters if a redex is still there.
-    if any(find_redexes(g, rule, cap)[0] for rule in system.values()):
+    if any(sets.entries(name)[0] for name in system):
         raise StepLimitReached(g, trace)
     return (canonical_form(g) if canonical else g), trace
 
