@@ -9,11 +9,12 @@ edge incident to it (but outside it) adheres to some left type edge.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .graph import Graph, PatchDecomposition, Renaming, decompose_at
@@ -23,12 +24,15 @@ from .rules import CONTEXT, PatchType, QuasiRule, enumerate_adherence_maps, matc
 @dataclass
 class Redex:
     """One way a rule matches a host, including the chosen adherence map;
-    the context of ``decomposition`` is derived on first use (a step)."""
+    the context of ``decomposition`` is derived on first use (a step).
+    ``capped`` flags that the maps of this embedding were listed only up to
+    the map cap."""
 
     rule: QuasiRule
     embedding: Renaming
     decomposition: PatchDecomposition
     h_l: dict[int, int]
+    capped: bool = False
 
     def match_summary(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (tuple(sorted(self.decomposition.match.vertices)),
@@ -40,13 +44,17 @@ def _embedding_key(r: Renaming):
             tuple(sorted(r.vmap.items())), tuple(sorted(r.emap.items())))
 
 
-def _needs(pattern: Graph, ptype: PatchType | None) -> dict[int, list[tuple]]:
+# The host-independent parts of a search are kept per pattern (and type
+# shapes) across calls; both are read-only once built.
+@functools.lru_cache(maxsize=256)
+def _needs(pattern: Graph, shapes: frozenset | None) -> dict[int, list[tuple]]:
     """Per pattern vertex, ``(out, label, n)``: its image has at least n such
-    edges on that side, or, for label None, exactly n edges there."""
+    edges on that side, or, for label None, exactly n edges there.  ``shapes``
+    are the endpoint pairs of the left patch type, if there is one."""
     need: dict[int, list[tuple]] = {v: [] for v in pattern.vertices}
     for v, out in itertools.product(pattern.vertices, (True, False)):
         es = (pattern.out_edges if out else pattern.in_edges)(v)
-        if ptype is not None and all(pair[not out] != v for pair in ptype.by_shape()):
+        if shapes is not None and all(pair[not out] != v for pair in shapes):
             need[v].append((out, None, len(es)))
         need[v] += [(out, lab, n) for lab, n in Counter(pattern.label(e) for e in es).items()]
     return need
@@ -75,6 +83,12 @@ def _plan(pattern: Graph, roots: list[int]):
     for (s, lab, t), n in Counter(pattern.edges.values()).items():
         checks[max(s, t, key=order.index)].append((s, lab, t, n))
     return order, via, checks
+
+
+@functools.lru_cache(maxsize=1024)
+def _rooted_plan(pattern: Graph, root: int):
+    """``_plan`` with ``root`` first, then the other components in id order."""
+    return _plan(pattern, [root, *sorted(pattern.vertices)])
 
 
 def _between(host: Graph, hs: int, lab: str, ht: int) -> list[int]:
@@ -130,8 +144,7 @@ def _vertex_maps(host: Graph, need, plan, start, used: set[int]) -> list[dict[in
 
 
 def find_pattern_embeddings(host: Graph, pattern: Graph, ptype: PatchType | None = None,
-                            anchors: Set[int] | None = None,
-                            plans: dict | None = None) -> list[Renaming]:
+                            anchors: Set[int] | None = None) -> list[Renaming]:
     """All vertex- and edge-injective embeddings of ``pattern`` into ``host``.
 
     The first vertex of each pattern component takes its candidates from
@@ -144,9 +157,7 @@ def find_pattern_embeddings(host: Graph, pattern: Graph, ptype: PatchType | None
     With ``anchors``, only the embeddings whose image meets them are listed:
     the search starts from each anchor in turn, placing each pattern vertex
     there as the root of its component, and keeps the anchors already tried
-    out of the image, so every embedding is found once.  ``plans`` is a dict
-    the caller may keep across calls with the same pattern and type; the
-    host-independent part of the search is built into it once.
+    out of the image, so every embedding is found once.
 
     The empty pattern has exactly one (empty) embedding, which meets no
     anchor.  Results come in a canonical order: lexicographic on (sorted
@@ -155,10 +166,7 @@ def find_pattern_embeddings(host: Graph, pattern: Graph, ptype: PatchType | None
     """
     if len(pattern.vertices) > len(host.vertices) or len(pattern.edges) > len(host.edges):
         return []
-    plans = {} if plans is None else plans
-    if None not in plans:
-        plans[None] = _needs(pattern, ptype)
-    need = plans[None]
+    need = _needs(pattern, None if ptype is None else frozenset(ptype.by_shape()))
 
     def rarest(v):
         return min(((len(host.label_index().get(lab, ())), lab, out)
@@ -180,9 +188,7 @@ def find_pattern_embeddings(host: Graph, pattern: Graph, ptype: PatchType | None
         vmaps, tried = [], set()
         for a in sorted(anchors & host.vertices):
             for p in sorted(pattern.vertices):
-                if p not in plans:
-                    plans[p] = _plan(pattern, [p, *sorted(pattern.vertices)])
-                vmaps += _vertex_maps(host, need, plans[p],
+                vmaps += _vertex_maps(host, need, _rooted_plan(pattern, p),
                                       lambda v, a=a, p=p: (a,) if v == p else scan(v), tried)
             tried.add(a)
 
@@ -200,15 +206,6 @@ def find_pattern_embeddings(host: Graph, pattern: Graph, ptype: PatchType | None
     return results
 
 
-def _adherent(host: Graph, rule: QuasiRule, emb: Renaming, cap: int | None):
-    """The decomposition of ``host`` at an embedding of the left pattern,
-    its adherence maps and whether their listing was capped."""
-    d = decompose_at(host, emb.image_vertices(), emb.image_edges())
-    maps, cut = enumerate_adherence_maps(
-        d.patch, rule.lhs.ptype, match_positions(rule.lhs.pattern, emb), cap)
-    return d, maps, cut
-
-
 def find_redexes(host: Graph, rule: QuasiRule, cap: int | None = None,
                  anchors: Set[int] | None = None) -> tuple[list[Redex], bool]:
     """All redexes of ``rule`` in ``host`` in canonical order.
@@ -220,9 +217,11 @@ def find_redexes(host: Graph, rule: QuasiRule, cap: int | None = None,
     """
     redexes, truncated = [], False
     for emb in find_pattern_embeddings(host, rule.lhs.pattern, rule.lhs.ptype, anchors):
-        d, maps, cut = _adherent(host, rule, emb, cap)
+        d = decompose_at(host, emb.image_vertices(), emb.image_edges())
+        maps, cut = enumerate_adherence_maps(
+            d.patch, rule.lhs.ptype, match_positions(rule.lhs.pattern, emb), cap)
         truncated = truncated or cut
-        redexes += [Redex(rule, emb, d, h_l) for h_l in maps]
+        redexes += [Redex(rule, emb, d, h_l, cut) for h_l in maps]
     return redexes, truncated
 
 
@@ -246,7 +245,8 @@ class RedexSets:
     kept as entries sorted by ``_embedding_key``.  A rule is searched in
     full when first asked for; ``advance`` then only collects the vertices
     each step touched, and the next ask drops the entries that meet them
-    and searches anew from those still in the host, as ``anchors``.
+    and searches anew, through ``find_redexes``, from those still in the
+    host, as ``anchors``.
     """
 
     def __init__(self, host: Graph, system: dict[str, QuasiRule], cap: int | None = None):
@@ -255,7 +255,6 @@ class RedexSets:
         self.cap = cap
         self._entries: dict[str, list[_Entry]] = {}
         self._touched: dict[str, set[int]] = {}
-        self._plans: dict[str, dict] = {name: {} for name in system}
 
     def entries(self, name: str) -> tuple[list[_Entry], bool]:
         """The entries of rule ``name`` in the current host, in redex order,
@@ -272,18 +271,20 @@ class RedexSets:
         return entries, any(x.capped for x in entries)
 
     def _search(self, name: str, anchors: set[int] | None) -> list[_Entry]:
-        rule, found = self.system[name], []
-        for emb in find_pattern_embeddings(self.host, rule.lhs.pattern, rule.lhs.ptype,
-                                           anchors, self._plans[name]):
-            d, maps, cut = _adherent(self.host, rule, emb, self.cap)
-            if maps:
-                found.append(_Entry(_embedding_key(emb), emb, d.patch, d.match, maps, cut))
+        redexes, _ = find_redexes(self.host, self.system[name], self.cap, anchors)
+        found = []
+        for emb, group in itertools.groupby(redexes, attrgetter("embedding")):
+            group = list(group)
+            d = group[0].decomposition
+            found.append(_Entry(_embedding_key(emb), emb, d.patch, d.match,
+                                [r.h_l for r in group], group[0].capped))
         return found
 
     def redex(self, name: str, entry: _Entry, h_l: dict[int, int]) -> Redex:
         """The redex of an entry and one of its maps, in the current host."""
         return Redex(self.system[name], entry.embedding,
-                     PatchDecomposition.derived(self.host, entry.patch, entry.match), h_l)
+                     PatchDecomposition.derived(self.host, entry.patch, entry.match), h_l,
+                     entry.capped)
 
     def advance(self, host: Graph, touched: set[int]) -> None:
         """Move to ``host``, one step on; ``touched`` holds every vertex the

@@ -75,6 +75,7 @@ def assert_same_redexes(kept, fresh):
         assert a.rule is b.rule
         assert a.embedding == b.embedding
         assert a.h_l == b.h_l
+        assert a.capped == b.capped
         # Patch, match and the context derived from the current host.
         assert a.decomposition == b.decomposition
 
@@ -211,13 +212,17 @@ class TestAnchoredSearch:
         assert find_pattern_embeddings(host, EMPTY_GRAPH) != []
         assert find_pattern_embeddings(host, EMPTY_GRAPH, anchors={0, 1, 2, 3}) == []
 
-    def test_plans_are_kept_across_calls(self):
+    def test_search_plans_are_built_once_per_pattern(self):
         pattern = Graph([0, 1], [(0, 0, "a", 1)])
         host = Graph.from_triples(range(4), [(0, "a", 1), (1, "a", 2), (2, "a", 3)])
-        plans = {}
-        first = find_pattern_embeddings(host, pattern, anchors={1}, plans=plans)
-        assert set(plans) == {None, 0, 1}
-        assert find_pattern_embeddings(host, pattern, anchors={1}, plans=plans) == first
+        first = find_pattern_embeddings(host, pattern, anchors={1})
+        built = matching._rooted_plan.cache_info().misses
+        assert find_pattern_embeddings(host, pattern, anchors={1}) == first
+        # An equal pattern built anew shares the plans of the first.
+        twin = Graph([0, 1], [(0, 0, "a", 1)])
+        assert find_pattern_embeddings(host, twin, anchors={2}) == [
+            e for e in find_pattern_embeddings(host, pattern) if 2 in e.image_vertices()]
+        assert matching._rooted_plan.cache_info().misses == built
         assert [e.vmap for e in first] == [{0: 0, 1: 1}, {0: 1, 1: 2}]
 
 
