@@ -26,7 +26,7 @@ EdgeTriple = tuple[int, str, int]
 class Graph:
     """A finite directed multigraph with labeled edges."""
 
-    __slots__ = ("_vertices", "_edges", "_hash", "_out", "_in", "_by_label")
+    __slots__ = ("_vertices", "_edges", "_hash", "_out", "_in", "_by_label", "_labelling")
 
     def __init__(self, vertices: Iterable[int] = (), edges=()):
         """Create a graph.
@@ -37,12 +37,16 @@ class Graph:
         self._vertices = frozenset(vertices)
         if isinstance(edges, Mapping):
             edge_map = {int(e): (s, lab, t) for e, (s, lab, t) in edges.items()}
+            if len(edge_map) < len(edges):
+                dup = Counter(int(e) for e in edges).most_common(1)[0][0]
+                raise ValueError(f"duplicate edge id {dup}")
         else:
             edge_map = {}
             for eid, s, lab, t in edges:
+                eid = int(eid)
                 if eid in edge_map:
                     raise ValueError(f"duplicate edge id {eid}")
-                edge_map[int(eid)] = (s, lab, t)
+                edge_map[eid] = (s, lab, t)
         for eid, (s, lab, t) in edge_map.items():
             if s not in self._vertices or t not in self._vertices:
                 raise ValueError(f"edge {eid}: endpoint outside the vertex set")
@@ -53,6 +57,7 @@ class Graph:
         self._out = None
         self._in = None
         self._by_label = None
+        self._labelling = None
 
     @classmethod
     def from_triples(cls, vertices: Iterable[int], triples: Iterable[EdgeTriple] = ()) -> "Graph":
@@ -345,7 +350,9 @@ def _refine(adj, lab, pos, cell, end, splitters) -> None:
                 keys[y].append(k)
         by_cell = defaultdict(list)
         for y in keys:
-            by_cell[cell[y]].append(y)
+            c = cell[y]
+            if end[c] - c > 1:  # a singleton cell cannot split
+                by_cell[c].append(y)
         for c in sorted(by_cell):
             e = end[c]
             ys = sorted((sorted(keys[y]), y) for y in by_cell[c])
@@ -457,21 +464,29 @@ def _canonical_labelling(g: Graph) -> tuple[list[int], list[EdgeTriple]]:
     return [verts[i] for i in best[1]], best[0]
 
 
+def _labelling(g: Graph) -> tuple[list[int], list[EdgeTriple]]:
+    """``g``'s canonical order and certificate, searched once per graph."""
+    if g._labelling is None:
+        g._labelling = _canonical_labelling(g)
+    return g._labelling
+
+
 def canonical_form(g: Graph) -> Graph:
     """Deterministic representative of ``g``'s isomorphism class.
 
     ``canonical_form(g) == canonical_form(h)`` holds exactly when the two
     graphs are isomorphic; vertices are renumbered ``0..n-1`` and edges
     ``0..m-1``.  The vertex order is the smallest leaf of an
-    individualization-refinement search pruned by automorphisms.
+    individualization-refinement search pruned by automorphisms; it is
+    cached on ``g``.
     """
-    order, cert = _canonical_labelling(g)
+    order, cert = _labelling(g)
     return Graph.from_triples(range(len(order)), cert)
 
 
 def canonical_renaming(g: Graph) -> Renaming:
     """The renaming that carries ``g`` onto ``canonical_form(g)``."""
-    vmap = {v: i for i, v in enumerate(_canonical_labelling(g)[0])}
+    vmap = {v: i for i, v in enumerate(_labelling(g)[0])}
     ranked = sorted(g.edges, key=lambda e: (vmap[g.src(e)], g.label(e), vmap[g.tgt(e)], e))
     return Renaming(vmap, {e: i for i, e in enumerate(ranked)})
 
@@ -482,19 +497,19 @@ def canonical_renaming(g: Graph) -> Renaming:
 def find_isomorphism(g: Graph, h: Graph) -> Renaming | None:
     """Return a renaming with ``rename_graph(g, phi) == h``, or None.
 
-    The graphs are isomorphic exactly when their canonical renamings carry
-    them onto the same graph; the witness is ``canonical_renaming(g)``
-    followed by the inverse of ``canonical_renaming(h)``.
+    The graphs are isomorphic exactly when they have as many vertices and
+    the same certificate, that is, the same canonical form; the witness is
+    ``canonical_renaming(g)`` followed by the inverse of
+    ``canonical_renaming(h)``.
     """
     if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
         return None
     if Counter(lab for _, lab, _ in g.edges.values()) != Counter(
             lab for _, lab, _ in h.edges.values()):
         return None
-    to_canon, from_canon = canonical_renaming(g), canonical_renaming(h)
-    if rename_graph(g, to_canon) != rename_graph(h, from_canon):
+    if _labelling(g)[1] != _labelling(h)[1]:
         return None
-    back = from_canon.inverse()
+    to_canon, back = canonical_renaming(g), canonical_renaming(h).inverse()
     return Renaming({v: back.vmap[i] for v, i in to_canon.vmap.items()},
                     {e: back.emap[i] for e, i in to_canon.emap.items()})
 

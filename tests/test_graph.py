@@ -71,6 +71,12 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph([1], [(0, 1, "", 1)])
 
+    def test_rejects_edge_ids_equal_after_int(self):
+        with pytest.raises(ValueError, match="^duplicate edge id 1$"):
+            Graph([1], [(1, 1, "a", 1), ("1", 1, "b", 1)])
+        with pytest.raises(ValueError, match="^duplicate edge id 1$"):
+            Graph([1], {1: (1, "a", 1), "1": (1, "b", 1)})
+
     def test_equality_is_exact(self):
         g = hub_host()
         assert g == hub_host()
@@ -406,6 +412,20 @@ def perturbed(rng, g):
     return Graph(g.vertices, edges)
 
 
+def random_multigraph_pairs():
+    """240 seeded pairs ``(g, h)``: ``g`` is a 6-9-vertex multigraph or
+    disjoint copies of a small one, ``h`` a shuffled copy of ``g`` or of
+    ``g`` perturbed."""
+    rng = random.Random(2024)
+    for trial in range(240):
+        if trial % 2:
+            g = random_multigraph(rng, rng.randint(6, 9), rng.randint(6, 16))
+        else:
+            size, k = rng.choice(((2, 3), (3, 2), (3, 3)))
+            g = disjoint_copies(random_multigraph(rng, size, rng.randint(1, 5)), k)
+        yield g, shuffled(rng, g if trial % 3 == 0 else perturbed(rng, g))
+
+
 class TestAgainstNetworkx:
     """Verdicts and witnesses against networkx's matcher, on labelled
     multigraphs with loops and parallel edges too large for brute force."""
@@ -425,15 +445,8 @@ class TestAgainstNetworkx:
             return Counter(d["label"] for d in a.values()) == \
                 Counter(d["label"] for d in b.values())
 
-        rng = random.Random(2024)
         verdicts = Counter()
-        for trial in range(240):
-            if trial % 2:
-                g = random_multigraph(rng, rng.randint(6, 9), rng.randint(6, 16))
-            else:
-                size, k = rng.choice(((2, 3), (3, 2), (3, 3)))
-                g = disjoint_copies(random_multigraph(rng, size, rng.randint(1, 5)), k)
-            h = shuffled(rng, g if trial % 3 == 0 else perturbed(rng, g))
+        for g, h in random_multigraph_pairs():
             expected = nx.is_isomorphic(self.to_networkx(nx, g), self.to_networkx(nx, h),
                                         edge_match=same_labels)
             verdicts[expected] += 1

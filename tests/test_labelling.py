@@ -1,0 +1,234 @@
+"""The canonical labelling against the engine it replaced, and the number of
+labelling searches the public functions run.
+
+``reference_refine``, ``reference_target_cell`` and ``reference_labelling``
+are ``graph._refine``, ``graph._target_cell`` and
+``graph._canonical_labelling`` as they were before singleton cells were
+skipped during refinement and before the labelling was cached on the graph;
+only their names changed.  The current engine must give the same vertex
+order and certificate on every graph.
+"""
+
+from collections import defaultdict, deque
+
+import pytest
+
+from fixtures import hub_host
+from pgr import graph, rewrite
+from pgr.graph import (
+    EdgeTriple,
+    Graph,
+    canonical_form,
+    canonical_renaming,
+    find_isomorphism,
+    rename_graph,
+)
+from test_graph import random_multigraph_pairs
+from test_systems import grammar_reachable
+
+
+def reference_refine(adj, lab, pos, cell, end, splitters) -> None:
+    """Split cells in place until the partition is equitable.
+
+    Splitting by a cell W gives each vertex the multiset of keys of its
+    edges to W (label and direction, loops apart; multiplicity counts).
+    The fragments of a split cell are ordered by that multiset, so the
+    result depends only on invariant data.  ``splitters`` are the starts of
+    the cells not yet split by; a split cell that is not pending queues all
+    fragments but its first largest one, which the others determine.
+    """
+    queue = deque(splitters)
+    pending = set(splitters)
+    while queue:
+        w = queue.popleft()
+        pending.discard(w)
+        keys = defaultdict(list)
+        for x in lab[w:end[w]]:
+            for k, y in adj[x]:
+                keys[y].append(k)
+        by_cell = defaultdict(list)
+        for y in keys:
+            by_cell[cell[y]].append(y)
+        for c in sorted(by_cell):
+            e = end[c]
+            ys = sorted((sorted(keys[y]), y) for y in by_cell[c])
+            if len(ys) == e - c and ys[0][0] == ys[-1][0]:
+                continue
+            # Untouched vertices stay at the head of the cell; touched ones
+            # fill its tail in signature order.
+            t = e - len(ys)
+            holes = [pos[y] for _, y in ys if pos[y] < t]
+            for p, v in zip(holes, [v for v in lab[t:e] if v not in keys]):
+                lab[p] = v
+                pos[v] = p
+            starts = [c] if t > c else []
+            for i, (sig, y) in enumerate(ys, t):
+                if i == t or sig != ys[i - t - 1][0]:
+                    starts.append(i)
+                lab[i] = y
+                pos[y] = i
+                cell[y] = starts[-1]
+            for s, b in zip(starts, starts[1:] + [e]):
+                end[s] = b
+            largest = c if c in pending else max(starts, key=lambda s: end[s] - s)
+            fresh = [s for s in starts if s != largest]
+            pending.update(fresh)
+            queue.extend(fresh)
+
+
+def reference_target_cell(end, n) -> int | None:
+    """Start of the first smallest non-singleton cell, or None if discrete."""
+    starts, c = [], 0
+    while c < n:
+        if end[c] - c > 1:
+            starts.append(c)
+        c = end[c]
+    return min(starts, key=lambda c: end[c] - c, default=None)
+
+
+def reference_labelling(g: Graph) -> tuple[list[int], list[EdgeTriple]]:
+    """A vertex order of ``g`` and its certificate: the edges as sorted
+    ``(pos(src), label, pos(tgt))`` triples.  The certificate is the smallest
+    over the leaves of the search tree, so isomorphic graphs share it."""
+    verts = sorted(g.vertices)
+    n = len(verts)
+    index = {v: i for i, v in enumerate(verts)}
+    label_key = {label: 3 * i for i, label in enumerate(sorted(g.labels()))}
+    edges = [(index[s], label, index[t]) for s, label, t in g.edges.values()]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for s, label, t in edges:
+        k = label_key[label]
+        if s == t:
+            adj[s].append((k + 2, s))
+        else:
+            adj[s].append((k, t))
+            adj[t].append((k + 1, s))
+    orbit = list(range(n))  # union-find over the automorphisms found so far
+
+    def find(x):
+        while orbit[x] != x:
+            orbit[x] = orbit[orbit[x]]
+            x = orbit[x]
+        return x
+
+    node = (list(range(n)), list(range(n)), [0] * n, [n] * n)
+    reference_refine(adj, *node, [0] if n else [])
+    on_first, first, best = True, None, None
+    # A frame: a node's partition, its target cell, the cell's untried and
+    # tried vertices, and whether the node lies on the path to the first leaf.
+    stack = []
+    while node is not None or stack:
+        if node is not None:
+            lab, pos, cell, end = node
+            node, c = None, reference_target_cell(end, n)
+            if c is not None:
+                stack.append(((lab, pos, cell, end), c, lab[c:end[c]][::-1], [], on_first))
+                continue
+            cert = sorted([(pos[s], label, pos[t]) for s, label, t in edges])
+            if first is None:
+                first = best = (cert, lab)
+            elif cert == first[0]:
+                # Equal leaves give an automorphism; the rest of this subtree
+                # repeats what its first-path sibling already explored.
+                for a, b in zip(first[1], lab):
+                    orbit[find(a)] = find(b)
+                while not stack[-1][4]:
+                    stack.pop()
+            elif cert < best[0]:
+                best = (cert, lab)
+            continue
+        (lab, pos, cell, end), c, untried, tried, on_path = stack[-1]
+        # On the first path the automorphisms found so far fix the prefix,
+        # so one vertex per orbit of the target cell suffices.
+        roots = {find(x) for x in tried} if on_path else ()
+        while untried and find(untried[-1]) in roots:
+            untried.pop()
+        if not untried:
+            stack.pop()
+            continue
+        v = untried.pop()
+        on_first = on_path and not tried
+        tried.append(v)
+        lab, pos, cell, end = node = lab[:], pos[:], cell[:], end[:]
+        p, e = pos[v], end[c]
+        lab[p], lab[c] = lab[c], v
+        pos[lab[p]], pos[v] = p, c
+        end[c], end[c + 1] = c + 1, e
+        for u in lab[c + 1:e]:
+            cell[u] = c + 1
+        reference_refine(adj, *node, [c])
+    return [verts[i] for i in best[1]], best[0]
+
+
+def reference_cases():
+    """The graphs of ``TestAgainstNetworkx``, every state the grammar walk
+    keeps to depth 7, and a few large or highly symmetric graphs."""
+    for g, h in random_multigraph_pairs():
+        yield g
+        yield h
+    yield from grammar_reachable(7)
+    yield hub_host()
+    yield Graph(range(40))
+    yield Graph.from_triples(range(60), [(i, "a", (i + 1) % 60) for i in range(60)])
+    yield Graph.from_triples(range(50), [(i, "a", i + 1) for i in range(49)])
+
+
+def test_labelling_matches_reference():
+    cases = 0
+    for g in reference_cases():
+        assert graph._canonical_labelling(g) == reference_labelling(g), g
+        cases += 1
+    assert cases == 480 + 66 + 4
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Count the labelling searches run through ``graph._canonical_labelling``."""
+    count = [0]
+    search = graph._canonical_labelling
+
+    def counted(g):
+        count[0] += 1
+        return search(g)
+
+    monkeypatch.setattr(graph, "_canonical_labelling", counted)
+    return count
+
+
+def test_one_search_per_graph(searches):
+    pairs = list(random_multigraph_pairs())[:40]
+    for g, h in pairs:
+        phi = find_isomorphism(g, h)
+        form = canonical_form(g)
+        assert rename_graph(g, canonical_renaming(g)) == form
+        assert (canonical_form(h) == form) == (phi is not None)
+        assert rename_graph(h, canonical_renaming(h)) == canonical_form(h)
+        assert (find_isomorphism(h, g) is None) == (phi is None)
+    assert searches[0] == 2 * len(pairs)
+
+
+def test_one_search_per_successors_result(searches, monkeypatch):
+    results = [0]
+    apply_at = rewrite.apply_at
+
+    def counted(host, redex):
+        results[0] += 1
+        return apply_at(host, redex)
+
+    monkeypatch.setattr(rewrite, "apply_at", counted)
+    # A fresh empty graph, so no earlier test has labelled the start.
+    kept = grammar_reachable(6, start=Graph())
+    assert len(kept) == 29
+    assert results[0] > 50
+    assert searches[0] == results[0] + 1
+
+
+def test_equal_graph_built_anew_is_searched_again(searches):
+    g = hub_host()
+    form = canonical_form(g)
+    copy = Graph(g.vertices, g.edges)
+    assert copy == g and searches[0] == 1
+    assert canonical_form(copy) == form
+    assert searches[0] == 2
+    assert canonical_form(g) == form and canonical_form(copy) == form
+    assert searches[0] == 2

@@ -43,9 +43,9 @@ def request_net(*requests, processes):
     return Graph.from_triples(vertices, triples)
 
 
-def grammar_reachable(max_depth):
-    seen = {canonical_form(EMPTY_GRAPH): EMPTY_GRAPH}
-    frontier = [EMPTY_GRAPH]
+def grammar_reachable(max_depth, start=EMPTY_GRAPH):
+    seen = {canonical_form(start): start}
+    frontier = [start]
     rules = waitfor_grammar()
     for _ in range(max_depth):
         nxt = []
