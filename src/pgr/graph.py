@@ -11,6 +11,7 @@ reading ``src -label-> tgt`` used by the text format.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter, defaultdict, deque
 from collections.abc import Iterable, Mapping
@@ -185,32 +186,36 @@ class Renaming:
 
 
 class PatchDecomposition:
-    """A host graph split into context C, match M and the patch J between them;
-    from ``decompose_at`` only J and M are stored, and C is derived on first use."""
+    """A host graph split into context C, match M and the patch J between them.
 
-    __slots__ = ("_context", "_host", "patch", "match")
+    Made by ``around`` from a host and the ids of a match and its patch, it
+    derives each of C, J and M from the host on first use."""
 
     def __init__(self, context: Graph, patch: Graph, match: Graph):
-        self._context = context
-        self._host = None
-        self.patch = patch
-        self.match = match
+        self.context, self.patch, self.match = context, patch, match
 
     @classmethod
-    def derived(cls, host: Graph, patch: Graph, match: Graph) -> "PatchDecomposition":
-        """J and M of ``host``, whose context is derived on first use."""
-        d = cls(None, patch, match)
-        d._host = host
+    def around(cls, host: Graph, match_vertices: frozenset[int], match_edges: frozenset[int],
+               patch_edges: list[int]) -> "PatchDecomposition":
+        """The decomposition of ``host`` around a valid match and its patch."""
+        d = cls.__new__(cls)
+        d._host, d._mv, d._me, d._je = host, match_vertices, match_edges, patch_edges
         return d
 
-    @property
+    @functools.cached_property
     def context(self) -> Graph:
-        if self._context is None:
-            host, j, m = self._host, self.patch.edges, self.match.edges
-            self._context = Graph(host.vertices - self.match.vertices,
-                                  {e: triple for e, triple in host.edges.items()
-                                   if e not in j and e not in m})
-        return self._context
+        skip = self._me.union(self._je)
+        return Graph(self._host.vertices - self._mv,
+                     {e: triple for e, triple in self._host.edges.items() if e not in skip})
+
+    @functools.cached_property
+    def patch(self) -> Graph:
+        j = {e: self._host.edges[e] for e in self._je}
+        return Graph({x for s, _, t in j.values() for x in (s, t)}, j)
+
+    @functools.cached_property
+    def match(self) -> Graph:
+        return Graph(self._mv, {e: self._host.edges[e] for e in self._me})
 
     def __eq__(self, other):
         if not isinstance(other, PatchDecomposition):
@@ -296,12 +301,20 @@ def patch_compose(d: PatchDecomposition) -> Graph:
     return Graph(c.vertices | j.vertices | m.vertices, {**c.edges, **j.edges, **m.edges})
 
 
+def patch_edges(g: Graph, match_vertices: frozenset[int], match_edges: frozenset[int]) -> list[int]:
+    """The patch around a match, in id order: every edge outside the match
+    that touches a match vertex, read off the incidence lists."""
+    out, inc = g._indexes()
+    return sorted({e for v in match_vertices for es in (out[v], inc[v]) for e in es
+                   if e not in match_edges})
+
+
 def decompose_at(g: Graph, match_vertices: Iterable[int], match_edges: Iterable[int]) -> PatchDecomposition:
     """Split ``g`` around the subgraph selected by the given vertex/edge sets.
 
-    The patch is every edge outside the match that touches a match vertex;
-    the context keeps all the rest and is derived from ``g`` on first use.
-    ``patch_compose`` inverts this exactly.
+    The match is checked at once; the patch is every edge outside it that
+    touches a match vertex, and the context keeps all the rest.  C, J and M
+    are derived on first use.  ``patch_compose`` inverts this exactly.
     """
     mv = frozenset(match_vertices)
     me = frozenset(match_edges)
@@ -313,10 +326,7 @@ def decompose_at(g: Graph, match_vertices: Iterable[int], match_edges: Iterable[
         s, _, t = g.edges[e]
         if s not in mv or t not in mv:
             raise NotASubgraph(f"match edge {e} has an endpoint outside the match vertices")
-    match = Graph(mv, {e: g.edges[e] for e in me})
-    j_edges = {e: g.edges[e] for v in mv for e in g.incident_edges(v) if e not in me}
-    j_vertices = {s for s, _, _ in j_edges.values()} | {t for _, _, t in j_edges.values()}
-    return PatchDecomposition.derived(g, Graph(j_vertices, j_edges), match)
+    return PatchDecomposition.around(g, mv, me, patch_edges(g, mv, me))
 
 
 # -- canonical labelling ----------------------------------------------------

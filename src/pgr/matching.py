@@ -17,14 +17,14 @@ from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
-from .graph import Graph, PatchDecomposition, Renaming, decompose_at
-from .rules import CONTEXT, PatchType, QuasiRule, enumerate_adherence_maps, match_positions
+from .graph import Graph, PatchDecomposition, Renaming, decompose_at, patch_edges
+from .rules import CONTEXT, PatchType, QuasiRule, adherence_maps, match_positions
 
 
 @dataclass
 class Redex:
     """One way a rule matches a host, including the chosen adherence map;
-    the context of ``decomposition`` is derived on first use (a step).
+    the parts of ``decomposition`` are derived on first use (a step).
     ``capped`` flags that the maps of this embedding were listed only up to
     the map cap."""
 
@@ -35,8 +35,8 @@ class Redex:
     capped: bool = False
 
     def match_summary(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return (tuple(sorted(self.decomposition.match.vertices)),
-                tuple(sorted(self.decomposition.match.edges)))
+        return (tuple(sorted(self.embedding.vmap.values())),
+                tuple(sorted(self.embedding.emap.values())))
 
 
 def _embedding_key(r: Renaming):
@@ -44,23 +44,34 @@ def _embedding_key(r: Renaming):
             tuple(sorted(r.vmap.items())), tuple(sorted(r.emap.items())))
 
 
+def _side(g: Graph, v: int, out: bool | None) -> list[int]:
+    """The out-edges (True), in-edges (False) or loops (None) of ``v``."""
+    if out is None:
+        return [e for e in g.out_edges(v) if g.edges[e][2] == v]
+    return g.out_edges(v) if out else g.in_edges(v)
+
+
 # The host-independent parts of a search are kept per pattern (and type
 # shapes) across calls; both are read-only once built.
 @functools.lru_cache(maxsize=256)
 def _needs(pattern: Graph, shapes: frozenset | None) -> dict[int, list[tuple]]:
     """Per pattern vertex, ``(out, label, n)``: its image has at least n such
-    edges on that side, or, for label None, exactly n edges there.  ``shapes``
-    are the endpoint pairs of the left patch type, if there is one."""
+    edges on that ``_side``, or, for label None, exactly n edges there.  With
+    ``shapes``, the endpoint pairs of a left patch type, the sides and loops
+    that no type edge opens must hold exactly the pattern's edges."""
     need: dict[int, list[tuple]] = {v: [] for v in pattern.vertices}
     for v, out in itertools.product(pattern.vertices, (True, False)):
-        es = (pattern.out_edges if out else pattern.in_edges)(v)
+        es = _side(pattern, v, out)
         if shapes is not None and all(pair[not out] != v for pair in shapes):
             need[v].append((out, None, len(es)))
         need[v] += [(out, lab, n) for lab, n in Counter(pattern.label(e) for e in es).items()]
+        if shapes is not None and not out and (v, v) not in shapes:
+            need[v].append((None, None, len(_side(pattern, v, None))))
     return need
 
 
-def _plan(pattern: Graph, roots: list[int]):
+@functools.lru_cache(maxsize=1024)
+def _plan(pattern: Graph, roots: tuple[int, ...]):
     """Breadth-first order over ``pattern``, one component after another,
     each from the first of ``roots`` in it.  ``via[v]`` is the placed
     neighbour, label and direction of the pattern edge that reached v (None
@@ -83,12 +94,6 @@ def _plan(pattern: Graph, roots: list[int]):
     for (s, lab, t), n in Counter(pattern.edges.values()).items():
         checks[max(s, t, key=order.index)].append((s, lab, t, n))
     return order, via, checks
-
-
-@functools.lru_cache(maxsize=1024)
-def _rooted_plan(pattern: Graph, root: int):
-    """``_plan`` with ``root`` first, then the other components in id order."""
-    return _plan(pattern, [root, *sorted(pattern.vertices)])
 
 
 def _between(host: Graph, hs: int, lab: str, ht: int) -> list[int]:
@@ -114,8 +119,7 @@ def _vertex_maps(host: Graph, need, plan, start, used: set[int]) -> list[dict[in
 
     def fits(v, w):
         return all(len(es) == n if lab is None else sum(edges[e][1] == lab for e in es) >= n
-                   for out, lab, n in need[v]
-                   for es in [host.out_edges(w) if out else host.in_edges(w)]) and \
+                   for out, lab, n in need[v] for es in [_side(host, w, out)]) and \
             all(len(_between(host, vmap[s], lab, vmap[t])) >= n for s, lab, t, n in checks[v])
 
     # Depth-first over ``order`` with one candidate iterator per assigned
@@ -152,7 +156,9 @@ def find_pattern_embeddings(host: Graph, pattern: Graph, ptype: PatchType | None
     neighbour's image that carry the label and direction of a pattern edge.
     With ``ptype``, the left patch type of a rule, embeddings that cannot
     adhere are left out: a pattern vertex that no type edge leaves needs an
-    image with exactly its pattern out-degree, and likewise for in-edges.
+    image with exactly its pattern out-degree, and likewise for in-edges;
+    a pattern vertex with no loop type edge needs an image with exactly its
+    pattern loops.
 
     With ``anchors``, only the embeddings whose image meets them are listed:
     the search starts from each anchor in turn, placing each pattern vertex
@@ -182,13 +188,14 @@ def find_pattern_embeddings(host: Graph, pattern: Graph, ptype: PatchType | None
         if not pattern.labels() <= host.label_index().keys():
             return []
         # Components in order of their rarest vertex, each from that vertex.
-        plan = _plan(pattern, sorted(pattern.vertices, key=lambda v: (rarest(v)[0], v)))
+        plan = _plan(pattern, tuple(sorted(pattern.vertices, key=lambda v: (rarest(v)[0], v))))
         vmaps = _vertex_maps(host, need, plan, scan, set())
     else:
-        vmaps, tried = [], set()
+        # Rooted at p, then the other components in id order.
+        vmaps, tried, verts = [], set(), sorted(pattern.vertices)
         for a in sorted(anchors & host.vertices):
-            for p in sorted(pattern.vertices):
-                vmaps += _vertex_maps(host, need, _rooted_plan(pattern, p),
+            for p in verts:
+                vmaps += _vertex_maps(host, need, _plan(pattern, (p, *verts)),
                                       lambda v, a=a, p=p: (a,) if v == p else scan(v), tried)
             tried.add(a)
 
@@ -211,25 +218,27 @@ def find_redexes(host: Graph, rule: QuasiRule, cap: int | None = None,
     """All redexes of ``rule`` in ``host`` in canonical order.
 
     Per embedding, one redex per adherence map (deterministic rules admit at
-    most one).  Embeddings whose patch does not adhere are dropped; with
-    ``anchors``, so are those whose match misses them.  The second
-    component flags that some enumeration hit the map cap.
+    most one), sharing one decomposition.  Embeddings whose patch does not
+    adhere, read off the host's edges, are dropped before any decomposition
+    is made; with ``anchors``, so are those whose match misses them.  The
+    second component flags that some enumeration hit the map cap.
     """
+    pattern, ptype = rule.lhs.pattern, rule.lhs.ptype
     redexes, truncated = [], False
-    for emb in find_pattern_embeddings(host, rule.lhs.pattern, rule.lhs.ptype, anchors):
-        d = decompose_at(host, emb.image_vertices(), emb.image_edges())
-        maps, cut = enumerate_adherence_maps(
-            d.patch, rule.lhs.ptype, match_positions(rule.lhs.pattern, emb), cap)
-        truncated = truncated or cut
-        redexes += [Redex(rule, emb, d, h_l, cut) for h_l in maps]
+    for emb in find_pattern_embeddings(host, pattern, ptype, anchors):
+        mv, me = emb.image_vertices(), emb.image_edges()
+        je = patch_edges(host, mv, me)
+        maps, cut = adherence_maps(host, je, ptype, match_positions(pattern, emb), cap)
+        if maps:
+            d = PatchDecomposition.around(host, mv, me, je)
+            truncated = truncated or cut
+            redexes += [Redex(rule, emb, d, h_l, cut) for h_l in maps]
     return redexes, truncated
 
 
 class _Entry(NamedTuple):
     key: tuple
     embedding: Renaming
-    patch: Graph
-    match: Graph
     maps: list[dict[int, int]]
     capped: bool
 
@@ -263,7 +272,8 @@ class RedexSets:
             self._entries[name] = self._search(name, None)
         elif self._touched[name]:
             touched = self._touched[name]
-            kept = [x for x in self._entries[name] if x.match.vertices.isdisjoint(touched)]
+            kept = [x for x in self._entries[name]
+                    if touched.isdisjoint(x.embedding.vmap.values())]
             self._entries[name] = sorted(kept + self._search(name, touched & self.host.vertices),
                                          key=itemgetter(0))
         self._touched[name] = set()
@@ -275,16 +285,15 @@ class RedexSets:
         found = []
         for emb, group in itertools.groupby(redexes, attrgetter("embedding")):
             group = list(group)
-            d = group[0].decomposition
-            found.append(_Entry(_embedding_key(emb), emb, d.patch, d.match,
-                                [r.h_l for r in group], group[0].capped))
+            found.append(_Entry(_embedding_key(emb), emb, [r.h_l for r in group],
+                                group[0].capped))
         return found
 
     def redex(self, name: str, entry: _Entry, h_l: dict[int, int]) -> Redex:
         """The redex of an entry and one of its maps, in the current host."""
-        return Redex(self.system[name], entry.embedding,
-                     PatchDecomposition.derived(self.host, entry.patch, entry.match), h_l,
-                     entry.capped)
+        emb = entry.embedding
+        d = decompose_at(self.host, emb.image_vertices(), emb.image_edges())
+        return Redex(self.system[name], emb, d, h_l, entry.capped)
 
     def advance(self, host: Graph, touched: set[int]) -> None:
         """Move to ``host``, one step on; ``touched`` holds every vertex the

@@ -365,8 +365,8 @@ def normalize(host: Graph, system: dict[str, QuasiRule], strategy: str = "first"
         name, entry, h_l = pool[0] if strategy == "first" else pool[rng.randrange(len(pool))]
         redex = sets.redex(name, entry, h_l)
         g, cert = apply_at(g, redex)
-        d = redex.decomposition
-        sets.advance(g, d.patch.vertices | d.match.vertices | cert.rhs_instance.image_vertices())
+        sets.advance(g, redex.decomposition.patch.vertices | redex.embedding.image_vertices()
+                     | cert.rhs_instance.image_vertices())
         mv, me = redex.match_summary()
         trace.append(StepRecord(name, mv, me, truncated))
     # One more look: the limit only matters if a redex is still there.

@@ -15,6 +15,7 @@ allows several.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import warnings
 from collections.abc import Iterable, Mapping
@@ -206,16 +207,17 @@ def match_positions(pattern: Graph, ren: Renaming) -> dict[int, int]:
 
 
 def patch_shape(j: Graph, e: int, at: Mapping[int, int]) -> tuple[Endpoint, Endpoint]:
-    """Patch edge ``e``'s endpoints read through ``at`` (match vertex to
-    pattern vertex), every endpoint off the match read as CONTEXT: the type
-    edge it must be a copy of to adhere."""
+    """Patch edge ``e`` of ``j`` (the patch or its host) read through ``at``
+    (match vertex to pattern vertex), every endpoint off the match read as
+    CONTEXT: the type edge it must be a copy of to adhere."""
     s, _, t = j.edges[e]
     return (at.get(s, CONTEXT), at.get(t, CONTEXT))
 
 
-def enumerate_adherence_maps(j: Graph, ptype: PatchType, at: Mapping[int, int],
-                             cap: int | None = None) -> tuple[list[dict[int, int]], bool]:
-    """All total adherence maps from patch ``j`` into ``ptype``.
+def adherence_maps(g: Graph, patch: list[int], ptype: PatchType, at: Mapping[int, int],
+                   cap: int | None = None) -> tuple[list[dict[int, int]], bool]:
+    """All total adherence maps from the edges ``patch`` (in id order) of
+    ``g``, the patch or its host, into ``ptype``.
 
     ``at`` maps the match vertices to the pattern vertices of ``ptype``.
     Returns the maps in lexicographic order over (patch edge id, type edge
@@ -224,19 +226,22 @@ def enumerate_adherence_maps(j: Graph, ptype: PatchType, at: Mapping[int, int],
     """
     if cap is None:
         cap = default_map_cap()
-    edge_ids = sorted(j.edges)
-    candidates = []
-    for e in edge_ids:
-        cands = ptype.by_shape().get(patch_shape(j, e, at))
+    candidates, by_shape = [], ptype.by_shape()
+    for e in patch:
+        cands = by_shape.get(patch_shape(g, e, at))
         if cands is None:
             return [], False
         candidates.append(cands)
-    total = 1
-    for c in candidates:
-        total *= len(c)
-    maps = [dict(zip(edge_ids, combo))
+    maps = [dict(zip(patch, combo))
             for combo in itertools.islice(itertools.product(*candidates), cap)]
-    return maps, total > cap
+    return maps, math.prod(map(len, candidates)) > cap
+
+
+def enumerate_adherence_maps(j: Graph, ptype: PatchType, at: Mapping[int, int],
+                             cap: int | None = None) -> tuple[list[dict[int, int]], bool]:
+    """All total adherence maps from patch ``j`` into ``ptype``, as
+    ``adherence_maps`` lists them."""
+    return adherence_maps(j, sorted(j.edges), ptype, at, cap)
 
 
 def adherence_ok(j: Graph, ptype: PatchType, at: Mapping[int, int],

@@ -6,11 +6,23 @@ with an e-loop.  Most single-node rules in the suite target the hub.
 """
 
 import contextlib
+import importlib
 import sys
+from pathlib import Path
 
 from pgr.graph import Graph
 from pgr.rules import CONTEXT as CTX
 from pgr.rules import build_rule
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_module(name):
+    """A module of the benchmark harness, imported from ``perfbench/``."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    return importlib.import_module(name)
 
 
 @contextlib.contextmanager

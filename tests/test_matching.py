@@ -1,16 +1,21 @@
 """Match engine: embeddings, redexes, and the naive existence oracle."""
 
+import functools
 import itertools
 import random
+import re
 import time
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from fixtures import (
     copy_vertex_rule,
     delete_rule,
     hub_host,
     hub_host_extra_loop,
+    perfbench_module,
     random_deterministic_rule,
     random_graph,
     random_instances,
@@ -18,12 +23,40 @@ from fixtures import (
     shallow_recursion,
     strict_delete_rule,
 )
+from pgr import graph, matching, rewrite, rules, systems
+from pgr.exceptions import NotASubgraph
 from pgr.formats import parse_document
-from pgr.graph import EMPTY_GRAPH, Graph, PatchDecomposition, Renaming, rename_graph
-from pgr.matching import _embedding_key, context_of, find_pattern_embeddings, find_redexes
+from pgr.graph import (
+    EMPTY_GRAPH,
+    Graph,
+    PatchDecomposition,
+    Renaming,
+    decompose_at,
+    rename_graph,
+)
+from pgr.matching import (
+    Redex,
+    _embedding_key,
+    context_of,
+    find_pattern_embeddings,
+    find_redexes,
+)
 from pgr.rewrite import apply_at
-from pgr.rules import CONTEXT, PatchType, build_rule
-from pgr.systems import WaitForNet, deadlock_rules, detect_deadlock
+from pgr.rules import (
+    CONTEXT,
+    PatchType,
+    build_rule,
+    enumerate_adherence_maps,
+    match_positions,
+)
+from pgr.systems import (
+    WaitForNet,
+    deadlock_rules,
+    detect_deadlock,
+    dijkstra_scholten_system,
+    ds_explore,
+    ds_initial_network,
+)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -231,6 +264,72 @@ def assert_search_matches_reference(host, rule):
     return dropped
 
 
+def eager_decompose_at(g, match_vertices, match_edges):
+    """``decompose_at`` as it was before its parts became lazy: the match
+    checked, then J and M built as graphs at once (C, too, here)."""
+    mv = frozenset(match_vertices)
+    me = frozenset(match_edges)
+    if not mv <= g.vertices:
+        raise NotASubgraph(f"match vertices outside the graph: {sorted(mv - g.vertices)}")
+    if not me <= g.edges.keys():
+        raise NotASubgraph(f"match edges outside the graph: {sorted(me - g.edges.keys())}")
+    for e in me:
+        s, _, t = g.edges[e]
+        if s not in mv or t not in mv:
+            raise NotASubgraph(f"match edge {e} has an endpoint outside the match vertices")
+    match = Graph(mv, {e: g.edges[e] for e in me})
+    j_edges = {e: g.edges[e] for v in mv for e in g.incident_edges(v) if e not in me}
+    j_vertices = {s for s, _, _ in j_edges.values()} | {t for _, _, t in j_edges.values()}
+    context = Graph(g.vertices - mv, {e: triple for e, triple in g.edges.items()
+                                      if e not in j_edges and e not in me})
+    return PatchDecomposition(context, Graph(j_vertices, j_edges), match)
+
+
+def eager_find_redexes(host, rule, cap=None, anchors=None):
+    """``find_redexes`` as it was: every embedding decomposed eagerly and its
+    maps listed by ``enumerate_adherence_maps`` on the built patch.  The
+    embeddings come from the search without the patch type, so no pruning
+    by the type is taken on trust."""
+    redexes, truncated = [], False
+    for emb in find_pattern_embeddings(host, rule.lhs.pattern, None, anchors):
+        d = eager_decompose_at(host, emb.image_vertices(), emb.image_edges())
+        maps, cut = enumerate_adherence_maps(
+            d.patch, rule.lhs.ptype, match_positions(rule.lhs.pattern, emb), cap)
+        truncated = truncated or cut
+        redexes += [Redex(rule, emb, d, h_l, cut) for h_l in maps]
+    return redexes, truncated
+
+
+def parts(d):
+    return d.context, d.patch, d.match
+
+
+def assert_like_eager(host, rule, cap=None, anchors=None):
+    """Same redexes in the same order as the eager search: embedding, map,
+    cap flag and all three parts; the maps of one embedding share one
+    decomposition.  Returns the number of redexes."""
+    got, cut = find_redexes(host, rule, cap, anchors)
+    expected, expected_cut = eager_find_redexes(host, rule, cap, anchors)
+    assert cut == expected_cut, (host, rule)
+    assert [(r.embedding, r.h_l, r.capped) for r in got] == \
+        [(r.embedding, r.h_l, r.capped) for r in expected], (host, rule)
+    for a, b in zip(got, expected):
+        assert parts(a.decomposition) == parts(b.decomposition), (host, rule)
+    for a, b in zip(got, got[1:]):
+        assert (a.decomposition is b.decomposition) == (a.embedding == b.embedding)
+    return len(got)
+
+
+@functools.cache
+def ds_states():
+    """Every state of the two-send ``ds_explore`` walks on line3 and star4."""
+    walks = {"line3": [(0, 1), (1, 2)], "star4": [(0, 1), (0, 2), (0, 3)]}
+    states = {name: ds_explore(ds_initial_network(links, 0), 2).states
+              for name, links in walks.items()}
+    assert {name: len(s) for name, s in states.items()} == {"line3": 479, "star4": 210}
+    return [g for s in states.values() for g in s]
+
+
 def n_of_m_net(rng, procs):
     """A wait-for net: some processes each wait for n of m others."""
     requests = []
@@ -274,6 +373,95 @@ class TestEdgeFollowingSearch:
                     break
                 g, steps = apply_at(g, redexes[0])[0], steps + 1
             assert (g, steps) == (report.normal_form, len(report.trace))
+
+
+class TestAgainstEagerSearch:
+    """The search that builds no graphs against the eager one it replaced."""
+
+    def test_random_instances(self):
+        rng = random.Random(2009)
+        found = sum(assert_like_eager(host, rule) for host, rule, _ in random_instances(rng, 200))
+        for i in range(300):
+            host = random_graph(rng, list(range(rng.randint(1, 5))), 8)
+            rule = random_deterministic_rule(rng) if i % 2 else random_quasi_rule(rng)
+            anchors = set(rng.sample(range(6), rng.randint(1, 3))) if i % 3 == 0 else None
+            found += assert_like_eager(host, rule, (None, 2, 5)[i % 3], anchors)
+        assert found > 400
+
+    def test_samples(self):
+        docs = [parse_document(path.read_text(encoding="utf-8"))
+                for path in sorted(SAMPLES.glob("*.pgr"))]
+        assert sum(assert_like_eager(g, r) for gd in docs for g in gd.graphs.values()
+                   for rd in docs for r in rd.rules.values()) > 0
+
+    def test_deadlock_workload_nets(self):
+        workloads = perfbench_module("workloads")
+        modules = {"graph": graph, "rules": rules, "matching": matching,
+                   "rewrite": rewrite, "systems": systems}
+        nets = workloads.Deadlock(modules, 3).nets
+        assert sum(assert_like_eager(g, rule) for g, _, _ in nets
+                   for rule in deadlock_rules().values()) > len(nets)
+
+    def test_dijkstra_scholten_states(self):
+        system = dijkstra_scholten_system()
+        assert len(system) == 6
+        found = dropped = 0
+        for g in ds_states():
+            for rule in system.values():
+                found += assert_like_eager(g, rule)
+                dropped += assert_search_matches_reference(g, rule)
+        # The loop check drops embeddings that the reference shows have no map.
+        assert found > 0 and dropped > 0
+
+    def test_decompose_at(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            g = random_graph(rng, list(range(rng.randint(1, 5))), 8)
+            vs = rng.sample(sorted(g.vertices), rng.randint(0, len(g.vertices)))
+            es = rng.sample(sorted(g.edges), rng.randint(0, min(2, len(g.edges))))
+            try:
+                expected = parts(eager_decompose_at(g, vs, es))
+            except NotASubgraph as exc:
+                with pytest.raises(NotASubgraph, match=re.escape(str(exc))):
+                    decompose_at(g, vs, es)
+            else:
+                assert parts(decompose_at(g, vs, es)) == expected
+
+
+class TestNoGraphsPerEmbedding:
+    """Counted, not timed."""
+
+    def test_typed_search_lists_only_adherent_embeddings(self):
+        # Every plain vertex of a DS rule has no loop type edge, so the
+        # loop check leaves exactly the embeddings that adhere.
+        system = dijkstra_scholten_system()
+        assert all(rule.deterministic for rule in system.values())
+        for g in ds_states():
+            for rule in system.values():
+                embeddings = find_pattern_embeddings(g, rule.lhs.pattern, rule.lhs.ptype)
+                assert embeddings == [r.embedding for r in find_redexes(g, rule)[0]]
+
+    def test_walk_derives_parts_only_for_applied_redexes(self, monkeypatch):
+        # A derived part is cached in the decomposition's instance dict.
+        listed, applied = [], []
+        search, step = systems.find_redexes, systems.apply_at
+
+        def recorded(*args):
+            out = search(*args)
+            listed.extend(r.decomposition for r in out[0])
+            return out
+
+        def counted(*args):
+            applied.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(systems, "find_redexes", recorded)
+        monkeypatch.setattr(systems, "apply_at", counted)
+        ds_explore(ds_initial_network([(0, 1), (1, 2)], 0), 2)
+        unique = {id(d): d for d in listed}.values()
+        derived = sum(("patch" in vars(d)) + ("match" in vars(d)) for d in unique)
+        assert len(unique) > len(applied) > 0
+        assert derived <= len(applied)
 
 
 class TestEmbeddings:

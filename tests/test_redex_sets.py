@@ -6,12 +6,14 @@ runs the real ``normalize`` and compares each redex list it reads with a
 fresh ``find_redexes`` of the current host.
 """
 
-import importlib
 import random
-import sys
-from pathlib import Path
 
-from fixtures import random_deterministic_rule, random_graph, random_quasi_rule
+from fixtures import (
+    perfbench_module,
+    random_deterministic_rule,
+    random_graph,
+    random_quasi_rule,
+)
 from pgr import graph, matching, rewrite, rules, systems
 from pgr.exceptions import StepLimitReached
 from pgr.graph import EMPTY_GRAPH, Graph, canonical_form
@@ -24,14 +26,6 @@ from pgr.systems import (
     ds_initial_network,
     waitfor_system,
 )
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def perfbench_module(name):
-    if str(PERFBENCH) not in sys.path:
-        sys.path.insert(0, str(PERFBENCH))
-    return importlib.import_module(name)
 
 
 def reference_normalize(host, system, strategy="first", seed=None, max_steps=10000,
@@ -216,21 +210,25 @@ class TestAnchoredSearch:
         pattern = Graph([0, 1], [(0, 0, "a", 1)])
         host = Graph.from_triples(range(4), [(0, "a", 1), (1, "a", 2), (2, "a", 3)])
         first = find_pattern_embeddings(host, pattern, anchors={1})
-        built = matching._rooted_plan.cache_info().misses
+        everywhere = find_pattern_embeddings(host, pattern)
+        built = matching._plan.cache_info().misses
+        # Repeated searches, with anchors or without, build no plan.
         assert find_pattern_embeddings(host, pattern, anchors={1}) == first
+        assert find_pattern_embeddings(host, pattern) == everywhere
         # An equal pattern built anew shares the plans of the first.
         twin = Graph([0, 1], [(0, 0, "a", 1)])
         assert find_pattern_embeddings(host, twin, anchors={2}) == [
-            e for e in find_pattern_embeddings(host, pattern) if 2 in e.image_vertices()]
-        assert matching._rooted_plan.cache_info().misses == built
+            e for e in everywhere if 2 in e.image_vertices()]
+        assert find_pattern_embeddings(host, twin) == everywhere
+        assert matching._plan.cache_info().misses == built
         assert [e.vmap for e in first] == [{0: 0, 1: 1}, {0: 1, 1: 2}]
 
 
 def test_ring_decompositions_per_step_do_not_grow(monkeypatch):
-    # Counted, not timed: after the first full search, a step re-decomposes
-    # only the embeddings around its own rewrite, at any ring size.
+    # Counted, not timed: after the first full search, a step reads the
+    # patch of only the embeddings around its own rewrite, at any ring size.
     scaling = perfbench_module("scaling")
-    decompose_at = matching.decompose_at
+    patch_edges = matching.patch_edges
     per_size = {}
     for n in (50, 200):
         host, rule = scaling.ring(graph, rules, n)
@@ -238,10 +236,10 @@ def test_ring_decompositions_per_step_do_not_grow(monkeypatch):
 
         def counted(*args):
             counts.append(1)
-            return decompose_at(*args)
+            return patch_edges(*args)
 
         with monkeypatch.context() as m:
-            m.setattr(matching, "decompose_at", counted)
+            m.setattr(matching, "patch_edges", counted)
             _, trace = normalize(host, {"drop-loop": rule})
         assert len(trace) == n
         per_size[n] = (len(counts) - n) / n
