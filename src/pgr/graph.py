@@ -186,21 +186,13 @@ class Renaming:
 
 
 class PatchDecomposition:
-    """A host graph split into context C, match M and the patch J between them.
+    """A host split into context C, match M and the patch J between them: the
+    host and the ids of a valid match and its patch, from which each of C, J
+    and M is derived on first use.  ``decompose_at`` checks the match."""
 
-    Made by ``around`` from a host and the ids of a match and its patch, it
-    derives each of C, J and M from the host on first use."""
-
-    def __init__(self, context: Graph, patch: Graph, match: Graph):
-        self.context, self.patch, self.match = context, patch, match
-
-    @classmethod
-    def around(cls, host: Graph, match_vertices: frozenset[int], match_edges: frozenset[int],
-               patch_edges: list[int]) -> "PatchDecomposition":
-        """The decomposition of ``host`` around a valid match and its patch."""
-        d = cls.__new__(cls)
-        d._host, d._mv, d._me, d._je = host, match_vertices, match_edges, patch_edges
-        return d
+    def __init__(self, host: Graph, match_vertices: frozenset[int], match_edges: frozenset[int],
+                 patch_edges: list[int]):
+        self._host, self._mv, self._me, self._je = host, match_vertices, match_edges, patch_edges
 
     @functools.cached_property
     def context(self) -> Graph:
@@ -263,9 +255,8 @@ def is_simple(g: Graph) -> bool:
     return True
 
 
-def validate_patch(d: PatchDecomposition) -> list[str]:
-    """Check all decomposition invariants; return one message per violation."""
-    c, j, m = d.context, d.patch, d.match
+def validate_patch(c: Graph, j: Graph, m: Graph) -> list[str]:
+    """Check that C, J and M form a decomposition; one message per violation."""
     out = []
     if c.vertices & m.vertices:
         out.append(f"context and match share vertices: {sorted(c.vertices & m.vertices)}")
@@ -291,13 +282,12 @@ def validate_patch(d: PatchDecomposition) -> list[str]:
     return out
 
 
-def patch_compose(d: PatchDecomposition) -> Graph:
-    """Reassemble C, J and M into one graph, preserving all ids."""
-    violations = validate_patch(d)
+def patch_compose(c: Graph, j: Graph, m: Graph) -> Graph:
+    """Reassemble valid C, J and M into one graph, preserving all ids."""
+    violations = validate_patch(c, j, m)
     if violations:
         raise InvalidPatch(violations)
     # Valid parts have pairwise disjoint edge ids, so one build suffices.
-    c, j, m = d.context, d.patch, d.match
     return Graph(c.vertices | j.vertices | m.vertices, {**c.edges, **j.edges, **m.edges})
 
 
@@ -314,7 +304,7 @@ def decompose_at(g: Graph, match_vertices: Iterable[int], match_edges: Iterable[
 
     The match is checked at once; the patch is every edge outside it that
     touches a match vertex, and the context keeps all the rest.  C, J and M
-    are derived on first use.  ``patch_compose`` inverts this exactly.
+    are derived on first use.  ``patch_compose`` of C, J and M inverts this.
     """
     mv = frozenset(match_vertices)
     me = frozenset(match_edges)
@@ -326,7 +316,7 @@ def decompose_at(g: Graph, match_vertices: Iterable[int], match_edges: Iterable[
         s, _, t = g.edges[e]
         if s not in mv or t not in mv:
             raise NotASubgraph(f"match edge {e} has an endpoint outside the match vertices")
-    return PatchDecomposition.around(g, mv, me, patch_edges(g, mv, me))
+    return PatchDecomposition(g, mv, me, patch_edges(g, mv, me))
 
 
 # -- canonical labelling ----------------------------------------------------

@@ -213,7 +213,7 @@ def find_pattern_embeddings(host: Graph, pattern: Graph, ptype: PatchType | None
     return results
 
 
-def find_redexes(host: Graph, rule: QuasiRule, cap: int | None = None,
+def find_redexes(host: Graph, rule: QuasiRule,
                  anchors: Set[int] | None = None) -> tuple[list[Redex], bool]:
     """All redexes of ``rule`` in ``host`` in canonical order.
 
@@ -221,16 +221,17 @@ def find_redexes(host: Graph, rule: QuasiRule, cap: int | None = None,
     most one), sharing one decomposition.  Embeddings whose patch does not
     adhere, read off the host's edges, are dropped before any decomposition
     is made; with ``anchors``, so are those whose match misses them.  The
-    second component flags that some enumeration hit the map cap.
+    second component flags that some enumeration hit the map cap
+    (``PGR_MAX_MAPS``, see ``adherence_maps``).
     """
     pattern, ptype = rule.lhs.pattern, rule.lhs.ptype
     redexes, truncated = [], False
     for emb in find_pattern_embeddings(host, pattern, ptype, anchors):
         mv, me = emb.image_vertices(), emb.image_edges()
         je = patch_edges(host, mv, me)
-        maps, cut = adherence_maps(host, je, ptype, match_positions(pattern, emb), cap)
+        maps, cut = adherence_maps(host, je, ptype, match_positions(pattern, emb))
         if maps:
-            d = PatchDecomposition.around(host, mv, me, je)
+            d = PatchDecomposition(host, mv, me, je)
             truncated = truncated or cut
             redexes += [Redex(rule, emb, d, h_l, cut) for h_l in maps]
     return redexes, truncated
@@ -258,10 +259,9 @@ class RedexSets:
     host, as ``anchors``.
     """
 
-    def __init__(self, host: Graph, system: dict[str, QuasiRule], cap: int | None = None):
+    def __init__(self, host: Graph, system: dict[str, QuasiRule]):
         self.host = host
         self.system = system
-        self.cap = cap
         self._entries: dict[str, list[_Entry]] = {}
         self._touched: dict[str, set[int]] = {}
 
@@ -281,7 +281,7 @@ class RedexSets:
         return entries, any(x.capped for x in entries)
 
     def _search(self, name: str, anchors: set[int] | None) -> list[_Entry]:
-        redexes, _ = find_redexes(self.host, self.system[name], self.cap, anchors)
+        redexes, _ = find_redexes(self.host, self.system[name], anchors)
         found = []
         for emb, group in itertools.groupby(redexes, attrgetter("embedding")):
             group = list(group)
@@ -303,13 +303,14 @@ class RedexSets:
             pending |= touched
 
 
-def context_of(e: int, h: dict[int, int], d: PatchDecomposition,
+def context_of(e: int, h: dict[int, int], patch: Graph,
                ptype: PatchType) -> frozenset[int]:
-    """The context vertex an assigned patch edge touches, if any.
+    """The context vertex that edge ``e`` of ``patch``, assigned by ``h`` to
+    a type edge of ``ptype``, touches, if any.
 
     Returns ``{src}`` when the assigned type edge starts at CONTEXT,
     ``{tgt}`` when it ends there, and the empty set otherwise.
     """
     ts, tt = ptype.edges[h[e]]
-    s, _, t = d.patch.edges[e]
+    s, _, t = patch.edges[e]
     return frozenset({s} if ts == CONTEXT else {t} if tt == CONTEXT else ())

@@ -2,10 +2,11 @@
 
 A step replaces the match by a fresh copy of the right pattern and rebuilds
 the patch around it: for every right type edge, each patch edge assigned to
-its trace image spawns one new edge, placed by which endpoints the type edge
-keeps on the pattern and which it hands to the context.  The certificate
-produced alongside each step carries all witnesses, and ``verify_step``
-re-checks them declaratively, independent of the constructive path.
+its trace image spawns one new edge, whose pattern ends are the copies of
+the type edge's ends and whose context end is the context end of the old
+edge.  The certificate produced alongside each step carries all witnesses,
+and ``verify_step`` re-checks them declaratively, independent of the
+constructive path.
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ from .exceptions import (
     PgrError,
     StepLimitReached,
 )
-from .graph import (
-    Graph,
-    PatchDecomposition,
-    Renaming,
-    canonical_form,
-    patch_compose,
-    rename_graph,
-)
+from .graph import Graph, Renaming, canonical_form, patch_compose, rename_graph
 from .matching import Redex, RedexSets, context_of, find_redexes
 from .rules import CONTEXT, QuasiRule, adherence_ok, match_positions
 
@@ -55,13 +49,14 @@ def construct_rhs_patch(redex: Redex, fresh_base: int):
     """Build the replacement patch for a redex.
 
     Returns ``(rhs_instance, j_prime, h_r, sigma)`` where ``sigma`` pairs
-    every new patch edge with the old patch edge it derives from.  Fresh ids
-    are drawn from ``fresh_base`` upward.
+    every new patch edge with the old patch edge it derives from.  A new
+    edge keeps the label of its old edge; each end is the copy of the right
+    type edge's pattern end or, at CONTEXT, the old edge's context end
+    (``context_of``).  Fresh ids are drawn from ``fresh_base`` upward.
     """
     rule = redex.rule
     counter = itertools.count(fresh_base)
     inst = _instantiate_rhs(rule, counter)
-    t_r = rule.rhs.ptype
     patch = redex.decomposition.patch
 
     by_left: dict[int, list[int]] = {}
@@ -71,23 +66,13 @@ def construct_rhs_patch(redex: Redex, fresh_base: int):
     jp_edges = {}
     h_r = {}
     sigma = {}
-    for t, (ts, tt) in sorted(t_r.edges.items()):
-        left = rule.trace[t]
-        lts, ltt = rule.lhs.ptype.edges[left]
-        for j in by_left.get(left, ()):
-            js, lab, jt = patch.edges[j]
-            if CONTEXT not in (ts, tt):
-                new = (inst.vmap[ts], lab, inst.vmap[tt])
-            elif ts == CONTEXT and lts == CONTEXT:
-                new = (js, lab, inst.vmap[tt])
-            elif tt == CONTEXT and ltt == CONTEXT:
-                new = (inst.vmap[ts], lab, jt)
-            elif ts == CONTEXT and ltt == CONTEXT:
-                new = (jt, lab, inst.vmap[tt])
-            else:  # tt == CONTEXT and lts == CONTEXT
-                new = (inst.vmap[ts], lab, js)
+    ends = dict(inst.vmap)  # and CONTEXT, per old edge, to its context end
+    for t, (ts, tt) in sorted(rule.rhs.ptype.edges.items()):
+        for j in by_left.get(rule.trace[t], ()):
+            if CONTEXT in (ts, tt):
+                (ends[CONTEXT],) = context_of(j, redex.h_l, patch, rule.lhs.ptype)
             eid = next(counter)
-            jp_edges[eid] = new
+            jp_edges[eid] = (ends[ts], patch.label(j), ends[tt])
             h_r[eid] = t
             sigma[eid] = j
     vertices = {s for s, _, _ in jp_edges.values()} | {t for _, _, t in jp_edges.values()}
@@ -111,7 +96,7 @@ def apply_at(host: Graph, redex: Redex,
                          f"(needs at least {floor})")
     inst, j_prime, h_r, sigma = construct_rhs_patch(redex, fresh_base)
     m_prime = rename_graph(rule.rhs.pattern, inst)
-    result = patch_compose(PatchDecomposition(redex.decomposition.context, j_prime, m_prime))
+    result = patch_compose(redex.decomposition.context, j_prime, m_prime)
     return result, StepCertificate(redex, inst, j_prime, h_r, sigma)
 
 
@@ -142,7 +127,7 @@ def _redex_ok(host: Graph, redex: Redex) -> bool:
     """The left half: the decomposition composes to the host, its match is
     the image of the left pattern, and the left map adheres."""
     rule, d = redex.rule, redex.decomposition
-    return (patch_compose(d) == host
+    return (patch_compose(d.context, d.patch, d.match) == host
             and rename_graph(rule.lhs.pattern, redex.embedding) == d.match
             and adherence_ok(d.patch, rule.lhs.ptype,
                              match_positions(rule.lhs.pattern, redex.embedding),
@@ -152,25 +137,24 @@ def _redex_ok(host: Graph, redex: Redex) -> bool:
 @_false_on_error
 def _rewrite_ok(result: Graph, cert: StepCertificate) -> bool:
     """The right half: ``_candidate_ok`` and ``_sigma_ok``."""
-    d_prime = PatchDecomposition(cert.redex.decomposition.context, cert.j_prime,
-                                 rename_graph(cert.redex.rule.rhs.pattern, cert.rhs_instance))
-    return _candidate_ok(result, cert, d_prime) and _sigma_ok(cert, d_prime)
+    m_prime = rename_graph(cert.redex.rule.rhs.pattern, cert.rhs_instance)
+    return _candidate_ok(result, cert, m_prime) and _sigma_ok(cert)
 
 
 @_false_on_error
-def _candidate_ok(result: Graph, cert: StepCertificate, d_prime: PatchDecomposition) -> bool:
-    """What does not depend on sigma's values: the new decomposition
-    composes to the result, the right map adheres, and sigma is defined on
-    exactly the new patch edges."""
+def _candidate_ok(result: Graph, cert: StepCertificate, m_prime: Graph) -> bool:
+    """What does not depend on sigma's values: the old context, the new
+    patch and the new match ``m_prime`` compose to the result, the right map
+    adheres, and sigma is defined on exactly the new patch edges."""
     rule = cert.redex.rule
-    return (patch_compose(d_prime) == result
+    return (patch_compose(cert.redex.decomposition.context, cert.j_prime, m_prime) == result
             and adherence_ok(cert.j_prime, rule.rhs.ptype,
                              match_positions(rule.rhs.pattern, cert.rhs_instance), cert.h_r)
             and set(cert.sigma) == set(cert.j_prime.edges))
 
 
 @_false_on_error
-def _sigma_ok(cert: StepCertificate, d_prime: PatchDecomposition) -> bool:
+def _sigma_ok(cert: StepCertificate) -> bool:
     """Per right type edge, sigma is a bijection onto the old patch edges of
     its trace image that keeps labels and the context vertex touched."""
     redex = cert.redex
@@ -185,8 +169,8 @@ def _sigma_ok(cert: StepCertificate, d_prime: PatchDecomposition) -> bool:
             j = cert.sigma[e]
             if cert.j_prime.label(e) != d.patch.label(j):
                 return False
-            if not (context_of(e, cert.h_r, d_prime, t_r)
-                    <= context_of(j, redex.h_l, d, rule.lhs.ptype)):
+            if not (context_of(e, cert.h_r, cert.j_prime, t_r)
+                    <= context_of(j, redex.h_l, d.patch, rule.lhs.ptype)):
                 return False
     return True
 
@@ -234,7 +218,7 @@ def brute_force_step_oracle(host: Graph, redex: Redex,
             continue
         labels = sorted(d.patch.label(j) for j in old)
         ctx_choices = sorted({v for j in old
-                              for v in context_of(j, redex.h_l, d, rule.lhs.ptype)})
+                              for v in context_of(j, redex.h_l, d.patch, rule.lhs.ptype)})
         slot_endpoints = []
         if ts == CONTEXT:
             sources = ctx_choices
@@ -272,9 +256,8 @@ def brute_force_step_oracle(host: Graph, redex: Redex,
         vertices = {s for s, _, _ in jp_edges.values()} | \
                    {t2 for _, _, t2 in jp_edges.values()}
         j_prime = Graph(vertices, jp_edges)
-        d_prime = PatchDecomposition(d.context, j_prime, m_prime)
         try:
-            candidate = patch_compose(d_prime)
+            candidate = patch_compose(d.context, j_prime, m_prime)
         except PgrError:
             continue
         sigma_spaces = []
@@ -288,24 +271,26 @@ def brute_force_step_oracle(host: Graph, redex: Redex,
                                  {e: j for part in parts for e, j in part.items()})
                  for parts in itertools.product(*sigma_spaces))
         first = next(certs)
-        if _candidate_ok(candidate, first, d_prime) and \
-                any(_sigma_ok(cert, d_prime) for cert in itertools.chain([first], certs)):
+        if _candidate_ok(candidate, first, m_prime) and \
+                any(_sigma_ok(cert) for cert in itertools.chain([first], certs)):
             results.setdefault(canonical_form(candidate), candidate)
     return sorted(results,
                   key=lambda g: (len(g.vertices), tuple(sorted(g.edges.values()))))
 
 
-def successors(host: Graph, system: dict[str, QuasiRule], dedup: bool = True,
-               cap: int | None = None) -> tuple[list[tuple[str, Graph]], bool]:
+def successors(host: Graph, system: dict[str, QuasiRule],
+               dedup: bool = True) -> tuple[list[tuple[str, Graph]], bool]:
     """All one-step results over all rules of the system, in rule order.
 
     With ``dedup`` the list keeps one representative per isomorphism class.
+    The flag tells whether some redex list was cut off at the map cap
+    (``PGR_MAX_MAPS``), so results may be missing.
     """
     out = []
     seen = set()
     truncated = False
     for name, rule in system.items():
-        redexes, cut = find_redexes(host, rule, cap)
+        redexes, cut = find_redexes(host, rule)
         truncated = truncated or cut
         for redex in redexes:
             result, _ = apply_at(host, redex)
@@ -330,7 +315,6 @@ class StepRecord:
 
 def normalize(host: Graph, system: dict[str, QuasiRule], strategy: str = "first",
               seed: int | None = None, max_steps: int = 10000,
-              cap: int | None = None,
               canonical: bool = False) -> tuple[Graph, list[StepRecord]]:
     """Apply redexes until none remains.
 
@@ -340,7 +324,7 @@ def normalize(host: Graph, system: dict[str, QuasiRule], strategy: str = "first"
     steps in a ``RedexSets``: after a step, only the embeddings that meet a
     vertex it touched are searched again, from those vertices.  A step's
     record is ``truncated`` when a redex list it read was capped by the map
-    cap, so it chose from an incomplete list.  Raises
+    cap (``PGR_MAX_MAPS``), so it chose from an incomplete list.  Raises
     StepLimitReached (carrying the partial trace) if no normal form is found
     within ``max_steps``.  ``canonical`` renames the final result into
     canonical form; it stays off by default so trace ids keep pointing into
@@ -350,7 +334,7 @@ def normalize(host: Graph, system: dict[str, QuasiRule], strategy: str = "first"
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = random_module.Random(seed)
     g = host
-    sets = RedexSets(host, system, cap)
+    sets = RedexSets(host, system)
     trace: list[StepRecord] = []
     for _ in range(max_steps):
         pool, truncated = [], False
@@ -375,8 +359,7 @@ def normalize(host: Graph, system: dict[str, QuasiRule], strategy: str = "first"
     return (canonical_form(g) if canonical else g), trace
 
 
-def check_rule_determinism(rule: QuasiRule, hosts: list[Graph],
-                           cap: int | None = None) -> dict[str, int]:
+def check_rule_determinism(rule: QuasiRule, hosts: list[Graph]) -> dict[str, int]:
     """Apply every redex twice with different fresh bases and shuffled
     enumeration; isomorphic results are required each time.
 
@@ -389,7 +372,7 @@ def check_rule_determinism(rule: QuasiRule, hosts: list[Graph],
 
     checked = 0
     for host in hosts:
-        redexes, _ = find_redexes(host, rule, cap)
+        redexes, _ = find_redexes(host, rule)
         by_location: dict[tuple, list[Redex]] = {}
         for redex in redexes:
             by_location.setdefault(redex.match_summary(), []).append(redex)

@@ -40,7 +40,7 @@ DEFAULT_MAP_CAP = 4096
 
 
 def default_map_cap() -> int:
-    """Adherence-map enumeration cap; PGR_MAX_MAPS overrides the default."""
+    """The adherence-map cap: PGR_MAX_MAPS if set, else DEFAULT_MAP_CAP."""
     raw = os.environ.get("PGR_MAX_MAPS")
     if raw is None:
         return DEFAULT_MAP_CAP
@@ -162,9 +162,8 @@ def validate_quasi_rule(rule: QuasiRule) -> list[str]:
 def build_rule(lhs_pattern: Graph,
                lhs_types: Mapping[object, tuple[Endpoint, Endpoint]],
                rhs_pattern: Graph,
-               rhs_types: Iterable[tuple[Endpoint, Endpoint, object]],
-               validate: bool = True) -> QuasiRule:
-    """Assemble a rule from keyed type edges.
+               rhs_types: Iterable[tuple[Endpoint, Endpoint, object]]) -> QuasiRule:
+    """Assemble a rule from keyed type edges and validate it.
 
     ``lhs_types`` maps a key to an endpoint pair; every right type edge cites
     the key of the left edge it traces to.  Type-edge ids are allocated above
@@ -191,10 +190,9 @@ def build_rule(lhs_pattern: Graph,
     rule = QuasiRule(Scheme(lhs_pattern, PatchType(lhs_pattern, t_l)),
                      Scheme(rhs_pattern, PatchType(rhs_pattern, t_r)),
                      trace)
-    if validate:
-        violations = validate_quasi_rule(rule)
-        if violations:
-            raise InvalidRule(violations)
+    violations = validate_quasi_rule(rule)
+    if violations:
+        raise InvalidRule(violations)
     return rule
 
 
@@ -214,18 +212,18 @@ def patch_shape(j: Graph, e: int, at: Mapping[int, int]) -> tuple[Endpoint, Endp
     return (at.get(s, CONTEXT), at.get(t, CONTEXT))
 
 
-def adherence_maps(g: Graph, patch: list[int], ptype: PatchType, at: Mapping[int, int],
-                   cap: int | None = None) -> tuple[list[dict[int, int]], bool]:
+def adherence_maps(g: Graph, patch: list[int], ptype: PatchType,
+                   at: Mapping[int, int]) -> tuple[list[dict[int, int]], bool]:
     """All total adherence maps from the edges ``patch`` (in id order) of
     ``g``, the patch or its host, into ``ptype``.
 
     ``at`` maps the match vertices to the pattern vertices of ``ptype``.
     Returns the maps in lexicographic order over (patch edge id, type edge
-    id) together with a flag telling whether the listing was cut off at
-    ``cap``.  An empty list means the patch does not adhere at all.
+    id) together with a flag telling whether the listing was cut off at the
+    map cap.  The cap is ``default_map_cap()`` (``PGR_MAX_MAPS``), read here
+    and nowhere else.  An empty list means the patch does not adhere at all.
     """
-    if cap is None:
-        cap = default_map_cap()
+    cap = default_map_cap()
     candidates, by_shape = [], ptype.by_shape()
     for e in patch:
         cands = by_shape.get(patch_shape(g, e, at))
@@ -237,11 +235,11 @@ def adherence_maps(g: Graph, patch: list[int], ptype: PatchType, at: Mapping[int
     return maps, math.prod(map(len, candidates)) > cap
 
 
-def enumerate_adherence_maps(j: Graph, ptype: PatchType, at: Mapping[int, int],
-                             cap: int | None = None) -> tuple[list[dict[int, int]], bool]:
+def enumerate_adherence_maps(j: Graph, ptype: PatchType,
+                             at: Mapping[int, int]) -> tuple[list[dict[int, int]], bool]:
     """All total adherence maps from patch ``j`` into ``ptype``, as
     ``adherence_maps`` lists them."""
-    return adherence_maps(j, sorted(j.edges), ptype, at, cap)
+    return adherence_maps(j, sorted(j.edges), ptype, at)
 
 
 def adherence_ok(j: Graph, ptype: PatchType, at: Mapping[int, int],

@@ -6,16 +6,20 @@ with an e-loop.  Most single-node rules in the suite target the hub.
 """
 
 import contextlib
+import functools
 import importlib
 import sys
 from pathlib import Path
 
+from pgr import graph, matching, rewrite, rules, systems
+from pgr.formats import parse_document
 from pgr.graph import Graph
 from pgr.rules import CONTEXT as CTX
 from pgr.rules import build_rule
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def perfbench_module(name):
@@ -23,6 +27,30 @@ def perfbench_module(name):
     if str(PERFBENCH) not in sys.path:
         sys.path.insert(0, str(PERFBENCH))
     return importlib.import_module(name)
+
+
+def sample_documents():
+    """The parsed ``samples/*.pgr`` files, in name order."""
+    return [parse_document(path.read_text(encoding="utf-8"))
+            for path in sorted(SAMPLES.glob("*.pgr"))]
+
+
+def deadlock_workload_nets(seed=3):
+    """The ``(net, deadlocked, left)`` inputs of the benchmark's ``deadlock``
+    workload for ``seed``."""
+    modules = {"graph": graph, "rules": rules, "matching": matching,
+               "rewrite": rewrite, "systems": systems}
+    return perfbench_module("workloads").Deadlock(modules, seed).nets
+
+
+@functools.cache
+def ds_states():
+    """Every state of the two-send ``ds_explore`` walks on line3 and star4."""
+    walks = {"line3": [(0, 1), (1, 2)], "star4": [(0, 1), (0, 2), (0, 3)]}
+    states = {name: systems.ds_explore(systems.ds_initial_network(links, 0), 2).states
+              for name, links in walks.items()}
+    assert {name: len(s) for name, s in states.items()} == {"line3": 479, "star4": 210}
+    return [g for s in states.values() for g in s]
 
 
 @contextlib.contextmanager
@@ -38,6 +66,15 @@ def shallow_recursion(headroom=100):
         yield
     finally:
         sys.setrecursionlimit(old)
+
+
+def set_map_cap(monkeypatch, cap):
+    """Set the adherence-map cap through ``PGR_MAX_MAPS``; None restores the
+    default."""
+    if cap is None:
+        monkeypatch.delenv("PGR_MAX_MAPS", raising=False)
+    else:
+        monkeypatch.setenv("PGR_MAX_MAPS", str(cap))
 
 
 def hub_host() -> Graph:

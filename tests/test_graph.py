@@ -13,7 +13,6 @@ from pgr.exceptions import DomainGap, EdgeIdClash, InvalidPatch, NotASubgraph
 from pgr.graph import (
     EMPTY_GRAPH,
     Graph,
-    PatchDecomposition,
     Renaming,
     canonical_form,
     canonical_renaming,
@@ -241,37 +240,32 @@ class TestPatch:
                   [(0, 3, "b", 4), (1, 4, "a", 5), (2, 5, "a", 6), (3, 3, "c", 6)])
         j = Graph([2, 3, 4, 5, 6],
                   [(20, 2, "a", 3), (21, 6, "b", 2), (22, 4, "b", 5), (23, 4, "b", 6)])
-        return PatchDecomposition(c, j, m)
+        return c, j, m
 
     def test_valid_example(self):
-        assert validate_patch(self.example_decomposition()) == []
+        assert validate_patch(*self.example_decomposition()) == []
 
     def test_compose_example(self):
-        g = patch_compose(self.example_decomposition())
+        g = patch_compose(*self.example_decomposition())
         assert len(g.vertices) == 6
         assert len(g.edges) == 9
 
     def test_empty_patch_is_valid(self):
-        d = PatchDecomposition(Graph([1]), EMPTY_GRAPH, Graph([2]))
-        assert validate_patch(d) == []
+        assert validate_patch(Graph([1]), EMPTY_GRAPH, Graph([2])) == []
 
     def test_patch_edge_inside_context_is_invalid(self):
-        d = PatchDecomposition(Graph([1, 2]), Graph([1, 2], [(5, 1, "a", 2)]),
-                               Graph([3]))
-        violations = validate_patch(d)
+        violations = validate_patch(Graph([1, 2]), Graph([1, 2], [(5, 1, "a", 2)]),
+                                    Graph([3]))
         assert violations
         assert any("between context and match" in v for v in violations)
 
     def test_compose_raises_on_invalid(self):
-        d = PatchDecomposition(Graph([1, 2]), Graph([1, 2], [(5, 1, "a", 2)]),
-                               Graph([3]))
         with pytest.raises(InvalidPatch):
-            patch_compose(d)
+            patch_compose(Graph([1, 2]), Graph([1, 2], [(5, 1, "a", 2)]), Graph([3]))
 
     def test_trivial_compose(self):
         g = hub_host()
-        d = PatchDecomposition(EMPTY_GRAPH, EMPTY_GRAPH, g)
-        assert patch_compose(d) == g
+        assert patch_compose(EMPTY_GRAPH, EMPTY_GRAPH, g) == g
 
 
 class TestDecompose:
@@ -286,7 +280,7 @@ class TestDecompose:
         d = decompose_at(host, {3, 4, 5}, {0, 1, 2})
         assert set(d.patch.edges) == {3, 4, 5}
         assert set(d.context.edges) == {6}
-        assert patch_compose(d) == host
+        assert patch_compose(d.context, d.patch, d.match) == host
 
     def test_whole_graph_as_match(self):
         g = hub_host()
@@ -308,8 +302,8 @@ class TestDecompose:
                   if g.src(e) in vs and g.tgt(e) in vs]
         es = set(data.draw(st.sets(st.sampled_from(inside)))) if inside else set()
         d = decompose_at(g, vs, es)
-        assert validate_patch(d) == []
-        assert patch_compose(d) == g
+        assert validate_patch(d.context, d.patch, d.match) == []
+        assert patch_compose(d.context, d.patch, d.match) == g
 
 
 class TestCanonicalForm:

@@ -1,41 +1,40 @@
 """Match engine: embeddings, redexes, and the naive existence oracle."""
 
-import functools
 import itertools
 import random
 import re
 import time
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
 from fixtures import (
     copy_vertex_rule,
+    deadlock_workload_nets,
     delete_rule,
+    ds_states,
     hub_host,
     hub_host_extra_loop,
-    perfbench_module,
     random_deterministic_rule,
     random_graph,
     random_instances,
     random_quasi_rule,
+    sample_documents,
+    set_map_cap,
     shallow_recursion,
     strict_delete_rule,
 )
-from pgr import graph, matching, rewrite, rules, systems
+from pgr import systems
 from pgr.exceptions import NotASubgraph
-from pgr.formats import parse_document
 from pgr.graph import (
     EMPTY_GRAPH,
     Graph,
-    PatchDecomposition,
     Renaming,
     decompose_at,
     rename_graph,
+    validate_patch,
 )
 from pgr.matching import (
-    Redex,
     _embedding_key,
     context_of,
     find_pattern_embeddings,
@@ -57,8 +56,6 @@ from pgr.systems import (
     ds_explore,
     ds_initial_network,
 )
-
-SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def reference_embeddings(host, pattern):
@@ -163,23 +160,26 @@ def reference_embeddings(host, pattern):
 
 
 def reference_edge_adheres(d, patch_edge, ptype, type_edge):
-    """Adherence clause by clause: an endpoint in the context needs a CONTEXT
-    placeholder end, an endpoint in the match needs that very vertex."""
-    js, _, jt = d.patch.edges[patch_edge]
+    """Adherence clause by clause on the parts ``d`` = (C, J, M): an endpoint
+    in the context needs a CONTEXT placeholder end, an endpoint in the match
+    needs that very vertex."""
+    c, j, m = d
+    js, _, jt = j.edges[patch_edge]
     ts, tt = ptype.edges[type_edge]
-    if js in d.context.vertices and ts != CONTEXT:
+    if js in c.vertices and ts != CONTEXT:
         return False
-    if js in d.match.vertices and js != ts:
+    if js in m.vertices and js != ts:
         return False
-    if jt in d.context.vertices and tt != CONTEXT:
+    if jt in c.vertices and tt != CONTEXT:
         return False
-    if jt in d.match.vertices and jt != tt:
+    if jt in m.vertices and jt != tt:
         return False
     return True
 
 
 def full_scan_split(host, match_vertices, match_edges):
-    """Split ``host`` around a match by classifying every host edge."""
+    """Split ``host`` around a match by classifying every host edge; the
+    parts (C, J, M)."""
     mv, me = set(match_vertices), set(match_edges)
     cv = host.vertices - mv
     c_edges, j_edges = {}, {}
@@ -187,13 +187,15 @@ def full_scan_split(host, match_vertices, match_edges):
         if e not in me:
             (c_edges if s in cv and t in cv else j_edges)[e] = (s, lab, t)
     j_vertices = {x for s, _, t in j_edges.values() for x in (s, t)}
-    return PatchDecomposition(Graph(cv, c_edges), Graph(j_vertices, j_edges),
-                              Graph(mv, {e: host.edges[e] for e in me}))
+    return (Graph(cv, c_edges), Graph(j_vertices, j_edges),
+            Graph(mv, {e: host.edges[e] for e in me}))
 
 
 def reference_maps(d, ptype):
-    """Every adherence map, each patch edge tried against every type edge."""
-    edge_ids = sorted(d.patch.edges)
+    """Every adherence map of the parts ``d``, each patch edge tried against
+    every type edge."""
+    _, j, _ = d
+    edge_ids = sorted(j.edges)
     cands = [[te for te in sorted(ptype.edges)
               if reference_edge_adheres(d, e, ptype, te)] for e in edge_ids]
     return [dict(zip(edge_ids, combo)) for combo in itertools.product(*cands)]
@@ -215,15 +217,15 @@ def naive_redex_exists(host, rule):
                                 for s, lab, t in pattern.edges.values())
                 if moved != target:
                     continue
-                d = full_scan_split(host, vs, es)
+                d = _, j, m = full_scan_split(host, vs, es)
                 moved_type = PatchType(
-                    d.match,
+                    m,
                     {te: (vmap.get(s, CONTEXT) if s != CONTEXT else CONTEXT,
                           vmap.get(t, CONTEXT) if t != CONTEXT else CONTEXT)
                      for te, (s, t) in rule.lhs.ptype.edges.items()})
-                if all(any(reference_edge_adheres(d, j, moved_type, te)
+                if all(any(reference_edge_adheres(d, e, moved_type, te)
                            for te in moved_type.edges)
-                       for j in d.patch.edges):
+                       for e in j.edges):
                     return True
     return False
 
@@ -238,7 +240,7 @@ def assert_redexes_match_reference(host, rule):
         d = full_scan_split(host, emb.image_vertices(), emb.image_edges())
         ptype = rule.lhs.ptype.renamed(emb)
         expected += [(emb, d, h_l) for h_l in reference_maps(d, ptype)]
-    got = [(r.embedding, r.decomposition, r.h_l) for r in redexes]
+    got = [(r.embedding, parts(r.decomposition), r.h_l) for r in redexes]
     assert got == expected, (host, rule)
 
 
@@ -266,7 +268,8 @@ def assert_search_matches_reference(host, rule):
 
 def eager_decompose_at(g, match_vertices, match_edges):
     """``decompose_at`` as it was before its parts became lazy: the match
-    checked, then J and M built as graphs at once (C, too, here)."""
+    checked, then J and M built as graphs at once (C, too, here); the parts
+    (C, J, M)."""
     mv = frozenset(match_vertices)
     me = frozenset(match_edges)
     if not mv <= g.vertices:
@@ -282,21 +285,22 @@ def eager_decompose_at(g, match_vertices, match_edges):
     j_vertices = {s for s, _, _ in j_edges.values()} | {t for _, _, t in j_edges.values()}
     context = Graph(g.vertices - mv, {e: triple for e, triple in g.edges.items()
                                       if e not in j_edges and e not in me})
-    return PatchDecomposition(context, Graph(j_vertices, j_edges), match)
+    return context, Graph(j_vertices, j_edges), match
 
 
-def eager_find_redexes(host, rule, cap=None, anchors=None):
+def eager_find_redexes(host, rule, anchors=None):
     """``find_redexes`` as it was: every embedding decomposed eagerly and its
-    maps listed by ``enumerate_adherence_maps`` on the built patch.  The
-    embeddings come from the search without the patch type, so no pruning
-    by the type is taken on trust."""
+    maps listed by ``enumerate_adherence_maps`` on the built patch, as
+    ``(embedding, parts, map, capped)`` per redex.  The embeddings come from
+    the search without the patch type, so no pruning by the type is taken on
+    trust."""
     redexes, truncated = [], False
     for emb in find_pattern_embeddings(host, rule.lhs.pattern, None, anchors):
-        d = eager_decompose_at(host, emb.image_vertices(), emb.image_edges())
+        d = _, j, _ = eager_decompose_at(host, emb.image_vertices(), emb.image_edges())
         maps, cut = enumerate_adherence_maps(
-            d.patch, rule.lhs.ptype, match_positions(rule.lhs.pattern, emb), cap)
+            j, rule.lhs.ptype, match_positions(rule.lhs.pattern, emb))
         truncated = truncated or cut
-        redexes += [Redex(rule, emb, d, h_l, cut) for h_l in maps]
+        redexes += [(emb, d, h_l, cut) for h_l in maps]
     return redexes, truncated
 
 
@@ -304,30 +308,21 @@ def parts(d):
     return d.context, d.patch, d.match
 
 
-def assert_like_eager(host, rule, cap=None, anchors=None):
+def assert_like_eager(host, rule, anchors=None):
     """Same redexes in the same order as the eager search: embedding, map,
     cap flag and all three parts; the maps of one embedding share one
-    decomposition.  Returns the number of redexes."""
-    got, cut = find_redexes(host, rule, cap, anchors)
-    expected, expected_cut = eager_find_redexes(host, rule, cap, anchors)
+    decomposition.  Both read the map cap from ``PGR_MAX_MAPS``.  Returns
+    the number of redexes."""
+    got, cut = find_redexes(host, rule, anchors)
+    expected, expected_cut = eager_find_redexes(host, rule, anchors)
     assert cut == expected_cut, (host, rule)
     assert [(r.embedding, r.h_l, r.capped) for r in got] == \
-        [(r.embedding, r.h_l, r.capped) for r in expected], (host, rule)
-    for a, b in zip(got, expected):
-        assert parts(a.decomposition) == parts(b.decomposition), (host, rule)
+        [(emb, h_l, capped) for emb, _, h_l, capped in expected], (host, rule)
+    for a, (_, d, _, _) in zip(got, expected):
+        assert parts(a.decomposition) == d, (host, rule)
     for a, b in zip(got, got[1:]):
         assert (a.decomposition is b.decomposition) == (a.embedding == b.embedding)
     return len(got)
-
-
-@functools.cache
-def ds_states():
-    """Every state of the two-send ``ds_explore`` walks on line3 and star4."""
-    walks = {"line3": [(0, 1), (1, 2)], "star4": [(0, 1), (0, 2), (0, 3)]}
-    states = {name: ds_explore(ds_initial_network(links, 0), 2).states
-              for name, links in walks.items()}
-    assert {name: len(s) for name, s in states.items()} == {"line3": 479, "star4": 210}
-    return [g for s in states.values() for g in s]
 
 
 def n_of_m_net(rng, procs):
@@ -378,27 +373,24 @@ class TestEdgeFollowingSearch:
 class TestAgainstEagerSearch:
     """The search that builds no graphs against the eager one it replaced."""
 
-    def test_random_instances(self):
+    def test_random_instances(self, monkeypatch):
         rng = random.Random(2009)
         found = sum(assert_like_eager(host, rule) for host, rule, _ in random_instances(rng, 200))
         for i in range(300):
             host = random_graph(rng, list(range(rng.randint(1, 5))), 8)
             rule = random_deterministic_rule(rng) if i % 2 else random_quasi_rule(rng)
             anchors = set(rng.sample(range(6), rng.randint(1, 3))) if i % 3 == 0 else None
-            found += assert_like_eager(host, rule, (None, 2, 5)[i % 3], anchors)
+            set_map_cap(monkeypatch, (None, 2, 5)[i % 3])
+            found += assert_like_eager(host, rule, anchors)
         assert found > 400
 
     def test_samples(self):
-        docs = [parse_document(path.read_text(encoding="utf-8"))
-                for path in sorted(SAMPLES.glob("*.pgr"))]
+        docs = sample_documents()
         assert sum(assert_like_eager(g, r) for gd in docs for g in gd.graphs.values()
                    for rd in docs for r in rd.rules.values()) > 0
 
     def test_deadlock_workload_nets(self):
-        workloads = perfbench_module("workloads")
-        modules = {"graph": graph, "rules": rules, "matching": matching,
-                   "rewrite": rewrite, "systems": systems}
-        nets = workloads.Deadlock(modules, 3).nets
+        nets = deadlock_workload_nets()
         assert sum(assert_like_eager(g, rule) for g, _, _ in nets
                    for rule in deadlock_rules().values()) > len(nets)
 
@@ -420,7 +412,7 @@ class TestAgainstEagerSearch:
             vs = rng.sample(sorted(g.vertices), rng.randint(0, len(g.vertices)))
             es = rng.sample(sorted(g.edges), rng.randint(0, min(2, len(g.edges))))
             try:
-                expected = parts(eager_decompose_at(g, vs, es))
+                expected = eager_decompose_at(g, vs, es)
             except NotASubgraph as exc:
                 with pytest.raises(NotASubgraph, match=re.escape(str(exc))):
                     decompose_at(g, vs, es)
@@ -576,8 +568,7 @@ class TestFindRedexes:
         for _ in range(150):
             host = random_graph(rng, list(range(rng.randint(1, 4))), 6)
             pairs.append((host, random_quasi_rule(rng)))
-        docs = [parse_document(path.read_text(encoding="utf-8"))
-                for path in sorted(SAMPLES.glob("*.pgr"))]
+        docs = sample_documents()
         pairs += [(g, r) for gd in docs for g in gd.graphs.values()
                   for rd in docs for r in rd.rules.values()]
         assert sum(bool(find_redexes(h, r)[0]) for h, r in pairs) > 200
@@ -603,12 +594,13 @@ class TestFindRedexes:
             assert len(find_redexes(host, rule)[0]) == \
                 len(find_redexes(renamed, rule)[0])
 
-    def test_cap_flag_propagates(self):
+    def test_cap_flag_propagates(self, monkeypatch):
+        monkeypatch.setenv("PGR_MAX_MAPS", "3")
         host = Graph([0, 1], [(i, 0, "a", 1) for i in range(4)])
         rule = build_rule(Graph([0, 1]),
                           {"p": (0, 1), "q": (0, 1)},
                           Graph([10, 11]), [(10, 11, "p")])
-        redexes, truncated = find_redexes(host, rule, cap=3)
+        redexes, truncated = find_redexes(host, rule)
         assert truncated
         assert len(redexes) == 3
 
@@ -618,11 +610,9 @@ class TestContextOf:
         c = Graph([9])
         m = Graph([5, 6], [(0, 5, "a", 6)])
         j = Graph([5, 6, 9], [(20, 9, "x", 5), (21, 5, "y", 9), (22, 5, "z", 6)])
-        from pgr.graph import PatchDecomposition
-
-        d = PatchDecomposition(c, j, m)
+        assert validate_patch(c, j, m) == []
         t = PatchType(m, {0: (CONTEXT, 5), 1: (5, CONTEXT), 2: (5, 6)})
         h = {20: 0, 21: 1, 22: 2}
-        assert context_of(20, h, d, t) == {9}
-        assert context_of(21, h, d, t) == {9}
-        assert context_of(22, h, d, t) == frozenset()
+        assert context_of(20, h, j, t) == {9}
+        assert context_of(21, h, j, t) == {9}
+        assert context_of(22, h, j, t) == frozenset()

@@ -9,12 +9,14 @@ fresh ``find_redexes`` of the current host.
 import random
 
 from fixtures import (
+    deadlock_workload_nets,
     perfbench_module,
     random_deterministic_rule,
     random_graph,
     random_quasi_rule,
+    set_map_cap,
 )
-from pgr import graph, matching, rewrite, rules, systems
+from pgr import graph, matching, rules
 from pgr.exceptions import StepLimitReached
 from pgr.graph import EMPTY_GRAPH, Graph, canonical_form
 from pgr.matching import RedexSets, find_pattern_embeddings, find_redexes
@@ -29,7 +31,7 @@ from pgr.systems import (
 
 
 def reference_normalize(host, system, strategy="first", seed=None, max_steps=10000,
-                        cap=None, canonical=False):
+                        canonical=False):
     if strategy not in ("first", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = random.Random(seed)
@@ -38,7 +40,7 @@ def reference_normalize(host, system, strategy="first", seed=None, max_steps=100
     for _ in range(max_steps):
         pool, truncated = [], False
         for name, rule in system.items():
-            redexes, cut = find_redexes(g, rule, cap)
+            redexes, cut = find_redexes(g, rule)
             truncated = truncated or cut
             pool.extend((name, r) for r in redexes)
             if pool and strategy == "first":
@@ -50,7 +52,7 @@ def reference_normalize(host, system, strategy="first", seed=None, max_steps=100
         mv, me = redex.match_summary()
         trace.append(StepRecord(name, mv, me, truncated))
     # One more look: the limit only matters if a redex is still there.
-    if any(find_redexes(g, rule, cap)[0] for rule in system.values()):
+    if any(find_redexes(g, rule)[0] for rule in system.values()):
         raise StepLimitReached(g, trace)
     return (canonical_form(g) if canonical else g), trace
 
@@ -82,7 +84,7 @@ def checked_normalize(monkeypatch, host, system, **kwargs):
 
     def entries(self, name):
         listed = read(self, name)
-        fresh, cut = find_redexes(self.host, self.system[name], self.cap)
+        fresh, cut = find_redexes(self.host, self.system[name])
         assert_same_redexes([self.redex(name, x, h_l) for x in listed[0] for h_l in x.maps],
                             fresh)
         assert listed[1] == cut
@@ -121,10 +123,7 @@ class TestAgainstFreshSearch:
             assert g.is_empty()
 
     def test_deadlock_workload_nets(self, monkeypatch):
-        workloads = perfbench_module("workloads")
-        modules = {"graph": graph, "rules": rules, "matching": matching,
-                   "rewrite": rewrite, "systems": systems}
-        nets = workloads.Deadlock(modules, 3).nets
+        nets = deadlock_workload_nets()
         for i, (g, deadlocked, left) in enumerate(nets[::9]):
             _, nf, _ = assert_like_reference(monkeypatch, g, deadlock_rules())
             assert (not nf.is_empty(), len(nf.vertices)) == (deadlocked, left)
@@ -137,17 +136,17 @@ class TestAgainstFreshSearch:
             host = random_graph(rng, list(range(rng.randint(1, 6))), 9)
             system = {f"r{k}": random_deterministic_rule(rng) if rng.random() < 0.5
                       else random_quasi_rule(rng) for k in range(rng.randint(1, 3))}
-            cap = (None, 2, 8)[i % 3]
-            kind, _, _ = assert_like_reference(monkeypatch, host, system,
-                                               max_steps=12, cap=cap)
+            set_map_cap(monkeypatch, (None, 2, 8)[i % 3])
+            kind, _, _ = assert_like_reference(monkeypatch, host, system, max_steps=12)
             limits += kind == "step limit"
             assert_like_reference(monkeypatch, host, system, strategy="random", seed=i,
-                                  max_steps=12, cap=cap)
+                                  max_steps=12)
         assert limits > 10
 
     def test_capped_steps(self, monkeypatch):
         # Two parallel placeholders and three patch edges: eight maps, cut
         # at two; the flag must follow the capped embedding.
+        monkeypatch.setenv("PGR_MAX_MAPS", "2")
         pattern = Graph([0], [(0, 0, "a", 0)])
         quasi = build_rule(pattern, {"p": (CONTEXT, 0), "q": (CONTEXT, 0)},
                            Graph([10]), [])
@@ -155,7 +154,7 @@ class TestAgainstFreshSearch:
                                              (4, "a", 4)])
         for strategy in ("first", "random"):
             _, _, trace = assert_like_reference(monkeypatch, host, {"q": quasi},
-                                                strategy=strategy, seed=1, cap=2)
+                                                strategy=strategy, seed=1)
             assert [r.truncated for r in trace] == [True, False]
 
     def test_waitfor_system_step_limit(self, monkeypatch):

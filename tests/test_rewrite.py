@@ -1,20 +1,27 @@
 """Rewrite engine: step construction, verification, oracle, normalization."""
 
+import itertools
 import random
 
 import pytest
 
 from fixtures import (
     copy_vertex_rule,
+    deadlock_workload_nets,
     delete_rule,
+    ds_states,
     duplicate_rule,
     hub_host,
     hub_host_extra_loop,
     invert_pull_rule,
     parallel_drop_rule,
     parallel_edge_host,
+    random_deterministic_rule,
+    random_graph,
     random_instances,
+    random_quasi_rule,
     redirect_rule,
+    sample_documents,
     strict_delete_rule,
     three_spoke_expected,
     three_spoke_host,
@@ -27,6 +34,7 @@ from pgr.graph import (
     Graph,
     Renaming,
     canonical_form,
+    decompose_at,
     graph_union,
     isomorphic,
     rename_graph,
@@ -34,6 +42,8 @@ from pgr.graph import (
 from pgr.matching import Redex, find_redexes
 from pgr.rewrite import (
     StepCertificate,
+    StepRecord,
+    _instantiate_rhs,
     apply_at,
     brute_force_step_oracle,
     check_rule_determinism,
@@ -42,7 +52,16 @@ from pgr.rewrite import (
     successors,
     verify_step,
 )
-from pgr.rules import CONTEXT, build_rule
+from pgr.rules import (
+    CONTEXT,
+    PatchType,
+    QuasiRule,
+    Scheme,
+    build_rule,
+    enumerate_adherence_maps,
+    validate_quasi_rule,
+)
+from pgr.systems import deadlock_rules, dijkstra_scholten_system
 
 
 def only_redex(host, rule):
@@ -67,6 +86,102 @@ def two_position_step():
 def tampered_left(redex, embedding=None, h_l=None):
     return Redex(redex.rule, embedding or redex.embedding, redex.decomposition,
                  h_l or redex.h_l)
+
+
+def reference_rhs_patch(redex, fresh_base):
+    """``construct_rhs_patch`` as it was: each new patch edge placed by a
+    five-way branch on which ends of its right type edge and of that edge's
+    trace image are CONTEXT."""
+    rule = redex.rule
+    counter = itertools.count(fresh_base)
+    inst = _instantiate_rhs(rule, counter)
+    t_r = rule.rhs.ptype
+    patch = redex.decomposition.patch
+
+    by_left: dict[int, list[int]] = {}
+    for j in sorted(patch.edges):
+        by_left.setdefault(redex.h_l[j], []).append(j)
+
+    jp_edges = {}
+    h_r = {}
+    sigma = {}
+    for t, (ts, tt) in sorted(t_r.edges.items()):
+        left = rule.trace[t]
+        lts, ltt = rule.lhs.ptype.edges[left]
+        for j in by_left.get(left, ()):
+            js, lab, jt = patch.edges[j]
+            if CONTEXT not in (ts, tt):
+                new = (inst.vmap[ts], lab, inst.vmap[tt])
+            elif ts == CONTEXT and lts == CONTEXT:
+                new = (js, lab, inst.vmap[tt])
+            elif tt == CONTEXT and ltt == CONTEXT:
+                new = (inst.vmap[ts], lab, jt)
+            elif ts == CONTEXT and ltt == CONTEXT:
+                new = (jt, lab, inst.vmap[tt])
+            else:  # tt == CONTEXT and lts == CONTEXT
+                new = (inst.vmap[ts], lab, js)
+            eid = next(counter)
+            jp_edges[eid] = new
+            h_r[eid] = t
+            sigma[eid] = j
+    vertices = {s for s, _, _ in jp_edges.values()} | {t for _, _, t in jp_edges.values()}
+    return inst, Graph(vertices, jp_edges), h_r, sigma
+
+
+def assert_placed_like_reference(host, rule):
+    """Every redex of a valid rule gets the reference's instance, patch, right
+    map and sigma; returns the number of new patch edges compared."""
+    assert validate_quasi_rule(rule) == []
+    placed = 0
+    for redex in find_redexes(host, rule)[0]:
+        base = max(host.max_id(), rule.rhs.pattern.max_id()) + 1
+        got = construct_rhs_patch(redex, base)
+        assert got == reference_rhs_patch(redex, base), (host, rule, redex.h_l)
+        placed += len(got[3])
+    return placed
+
+
+class TestPlacementAgainstReference:
+    """One placement rule against the five-way branch it replaced, on the
+    inputs of the eager-search comparison."""
+
+    def test_random_instances(self):
+        rng = random.Random(2009)
+        placed = sum(assert_placed_like_reference(host, rule)
+                     for host, rule, _ in random_instances(rng, 200))
+        for i in range(300):
+            host = random_graph(rng, list(range(rng.randint(1, 5))), 8)
+            rule = random_deterministic_rule(rng) if i % 2 else random_quasi_rule(rng)
+            placed += assert_placed_like_reference(host, rule)
+        assert placed > 400
+
+    def test_samples(self):
+        docs = sample_documents()
+        assert sum(assert_placed_like_reference(g, r) for gd in docs
+                   for g in gd.graphs.values() for rd in docs for r in rd.rules.values()) > 0
+
+    def test_deadlock_workload_nets(self):
+        nets = deadlock_workload_nets()
+        assert sum(assert_placed_like_reference(g, rule) for g, _, _ in nets
+                   for rule in deadlock_rules().values()) > len(nets)
+
+    def test_dijkstra_scholten_states(self):
+        system = dijkstra_scholten_system()
+        assert sum(assert_placed_like_reference(g, rule) for g in ds_states()
+                   for rule in system.values()) > 0
+
+    def test_invalid_rule_raises_in_both(self):
+        # The right type edge reaches the context, its trace image does not:
+        # the new edge has no context end to take.
+        lhs, rhs = Graph([0, 1]), Graph([10])
+        rule = QuasiRule(Scheme(lhs, PatchType(lhs, {5: (0, 1)})),
+                         Scheme(rhs, PatchType(rhs, {6: (CONTEXT, 10)})), {6: 5})
+        assert validate_quasi_rule(rule)
+        redex = only_redex(Graph([0, 1], [(0, 0, "a", 1)]), rule)
+        with pytest.raises(KeyError):
+            reference_rhs_patch(redex, 100)
+        with pytest.raises(ValueError):
+            construct_rhs_patch(redex, 100)
 
 
 class TestConstructRhsPatch:
@@ -293,15 +408,14 @@ class TestBruteForceOracle:
         with pytest.raises(BoundTooSmall):
             brute_force_step_oracle(host, redex, size_bound=2)
 
-    def test_matches_apply_on_random_quasi_rules(self):
-        from fixtures import random_graph, random_quasi_rule
-
+    def test_matches_apply_on_random_quasi_rules(self, monkeypatch):
+        monkeypatch.setenv("PGR_MAX_MAPS", "64")
         rng = random.Random(1234)
         checked = 0
         while checked < 30:
             host = random_graph(rng, list(range(rng.randint(1, 3))), 4)
             rule = random_quasi_rule(rng)
-            redexes, _ = find_redexes(host, rule, cap=64)
+            redexes, _ = find_redexes(host, rule)
             for redex in redexes[:2]:
                 result, cert = apply_at(host, redex)
                 assert verify_step(host, result, cert)
@@ -334,6 +448,29 @@ class TestSuccessors:
         system = {"a": delete_rule(), "b": redirect_rule()}
         succ, _ = successors(host, system, dedup=False)
         assert [name for name, _ in succ] == ["a", "b"]
+
+
+class TestOneMapCap:
+    """``PGR_MAX_MAPS`` caps every listing of adherence maps, and each
+    caller reports the cut."""
+
+    def test_four_maps_cut_at_two(self, monkeypatch):
+        # An a-loop vertex with two in-edges from the context, each of which
+        # adheres to either of two parallel placeholders: four maps.
+        quasi = build_rule(Graph([0], [(0, 0, "a", 0)]),
+                           {"p": (CONTEXT, 0), "q": (CONTEXT, 0)}, Graph([10]), [])
+        host = Graph.from_triples(range(3), [(0, "a", 0), (1, "b", 0), (2, "b", 0)])
+        patch = decompose_at(host, {0}, {0}).patch
+        assert len(enumerate_adherence_maps(patch, quasi.lhs.ptype, {0: 0})[0]) == 4
+        monkeypatch.setenv("PGR_MAX_MAPS", "2")
+        maps, truncated = enumerate_adherence_maps(patch, quasi.lhs.ptype, {0: 0})
+        assert len(maps) == 2 and truncated
+        redexes, truncated = find_redexes(host, quasi)
+        assert len(redexes) == 2 and truncated
+        succ, truncated = successors(host, {"q": quasi}, dedup=False)
+        assert len(succ) == 2 and truncated
+        _, trace = normalize(host, {"q": quasi})
+        assert trace == [StepRecord("q", (0,), (0,), True)]
 
 
 class TestNormalize:

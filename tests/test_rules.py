@@ -30,7 +30,6 @@ from pgr.exceptions import (
 from pgr.graph import (
     EMPTY_GRAPH,
     Graph,
-    PatchDecomposition,
     Renaming,
     decompose_at,
     rename_graph,
@@ -59,20 +58,21 @@ from pgr.systems import elementary_rules
 
 
 def single_vertex_decomposition():
-    """One match vertex 5, one context vertex 9, assorted patch edges."""
+    """Context, patch and match: one match vertex 5, one context vertex 9,
+    assorted patch edges."""
     c = Graph([9])
     m = Graph([5])
     j = Graph([5, 9], [(20, 9, "x", 5), (21, 5, "y", 9), (22, 5, "z", 5)])
-    return PatchDecomposition(c, j, m)
+    return c, j, m
 
 
 # The match vertex 5 of ``single_vertex_decomposition`` at its own position.
 AT = {5: 5}
 
 
-def one_edge(d, e):
-    """The patch of ``d`` cut down to edge ``e``."""
-    s, lab, t = d.patch.edges[e]
+def one_edge(j, e):
+    """The patch ``j`` cut down to edge ``e``."""
+    s, lab, t = j.edges[e]
     return Graph({s, t}, {e: (s, lab, t)})
 
 
@@ -80,54 +80,53 @@ class TestEdgeAdheres:
     """Whether one patch edge adheres, read through the match positions."""
 
     def test_loop_never_adheres_to_context_edge(self):
-        d = single_vertex_decomposition()
-        t = PatchType(d.match, {0: (CONTEXT, 5)})
-        assert patch_shape(d.patch, 22, AT) == (5, 5)
-        assert not adherence_ok(one_edge(d, 22), t, AT, {22: 0})
+        _, j, m = single_vertex_decomposition()
+        t = PatchType(m, {0: (CONTEXT, 5)})
+        assert patch_shape(j, 22, AT) == (5, 5)
+        assert not adherence_ok(one_edge(j, 22), t, AT, {22: 0})
 
     def test_incoming_context_edge(self):
-        d = single_vertex_decomposition()
-        t = PatchType(d.match, {0: (CONTEXT, 5)})
-        assert patch_shape(d.patch, 20, AT) == (CONTEXT, 5)
-        assert adherence_ok(one_edge(d, 20), t, AT, {20: 0})
-        assert not adherence_ok(one_edge(d, 21), t, AT, {21: 0})
+        _, j, m = single_vertex_decomposition()
+        t = PatchType(m, {0: (CONTEXT, 5)})
+        assert patch_shape(j, 20, AT) == (CONTEXT, 5)
+        assert adherence_ok(one_edge(j, 20), t, AT, {20: 0})
+        assert not adherence_ok(one_edge(j, 21), t, AT, {21: 0})
 
     def test_in_match_edge(self):
-        d = single_vertex_decomposition()
-        t = PatchType(d.match, {0: (5, 5), 1: (5, CONTEXT)})
-        assert adherence_ok(one_edge(d, 22), t, AT, {22: 0})
-        assert not adherence_ok(one_edge(d, 22), t, AT, {22: 1})
+        _, j, m = single_vertex_decomposition()
+        t = PatchType(m, {0: (5, 5), 1: (5, CONTEXT)})
+        assert adherence_ok(one_edge(j, 22), t, AT, {22: 0})
+        assert not adherence_ok(one_edge(j, 22), t, AT, {22: 1})
 
     def test_shape_is_read_in_pattern_coordinates(self):
-        d = single_vertex_decomposition()
+        _, j, _ = single_vertex_decomposition()
         at = match_positions(Graph([0]), Renaming({0: 5, 1: 9}))
         assert at == {5: 0}  # built from the pattern, not the whole map
-        assert patch_shape(d.patch, 20, at) == (CONTEXT, 0)
-        assert patch_shape(d.patch, 22, at) == (0, 0)
+        assert patch_shape(j, 20, at) == (CONTEXT, 0)
+        assert patch_shape(j, 22, at) == (0, 0)
         t = PatchType(Graph([0]), {0: (CONTEXT, 0), 1: (0, CONTEXT), 2: (0, 0)})
-        assert adherence_ok(d.patch, t, at, {20: 0, 21: 1, 22: 2})
-        assert not adherence_ok(d.patch, t, at, {20: 0, 21: 1})
+        assert adherence_ok(j, t, at, {20: 0, 21: 1, 22: 2})
+        assert not adherence_ok(j, t, at, {20: 0, 21: 1})
 
 
 class TestEnumerateAdherenceMaps:
     def test_simple_type_unique_map(self):
-        d = single_vertex_decomposition()
-        t = PatchType(d.match, {0: (CONTEXT, 5), 1: (5, CONTEXT), 2: (5, 5)})
-        maps, truncated = enumerate_adherence_maps(d.patch, t, AT)
+        _, j, m = single_vertex_decomposition()
+        t = PatchType(m, {0: (CONTEXT, 5), 1: (5, CONTEXT), 2: (5, 5)})
+        maps, truncated = enumerate_adherence_maps(j, t, AT)
         assert not truncated
         assert maps == [{20: 0, 21: 1, 22: 2}]
 
     def test_empty_patch_has_one_empty_map(self):
-        d = PatchDecomposition(Graph([9]), EMPTY_GRAPH, Graph([5]))
-        t = PatchType(d.match, {0: (CONTEXT, 5)})
+        t = PatchType(Graph([5]), {0: (CONTEXT, 5)})
         maps, truncated = enumerate_adherence_maps(EMPTY_GRAPH, t, AT)
         assert maps == [{}]
         assert not truncated
 
     def test_non_adherent_patch_yields_nothing(self):
-        d = single_vertex_decomposition()
-        t = PatchType(d.match, {0: (CONTEXT, 5)})
-        maps, truncated = enumerate_adherence_maps(d.patch, t, AT)
+        _, j, m = single_vertex_decomposition()
+        t = PatchType(m, {0: (CONTEXT, 5)})
+        maps, truncated = enumerate_adherence_maps(j, t, AT)
         assert maps == []
         assert not truncated
 
@@ -143,14 +142,15 @@ class TestEnumerateAdherenceMaps:
         assert len(maps) == 2 ** n
         assert not truncated
 
-    def test_cap_truncates_with_flag(self):
+    def test_cap_truncates_with_flag(self, monkeypatch):
+        monkeypatch.setenv("PGR_MAX_MAPS", "5")
         host = parallel_edge_host(4)
         rule = parallel_drop_rule()
         emb = [e for e in find_pattern_embeddings(host, rule.lhs.pattern)
                if e.vmap[0] == 0][0]
         d = decompose_at(host, emb.image_vertices(), emb.image_edges())
         maps, truncated = enumerate_adherence_maps(
-            d.patch, rule.lhs.ptype, match_positions(rule.lhs.pattern, emb), cap=5)
+            d.patch, rule.lhs.ptype, match_positions(rule.lhs.pattern, emb))
         assert len(maps) == 5
         assert truncated
 
