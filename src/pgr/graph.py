@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left
 from collections import Counter, defaultdict, deque
 from collections.abc import Iterable, Mapping
 
@@ -25,9 +26,12 @@ EdgeTriple = tuple[int, str, int]
 
 
 class Graph:
-    """A finite directed multigraph with labeled edges."""
+    """A finite directed multigraph with labeled edges.  ``Graph(...)``
+    checks its input; the graphs the engine derives from valid graphs do
+    not, and a step edits a draft copy of its host (``_replace``)."""
 
-    __slots__ = ("_vertices", "_edges", "_hash", "_out", "_in", "_by_label", "_labelling")
+    __slots__ = ("_vertices", "_edges", "_hash", "_out", "_in", "_by_label", "_labelling",
+                 "_max")
 
     def __init__(self, vertices: Iterable[int] = (), edges=()):
         """Create a graph.
@@ -35,7 +39,7 @@ class Graph:
         ``edges`` is either a mapping ``{edge_id: (src, label, tgt)}`` or an
         iterable of ``(edge_id, src, label, tgt)`` tuples.
         """
-        self._vertices = frozenset(vertices)
+        vertices = frozenset(vertices)
         if isinstance(edges, Mapping):
             edge_map = {int(e): (s, lab, t) for e, (s, lab, t) in edges.items()}
             if len(edge_map) < len(edges):
@@ -49,16 +53,62 @@ class Graph:
                     raise ValueError(f"duplicate edge id {eid}")
                 edge_map[eid] = (s, lab, t)
         for eid, (s, lab, t) in edge_map.items():
-            if s not in self._vertices or t not in self._vertices:
+            if s not in vertices or t not in vertices:
                 raise ValueError(f"edge {eid}: endpoint outside the vertex set")
             if not isinstance(lab, str) or not lab:
                 raise ValueError(f"edge {eid}: label must be a nonempty string")
-        self._edges = edge_map
-        self._hash = None
-        self._out = None
-        self._in = None
-        self._by_label = None
-        self._labelling = None
+        self._set(vertices, edge_map)
+
+    def _set(self, vertices: frozenset[int], edges: dict[int, EdgeTriple]) -> "Graph":
+        self._vertices, self._edges = vertices, edges
+        self._hash = self._out = self._in = self._by_label = self._labelling = self._max = None
+        return self
+
+    @classmethod
+    def _trusted(cls, vertices: frozenset[int], edges: dict[int, EdgeTriple]) -> "Graph":
+        """A graph from parts known to be valid; it owns ``edges``."""
+        return cls.__new__(cls)._set(vertices, edges)
+
+    def _draft(self) -> "Graph":
+        """A copy that the engine edits in place before handing it out.  It
+        shares the index lists, which an edit copies before changing one."""
+        out, inc = self._indexes()
+        g = Graph._trusted(self._vertices, dict(self._edges))
+        g._out, g._in, g._by_label = dict(out), dict(inc), dict(self.label_index())
+        g._max = self.max_id()
+        return g
+
+    def _replace(self, d: "PatchDecomposition", patch: "Graph", match_vertices: Iterable[int],
+                 match_edges: dict[int, EdgeTriple]) -> None:
+        """Edit this draft of ``d``'s host into ``patch_compose(d.context,
+        patch, new match)``, edge order included.  New ids lie above every
+        id of the draft, so appending keeps each index list in id order."""
+        mv, new_v = d._mv, frozenset(match_vertices)
+        added = {**patch.edges, **match_edges}
+        changes = [(e, self._edges.pop(e), False) for e in itertools.chain(d._je, d._me)]
+        changes += [(e, triple, True) for e, triple in sorted(added.items())]
+        self._edges.update(added)
+        self._vertices = (self._vertices - mv) | new_v
+        for v in mv:
+            del self._out[v], self._in[v]
+        self._out.update(dict.fromkeys(new_v, []))
+        self._in.update(dict.fromkeys(new_v, []))
+        for index, at in ((self._out, 0), (self._in, 2), (self._by_label, 1)):
+            copied = set()
+            for e, triple, new in changes:
+                if (key := triple[at]) in mv:
+                    continue
+                if key not in copied:
+                    copied.add(key)
+                    index[key] = list(index.get(key, ()))
+                if new:
+                    index[key].append(e)
+                else:
+                    del index[key][bisect_left(index[key], e)]
+        self._by_label = {label: es for label, es in self._by_label.items() if es}
+        top = max(itertools.chain(new_v, added), default=self._max)
+        self._max = top if top in self._vertices or top in self._edges else None
+        self._hash = self._labelling = None
 
     @classmethod
     def from_triples(cls, vertices: Iterable[int], triples: Iterable[EdgeTriple] = ()) -> "Graph":
@@ -121,7 +171,9 @@ class Graph:
 
     def max_id(self) -> int:
         """Largest id in use (vertex or edge), or -1 for the empty graph."""
-        return max(itertools.chain(self._vertices, self._edges, [-1]))
+        if self._max is None:
+            self._max = max(itertools.chain(self._vertices, self._edges, [-1]))
+        return self._max
 
     def is_empty(self) -> bool:
         return not self._vertices and not self._edges
@@ -197,17 +249,17 @@ class PatchDecomposition:
     @functools.cached_property
     def context(self) -> Graph:
         skip = self._me.union(self._je)
-        return Graph(self._host.vertices - self._mv,
-                     {e: triple for e, triple in self._host.edges.items() if e not in skip})
+        edges = {e: triple for e, triple in self._host.edges.items() if e not in skip}
+        return Graph._trusted(self._host.vertices - self._mv, edges)
 
     @functools.cached_property
     def patch(self) -> Graph:
         j = {e: self._host.edges[e] for e in self._je}
-        return Graph({x for s, _, t in j.values() for x in (s, t)}, j)
+        return Graph._trusted(frozenset(x for s, _, t in j.values() for x in (s, t)), j)
 
     @functools.cached_property
     def match(self) -> Graph:
-        return Graph(self._mv, {e: self._host.edges[e] for e in self._me})
+        return Graph._trusted(self._mv, {e: self._host.edges[e] for e in self._me})
 
     def __eq__(self, other):
         if not isinstance(other, PatchDecomposition):
@@ -239,8 +291,8 @@ def rename_graph(g: Graph, phi: Renaming) -> Graph:
     missing_e = set(g.edges) - phi.emap.keys()
     if missing_e:
         raise DomainGap(f"edges without image: {sorted(missing_e)}")
-    return Graph(
-        (phi.vmap[v] for v in g.vertices),
+    return Graph._trusted(
+        frozenset(phi.vmap[v] for v in g.vertices),
         {phi.emap[e]: (phi.vmap[s], lab, phi.vmap[t]) for e, (s, lab, t) in g.edges.items()},
     )
 
@@ -481,7 +533,7 @@ def canonical_form(g: Graph) -> Graph:
     cached on ``g``.
     """
     order, cert = _labelling(g)
-    return Graph.from_triples(range(len(order)), cert)
+    return Graph._trusted(frozenset(range(len(order))), dict(enumerate(cert)))
 
 
 def canonical_renaming(g: Graph) -> Renaming:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left, insort
 from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass
@@ -252,33 +253,45 @@ class RedexSets:
     endpoints of J keeps its edges, its patch and its adherence maps, and
     every other redex of the result meets a vertex the step created or
     whose edges it changed.  Per rule, the embeddings that have maps are
-    kept as entries sorted by ``_embedding_key``.  A rule is searched in
-    full when first asked for; ``advance`` then only collects the vertices
-    each step touched, and the next ask drops the entries that meet them
-    and searches anew, through ``find_redexes``, from those still in the
-    host, as ``anchors``.
+    kept as entries sorted by ``_embedding_key`` and indexed by image
+    vertex.  A rule is searched in full when first asked for; ``advance``
+    then only collects the vertices each step touched, and the next ask
+    drops the entries at them, searches anew, through ``find_redexes``,
+    from those still in the host, as ``anchors``, and merges the new
+    entries in by bisection.
     """
 
     def __init__(self, host: Graph, system: dict[str, QuasiRule]):
         self.host = host
         self.system = system
         self._entries: dict[str, list[_Entry]] = {}
+        self._at: dict[str, dict[int, set[tuple]]] = {}  # image vertex -> entry keys
+        self._capped: dict[str, int] = {}  # entries whose maps were capped
         self._touched: dict[str, set[int]] = {}
 
     def entries(self, name: str) -> tuple[list[_Entry], bool]:
         """The entries of rule ``name`` in the current host, in redex order,
         and whether the map listing of any of them was capped."""
+        found = []
         if name not in self._entries:
-            self._entries[name] = self._search(name, None)
-        elif self._touched[name]:
-            touched = self._touched[name]
-            kept = [x for x in self._entries[name]
-                    if touched.isdisjoint(x.embedding.vmap.values())]
-            self._entries[name] = sorted(kept + self._search(name, touched & self.host.vertices),
-                                         key=itemgetter(0))
+            self._entries[name], self._at[name], self._capped[name] = [], {}, 0
+            found = self._search(name, None)
+        elif touched := self._touched[name]:
+            entries, at = self._entries[name], self._at[name]
+            for key in set().union(*(at.pop(v, ()) for v in touched)):
+                x = entries.pop(bisect_left(entries, key, key=itemgetter(0)))
+                self._capped[name] -= x.capped
+                for v in x.embedding.vmap.values():
+                    at.get(v, set()).discard(key)
+            found = self._search(name, touched & self.host.vertices)
+        entries, at = self._entries[name], self._at[name]
+        for x in found:
+            insort(entries, x, key=itemgetter(0))
+            self._capped[name] += x.capped
+            for v in x.embedding.vmap.values():
+                at.setdefault(v, set()).add(x.key)
         self._touched[name] = set()
-        entries = self._entries[name]
-        return entries, any(x.capped for x in entries)
+        return entries, self._capped[name] > 0
 
     def _search(self, name: str, anchors: set[int] | None) -> list[_Entry]:
         redexes, _ = find_redexes(self.host, self.system[name], anchors)
@@ -290,7 +303,8 @@ class RedexSets:
         return found
 
     def redex(self, name: str, entry: _Entry, h_l: dict[int, int]) -> Redex:
-        """The redex of an entry and one of its maps, in the current host."""
+        """The redex of an entry and one of its maps, in the current host
+        (until the next step, when that host is a draft edited in place)."""
         emb = entry.embedding
         d = decompose_at(self.host, emb.image_vertices(), emb.image_edges())
         return Redex(self.system[name], emb, d, h_l, entry.capped)

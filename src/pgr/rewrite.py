@@ -75,8 +75,8 @@ def construct_rhs_patch(redex: Redex, fresh_base: int):
             jp_edges[eid] = (ends[ts], patch.label(j), ends[tt])
             h_r[eid] = t
             sigma[eid] = j
-    vertices = {s for s, _, _ in jp_edges.values()} | {t for _, _, t in jp_edges.values()}
-    return inst, Graph(vertices, jp_edges), h_r, sigma
+    vertices = frozenset(x for s, _, t in jp_edges.values() for x in (s, t))
+    return inst, Graph._trusted(vertices, jp_edges), h_r, sigma
 
 
 def apply_at(host: Graph, redex: Redex,
@@ -85,19 +85,28 @@ def apply_at(host: Graph, redex: Redex,
 
     The result keeps the context ids verbatim; the fresh pattern copy and the
     new patch edges take ids from ``fresh_base`` (default: above every id in
-    the host and the rule).
+    the host and the rule).  It equals ``patch_compose`` of the context, the
+    new patch and the new match, edge order included.
     """
+    result = host._draft()
+    return result, _step(result, redex, fresh_base)
+
+
+def _step(g: Graph, redex: Redex, fresh_base: int | None) -> StepCertificate:
+    """Edit ``g``, a draft of the redex's host, into the step's result."""
     rule = redex.rule
-    floor = max(host.max_id(), rule.rhs.pattern.max_id()) + 1
+    floor = max(g.max_id(), rule.rhs.pattern.max_id()) + 1
     if fresh_base is None:
         fresh_base = floor
     elif fresh_base < floor:
         raise ValueError(f"fresh base {fresh_base} collides with existing ids "
                          f"(needs at least {floor})")
     inst, j_prime, h_r, sigma = construct_rhs_patch(redex, fresh_base)
-    m_prime = rename_graph(rule.rhs.pattern, inst)
-    result = patch_compose(redex.decomposition.context, j_prime, m_prime)
-    return result, StepCertificate(redex, inst, j_prime, h_r, sigma)
+    vmap = inst.vmap
+    g._replace(redex.decomposition, j_prime, vmap.values(),
+               {inst.emap[e]: (vmap[s], lab, vmap[t])
+                for e, (s, lab, t) in rule.rhs.pattern.edges.items()})
+    return StepCertificate(redex, inst, j_prime, h_r, sigma)
 
 
 def verify_step(host: Graph, result: Graph, cert: StepCertificate) -> bool:
@@ -287,7 +296,7 @@ def successors(host: Graph, system: dict[str, QuasiRule],
     (``PGR_MAX_MAPS``), so results may be missing.
     """
     out = []
-    seen = set()
+    seen, results = set(), set()
     truncated = False
     for name, rule in system.items():
         redexes, cut = find_redexes(host, rule)
@@ -295,6 +304,9 @@ def successors(host: Graph, system: dict[str, QuasiRule],
         for redex in redexes:
             result, _ = apply_at(host, redex)
             if dedup:
+                if result in results:  # an exact repeat needs no labelling
+                    continue
+                results.add(result)
                 key = canonical_form(result)
                 if key in seen:
                     continue
@@ -319,10 +331,12 @@ def normalize(host: Graph, system: dict[str, QuasiRule], strategy: str = "first"
     """Apply redexes until none remains.
 
     ``first`` picks the first redex of the first applicable rule in declared
-    order; ``random`` draws uniformly from all (rule, redex) pairs with the
-    given seed.  The redex lists are those of ``find_redexes``, kept across
-    steps in a ``RedexSets``: after a step, only the embeddings that meet a
-    vertex it touched are searched again, from those vertices.  A step's
+    order, reading no rule after it; ``random`` draws uniformly from all
+    (rule, redex) pairs with the given seed.  The redex lists are those of
+    ``find_redexes``, kept across steps in a ``RedexSets``: after a step,
+    only the embeddings that meet a vertex it touched are searched again,
+    from those vertices.  The steps are those of ``apply_at``, but all edit
+    one draft copy of ``host``, handed out at the end.  A step's
     record is ``truncated`` when a redex list it read was capped by the map
     cap (``PGR_MAX_MAPS``), so it chose from an incomplete list.  Raises
     StepLimitReached (carrying the partial trace) if no normal form is found
@@ -333,24 +347,25 @@ def normalize(host: Graph, system: dict[str, QuasiRule], strategy: str = "first"
     if strategy not in ("first", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = random_module.Random(seed)
-    g = host
-    sets = RedexSets(host, system)
+    g = host._draft()
+    sets = RedexSets(g, system)
     trace: list[StepRecord] = []
     for _ in range(max_steps):
         pool, truncated = [], False
         for name in system:
             entries, cut = sets.entries(name)
             truncated = truncated or cut
-            pool += [(name, x, h_l) for x in entries for h_l in x.maps]
-            if pool and strategy == "first":
+            if strategy == "first" and entries:
+                pool = [(name, entries[0], entries[0].maps[0])]
                 break
+            pool += [(name, x, h_l) for x in entries for h_l in x.maps]
         if not pool:
             return (canonical_form(g) if canonical else g), trace
         name, entry, h_l = pool[0] if strategy == "first" else pool[rng.randrange(len(pool))]
         redex = sets.redex(name, entry, h_l)
-        g, cert = apply_at(g, redex)
-        sets.advance(g, redex.decomposition.patch.vertices | redex.embedding.image_vertices()
-                     | cert.rhs_instance.image_vertices())
+        touched = redex.decomposition.patch.vertices | redex.embedding.image_vertices()
+        cert = _step(g, redex, None)
+        sets.advance(g, touched | cert.rhs_instance.image_vertices())
         mv, me = redex.match_summary()
         trace.append(StepRecord(name, mv, me, truncated))
     # One more look: the limit only matters if a redex is still there.

@@ -14,6 +14,7 @@ allows several.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -41,7 +42,11 @@ DEFAULT_MAP_CAP = 4096
 
 def default_map_cap() -> int:
     """The adherence-map cap: PGR_MAX_MAPS if set, else DEFAULT_MAP_CAP."""
-    raw = os.environ.get("PGR_MAX_MAPS")
+    return _parse_map_cap(os.environ.get("PGR_MAX_MAPS"))
+
+
+@functools.lru_cache(maxsize=16)
+def _parse_map_cap(raw: str | None) -> int:
     if raw is None:
         return DEFAULT_MAP_CAP
     try:
@@ -123,11 +128,17 @@ class Scheme:
 
 @dataclass(frozen=True)
 class QuasiRule:
-    """A pair of schemes plus the trace from right type edges to left ones."""
+    """A pair of schemes plus the trace from right type edges to left ones;
+    a rule that fails ``validate_quasi_rule`` raises ``InvalidRule``."""
 
     lhs: Scheme
     rhs: Scheme
     trace: dict[int, int]
+
+    def __post_init__(self):
+        violations = validate_quasi_rule(self)
+        if violations:
+            raise InvalidRule(violations)
 
     @property
     def deterministic(self) -> bool:
@@ -163,7 +174,7 @@ def build_rule(lhs_pattern: Graph,
                lhs_types: Mapping[object, tuple[Endpoint, Endpoint]],
                rhs_pattern: Graph,
                rhs_types: Iterable[tuple[Endpoint, Endpoint, object]]) -> QuasiRule:
-    """Assemble a rule from keyed type edges and validate it.
+    """Assemble a rule from keyed type edges; ``QuasiRule`` validates it.
 
     ``lhs_types`` maps a key to an endpoint pair; every right type edge cites
     the key of the left edge it traces to.  Type-edge ids are allocated above
@@ -187,13 +198,9 @@ def build_rule(lhs_pattern: Graph,
         t_r[next_id] = (s, t)
         trace[next_id] = lhs_ids[key]
         next_id += 1
-    rule = QuasiRule(Scheme(lhs_pattern, PatchType(lhs_pattern, t_l)),
+    return QuasiRule(Scheme(lhs_pattern, PatchType(lhs_pattern, t_l)),
                      Scheme(rhs_pattern, PatchType(rhs_pattern, t_r)),
                      trace)
-    violations = validate_quasi_rule(rule)
-    if violations:
-        raise InvalidRule(violations)
-    return rule
 
 
 # -- adherence ---------------------------------------------------------------

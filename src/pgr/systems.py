@@ -390,14 +390,14 @@ class DsExploration:
     truncated: bool
 
 
-def _step_vertex_map(cert) -> dict[int, int]:
+def _step_vertex_map(host: Graph, cert) -> dict[int, int]:
     """Where each surviving host vertex ends up in the step result.
 
-    Context vertices keep their ids; a matched vertex survives exactly when
-    its pattern vertex also appears (same id) on the right side, landing on
-    the corresponding fresh copy.
+    Context vertices, the host's vertices off the match, keep their ids; a
+    matched vertex survives exactly when its pattern vertex also appears
+    (same id) on the right side, landing on the corresponding fresh copy.
     """
-    out = {v: v for v in cert.redex.decomposition.context.vertices}
+    out = {v: v for v in host.vertices - cert.redex.embedding.image_vertices()}
     inst = cert.rhs_instance.vmap
     for p, hv in cert.redex.embedding.vmap.items():
         if p in inst:
@@ -464,7 +464,7 @@ def ds_explore(initial: DsState | Graph, max_sends_per_process: int = 2,
                     if name == "snd-b" and budgets[redex.embedding.vmap[0]] <= 0:
                         continue
                     succ, cert = apply_at(g, redex)
-                    vmap = _step_vertex_map(cert)
+                    vmap = _step_vertex_map(g, cert)
                     new_budgets = {vmap[v]: n for v, n in budgets.items()}
                     if name == "snd-b":
                         sender = vmap[redex.embedding.vmap[0]]

@@ -77,6 +77,33 @@ def set_map_cap(monkeypatch, cap):
         monkeypatch.setenv("PGR_MAX_MAPS", str(cap))
 
 
+def reference_apply_at(host, redex, fresh_base=None):
+    """``rewrite.apply_at`` as it was before a step became an edit of a copy
+    of its host: the context C, the new match M' and the result are built
+    as graphs of their own, and the result is ``patch_compose(C, J', M')``."""
+    rule = redex.rule
+    floor = max(host.max_id(), rule.rhs.pattern.max_id()) + 1
+    if fresh_base is None:
+        fresh_base = floor
+    elif fresh_base < floor:
+        raise ValueError(f"fresh base {fresh_base} collides with existing ids "
+                         f"(needs at least {floor})")
+    inst, j_prime, h_r, sigma = rewrite.construct_rhs_patch(redex, fresh_base)
+    m_prime = graph.rename_graph(rule.rhs.pattern, inst)
+    result = graph.patch_compose(redex.decomposition.context, j_prime, m_prime)
+    return result, rewrite.StepCertificate(redex, inst, j_prime, h_r, sigma)
+
+
+def assert_indexes_like_fresh(g):
+    """The incidence lists, label index and max id that ``g`` carries equal
+    those of a graph built afresh from its vertices and edges."""
+    carried = g._max
+    fresh = Graph(g.vertices, g.edges)
+    assert g._indexes() == fresh._indexes()
+    assert g.label_index() == fresh.label_index()
+    assert carried in (None, fresh.max_id()) and g.max_id() == fresh.max_id()
+
+
 def hub_host() -> Graph:
     """1 -b-> 2, 1 -c-> 2, a-loop on 2, 2 -d-> 3, e-loop on 3."""
     return Graph.from_triples(

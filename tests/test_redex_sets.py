@@ -1,7 +1,8 @@
 """Redex sets kept across steps against a fresh search after every step.
 
 ``reference_normalize`` is ``normalize`` as it was before ``RedexSets``:
-every rule searched from scratch after each step.  ``checked_normalize``
+every rule searched from scratch after each step, and each step built by
+``reference_apply_at`` as a new graph.  ``checked_normalize``
 runs the real ``normalize`` and compares each redex list it reads with a
 fresh ``find_redexes`` of the current host.
 """
@@ -14,13 +15,14 @@ from fixtures import (
     random_deterministic_rule,
     random_graph,
     random_quasi_rule,
+    reference_apply_at,
     set_map_cap,
 )
 from pgr import graph, matching, rules
 from pgr.exceptions import StepLimitReached
 from pgr.graph import EMPTY_GRAPH, Graph, canonical_form
 from pgr.matching import RedexSets, find_pattern_embeddings, find_redexes
-from pgr.rewrite import StepRecord, apply_at, normalize
+from pgr.rewrite import StepRecord, normalize
 from pgr.rules import CONTEXT, build_rule
 from pgr.systems import (
     deadlock_rules,
@@ -48,7 +50,7 @@ def reference_normalize(host, system, strategy="first", seed=None, max_steps=100
         if not pool:
             return (canonical_form(g) if canonical else g), trace
         name, redex = pool[0] if strategy == "first" else pool[rng.randrange(len(pool))]
-        g, _ = apply_at(g, redex)
+        g, _ = reference_apply_at(g, redex)
         mv, me = redex.match_summary()
         trace.append(StepRecord(name, mv, me, truncated))
     # One more look: the limit only matters if a redex is still there.
@@ -243,3 +245,25 @@ def test_ring_decompositions_per_step_do_not_grow(monkeypatch):
         assert len(trace) == n
         per_size[n] = (len(counts) - n) / n
     assert per_size[50] == per_size[200] <= 2
+
+
+def test_ring_steps_build_no_checked_graph(monkeypatch):
+    # Counted, not timed: a step edits the one draft that ``normalize``
+    # keeps, so no step goes through the checked constructor, at any size.
+    scaling = perfbench_module("scaling")
+    init = Graph.__init__
+    per_size = {}
+    for n in (50, 200):
+        host, rule = scaling.ring(graph, rules, n)
+        counts = []
+
+        def counted(self, *args, **kwargs):
+            counts.append(1)
+            init(self, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(Graph, "__init__", counted)
+            _, trace = normalize(host, {"drop-loop": rule})
+        assert len(trace) == n
+        per_size[n] = len(counts) / n
+    assert per_size[50] == per_size[200] == 0

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from fixtures import (
+    assert_indexes_like_fresh,
     copy_vertex_rule,
     deadlock_workload_nets,
     delete_rule,
@@ -21,6 +22,7 @@ from fixtures import (
     random_instances,
     random_quasi_rule,
     redirect_rule,
+    reference_apply_at,
     sample_documents,
     strict_delete_rule,
     three_spoke_expected,
@@ -28,7 +30,7 @@ from fixtures import (
     three_spoke_rule,
     two_fresh_nodes,
 )
-from pgr.exceptions import BoundTooSmall, StepLimitReached
+from pgr.exceptions import BoundTooSmall, InvalidRule, StepLimitReached
 from pgr.graph import (
     EMPTY_GRAPH,
     Graph,
@@ -172,16 +174,82 @@ class TestPlacementAgainstReference:
 
     def test_invalid_rule_raises_in_both(self):
         # The right type edge reaches the context, its trace image does not:
-        # the new edge has no context end to take.
+        # the new edge would have no context end to take, so no redex of
+        # the rule can reach either placement; the rule is refused when built.
         lhs, rhs = Graph([0, 1]), Graph([10])
-        rule = QuasiRule(Scheme(lhs, PatchType(lhs, {5: (0, 1)})),
-                         Scheme(rhs, PatchType(rhs, {6: (CONTEXT, 10)})), {6: 5})
-        assert validate_quasi_rule(rule)
-        redex = only_redex(Graph([0, 1], [(0, 0, "a", 1)]), rule)
-        with pytest.raises(KeyError):
-            reference_rhs_patch(redex, 100)
-        with pytest.raises(ValueError):
-            construct_rhs_patch(redex, 100)
+        with pytest.raises(InvalidRule) as exc:
+            QuasiRule(Scheme(lhs, PatchType(lhs, {5: (0, 1)})),
+                      Scheme(rhs, PatchType(rhs, {6: (CONTEXT, 10)})), {6: 5})
+        assert exc.value.violations == [
+            "type edge 6 touches the context but its trace image 5 does not"]
+
+
+def host_state(g):
+    """Everything of ``g`` a step must leave as it was, its index lists by
+    value."""
+    out, inc = g._indexes()
+    return (g.vertices, list(g.edges.items()), {v: list(es) for v, es in out.items()},
+            {v: list(es) for v, es in inc.items()},
+            {lab: list(es) for lab, es in g.label_index().items()})
+
+
+def assert_steps_like_reference(host, rule):
+    """Every redex of ``rule`` in ``host``, at the default fresh base and
+    above it, gives the reference's result, edge order included, and its
+    certificate; the result carries the indexes of a fresh build and the
+    host keeps its own.  Returns the number of steps compared."""
+    steps, before = 0, host_state(host)
+    for redex in find_redexes(host, rule)[0]:
+        for extra in (None, 7):
+            base = None if extra is None else max(host.max_id(),
+                                                  rule.rhs.pattern.max_id()) + extra
+            result, cert = apply_at(host, redex, base)
+            expected, expected_cert = reference_apply_at(host, redex, base)
+            assert list(result.edges.items()) == list(expected.edges.items())
+            assert result == expected and cert == expected_cert
+            assert list(cert.j_prime.edges.items()) == list(expected_cert.j_prime.edges.items())
+            assert_indexes_like_fresh(result)
+            steps += 1
+    assert host_state(host) == before
+    return steps
+
+
+class TestStepAgainstReference:
+    """Steps as edits of a copy of the host against ``patch_compose`` of
+    C, J' and M', on the inputs of the placement comparison."""
+
+    def test_random_instances(self):
+        rng = random.Random(2011)
+        steps = sum(assert_steps_like_reference(host, rule)
+                    for host, rule, _ in random_instances(rng, 200))
+        for _ in range(200):
+            host = random_graph(rng, list(range(rng.randint(1, 5))), 8)
+            steps += assert_steps_like_reference(host, random_quasi_rule(rng))
+        assert steps > 600
+
+    def test_samples(self):
+        docs = sample_documents()
+        assert sum(assert_steps_like_reference(g, r) for gd in docs
+                   for g in gd.graphs.values() for rd in docs for r in rd.rules.values()) > 0
+
+    def test_deadlock_workload_nets(self):
+        nets = deadlock_workload_nets()
+        assert sum(assert_steps_like_reference(g, rule) for g, _, _ in nets
+                   for rule in deadlock_rules().values()) > len(nets)
+
+    def test_dijkstra_scholten_states(self):
+        system = dijkstra_scholten_system()
+        assert sum(assert_steps_like_reference(g, rule) for g in ds_states()
+                   for rule in system.values()) > 0
+
+    def test_normal_forms_carry_fresh_indexes(self):
+        for g, _, _ in deadlock_workload_nets()[::7]:
+            before = host_state(g)
+            nf, trace = normalize(g, deadlock_rules())
+            assert host_state(g) == before and trace
+            assert_indexes_like_fresh(nf)
+            assert isinstance(nf.vertices, frozenset)
+            assert hash(nf) == hash(Graph(nf.vertices, nf.edges))
 
 
 class TestConstructRhsPatch:

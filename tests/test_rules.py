@@ -177,13 +177,13 @@ class TestValidateQuasiRule:
     def test_context_preservation_violation(self):
         lhs = Graph([0])
         rhs = Graph([10])
-        rule = QuasiRule(
-            Scheme(lhs, PatchType(lhs, {1: (0, 0)})),
-            Scheme(rhs, PatchType(rhs, {2: (CONTEXT, 10)})),
-            {2: 1},
-        )
-        violations = validate_quasi_rule(rule)
-        assert any("context" in v for v in violations)
+        with pytest.raises(InvalidRule) as exc:
+            QuasiRule(
+                Scheme(lhs, PatchType(lhs, {1: (0, 0)})),
+                Scheme(rhs, PatchType(rhs, {2: (CONTEXT, 10)})),
+                {2: 1},
+            )
+        assert any("context" in v for v in exc.value.violations)
         with pytest.raises(InvalidRule):
             build_rule(lhs, {"k": (0, 0)}, rhs, [(CONTEXT, 10, "k")])
 
@@ -195,12 +195,13 @@ class TestValidateQuasiRule:
     def test_partial_trace_is_flagged(self):
         lhs = Graph([0])
         rhs = Graph([10])
-        rule = QuasiRule(
-            Scheme(lhs, PatchType(lhs, {1: (CONTEXT, 0)})),
-            Scheme(rhs, PatchType(rhs, {2: (CONTEXT, 10)})),
-            {},
-        )
-        assert any("total" in v for v in validate_quasi_rule(rule))
+        with pytest.raises(InvalidRule) as exc:
+            QuasiRule(
+                Scheme(lhs, PatchType(lhs, {1: (CONTEXT, 0)})),
+                Scheme(rhs, PatchType(rhs, {2: (CONTEXT, 10)})),
+                {},
+            )
+        assert any("total" in v for v in exc.value.violations)
 
 
 class TestNameShorthand:
@@ -429,19 +430,26 @@ def path_rule(n):
 
 def mutated_rule_copy(rule, rng):
     """A renamed copy with one trace entry re-pointed or, failing that, one
-    type-edge endpoint moved; the result may still be isomorphic."""
+    type-edge endpoint moved; the result may still be isomorphic.  Both keep
+    the rule valid: a right type edge at the context traces only to a left
+    one at the context, and a left type edge keeps its context end."""
     types = [dict(rule.lhs.ptype.edges), dict(rule.rhs.ptype.edges)]
     trace = dict(rule.trace)
-    if trace and len(types[0]) > 1:
-        e = rng.choice(sorted(trace))
-        trace[e] = rng.choice([t for t in sorted(types[0]) if t != trace[e]])
+    e = rng.choice(sorted(trace)) if trace and len(types[0]) > 1 else None
+    targets = [] if e is None else [
+        t for t in sorted(types[0])
+        if t != trace[e] and (CONTEXT not in types[1][e] or CONTEXT in types[0][t])]
+    if targets:
+        trace[e] = rng.choice(targets)
     else:
         side = 0 if types[0] and (not types[1] or rng.random() < 0.5) else 1
         pattern = (rule.lhs, rule.rhs)[side].pattern
         e = rng.choice(sorted(types[side]))
         s, t = types[side][e]
         moved = rng.choice(sorted(pattern.vertices))
-        types[side][e] = (moved, t) if t == CONTEXT or rng.random() < 0.5 else (s, moved)
+        keep_s = side == 0 and s == CONTEXT
+        types[side][e] = ((moved, t) if t == CONTEXT or not keep_s and rng.random() < 0.5
+                          else (s, moved))
     schemes = [Scheme(x.pattern, PatchType(x.pattern, te))
                for x, te in zip((rule.lhs, rule.rhs), types)]
     return renamed_rule_copy(QuasiRule(*schemes, trace), rng)
