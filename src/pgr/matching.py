@@ -9,17 +9,17 @@ edge incident to it (but outside it) adheres to some left type edge.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from bisect import bisect_left, insort
 from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import attrgetter, eq, ge, itemgetter
 from typing import NamedTuple
 
 from .graph import Graph, PatchDecomposition, Renaming, decompose_at, patch_edges
-from .rules import CONTEXT, PatchType, QuasiRule, adherence_maps, match_positions
+from .rules import (CONTEXT, PatchType, QuasiRule, adherence_maps, default_map_cap,
+                    match_positions)
 
 
 @dataclass
@@ -45,96 +45,105 @@ def _embedding_key(r: Renaming):
             tuple(sorted(r.vmap.items())), tuple(sorted(r.emap.items())))
 
 
-def _side(g: Graph, v: int, out: bool | None) -> list[int]:
-    """The out-edges (True), in-edges (False) or loops (None) of ``v``."""
-    if out is None:
-        return [e for e in g.out_edges(v) if g.edges[e][2] == v]
-    return g.out_edges(v) if out else g.in_edges(v)
+def _counts(g: Graph, v: int) -> dict[tuple, int]:
+    """The edges at ``v`` by side and label: ``("out", lab)`` counts its
+    out-edges, ``("in", lab)`` its in-edges and ``("loop", lab)`` its loops
+    (a loop is on all three sides); label None counts the whole side."""
+    edges, out, inc = g.edges, g.out_edges(v), g.in_edges(v)
+    counts = {("out", None): len(out), ("in", None): len(inc), ("loop", None): 0}
+    for e in out:
+        _, lab, t = edges[e]
+        counts["out", lab] = counts.get(("out", lab), 0) + 1
+        if t == v:
+            counts["loop", None] += 1
+            counts["loop", lab] = counts.get(("loop", lab), 0) + 1
+    for e in inc:
+        key = ("in", edges[e][1])
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
-# The host-independent parts of a search are kept per pattern (and type
-# shapes) across calls; both are read-only once built.
-@functools.lru_cache(maxsize=256)
-def _needs(pattern: Graph, shapes: frozenset | None) -> dict[int, list[tuple]]:
-    """Per pattern vertex, ``(out, label, n)``: its image has at least n such
-    edges on that ``_side``, or, for label None, exactly n edges there.  With
-    ``shapes``, the endpoint pairs of a left patch type, the sides and loops
-    that no type edge opens must hold exactly the pattern's edges."""
-    need: dict[int, list[tuple]] = {v: [] for v in pattern.vertices}
-    for v, out in itertools.product(pattern.vertices, (True, False)):
-        es = _side(pattern, v, out)
-        if shapes is not None and all(pair[not out] != v for pair in shapes):
-            need[v].append((out, None, len(es)))
-        need[v] += [(out, lab, n) for lab, n in Counter(pattern.label(e) for e in es).items()]
-        if shapes is not None and not out and (v, v) not in shapes:
-            need[v].append((None, None, len(_side(pattern, v, None))))
-    return need
+class _Matcher:
+    """What a search needs of a pattern and its left patch type, if any;
+    built once per left scheme (``PatchType._matcher``), else per call.
+    ``needs[v]``: ``(key, n, op)``, the image of v has ``op`` (eq or ge) n
+    edges counted by ``_counts`` under key: at least the pattern's count per
+    side and label, and with a type exactly the pattern's on each side (or
+    the loops) that no type edge opens at v."""
 
+    def __init__(self, pattern: Graph, ptype: PatchType | None):
+        self.pattern, self.vertices, self.plans = pattern, sorted(pattern.vertices), {}
+        self.groups = sorted(Counter(pattern.edges.values()).items())  # per triple
+        self.edges = sorted(pattern.edges, key=lambda e: (pattern.edges[e], e))  # in that order
+        shapes = ptype.by_shape() if ptype is not None else {}
+        opened = {("out", s) for s, _ in shapes} | {("in", t) for _, t in shapes} | \
+            {("loop", s) for s, t in shapes if s == t}
+        self.needs = {}
+        for v in self.vertices:
+            counts = _counts(pattern, v)
+            self.needs[v] = [((side, lab), n, eq) for (side, lab), n in counts.items()
+                             if lab is None and ptype is not None and (side, v) not in opened]
+            self.needs[v] += [(k, n, ge) for k, n in counts.items() if k[1] is not None]
 
-@functools.lru_cache(maxsize=1024)
-def _plan(pattern: Graph, roots: tuple[int, ...]):
-    """Breadth-first order over ``pattern``, one component after another,
-    each from the first of ``roots`` in it.  ``via[v]`` is the placed
-    neighbour, label and direction of the pattern edge that reached v (None
-    for a component root); ``checks[v]`` lists the edge multiplicities
-    between v and the vertices placed before it."""
-    order: list[int] = []
-    via: dict[int, tuple | None] = {}
-    for root in roots:
-        if root not in via:
-            via[root] = None
-            queue = [root]
-            for v in queue:
-                for e in sorted(pattern.incident_edges(v)):
-                    s, lab, t = pattern.edges[e]
-                    if (w := t if s == v else s) not in via:
-                        via[w] = (v, lab, s == v)
-                        queue.append(w)
-            order += queue
-    checks: dict[int, list] = {v: [] for v in order}
-    for (s, lab, t), n in Counter(pattern.edges.values()).items():
-        checks[max(s, t, key=order.index)].append((s, lab, t, n))
-    return order, via, checks
+    def plan(self, root: int):
+        """Breadth-first order from ``root``, then from each other component's
+        first vertex; ``via[v]``: the placed neighbour, label and direction of
+        the edge that reached v (None at a root); ``checks[v]``: multiplicities
+        of edges to earlier vertices, except loops (needs) and lone tree edges."""
+        if root in self.plans:
+            return self.plans[root]
+        pattern, order, via, reached = self.pattern, [], {}, set()
+        for r in (root, *self.vertices):
+            if r not in via:
+                via[r] = None
+                queue = [r]
+                for v in queue:
+                    for e in sorted(pattern.incident_edges(v)):
+                        s, lab, t = pattern.edges[e]
+                        if (w := t if s == v else s) not in via:
+                            via[w] = (v, lab, s == v)
+                            reached.add((s, lab, t))
+                            queue.append(w)
+                order += queue
+        checks: dict[int, list] = {v: [] for v in order}
+        for (s, lab, t), n in self.groups:
+            if s != t and (n > 1 or (s, lab, t) not in reached):
+                checks[max(s, t, key=order.index)].append((s, lab, t, n))
+        self.plans[root] = order, via, checks
+        return self.plans[root]
 
 
 def _between(host: Graph, hs: int, lab: str, ht: int) -> list[int]:
-    edges = host.edges
-    return [e for e in host.out_edges(hs) if edges[e] == (hs, lab, ht)]
+    return [e for e in host.out_edges(hs) if host.edges[e] == (hs, lab, ht)]
 
 
-def _vertex_maps(host: Graph, need, plan, start, used: set[int]) -> list[dict[int, int]]:
-    """Injective vertex maps along ``plan`` that keep every need and edge
-    multiplicity and avoid ``used``; a component root takes its candidates
-    from ``start(v)``, every later vertex from the edges of the image of the
-    neighbour that reached it."""
+def _vertex_maps(host: Graph, plan, first, scan, fits, used: set[int]) -> list[dict[int, int]]:
+    """Injective vertex maps along ``plan`` that pass ``fits``, keep every
+    edge multiplicity and avoid ``used``.  The plan's root takes its
+    candidates from ``first``, any other component root from ``scan(v)``,
+    every later vertex from the edges of the neighbour that reached it.
+    Depth-first, one candidate iterator per level, each choice undone
+    before the next is tried."""
     order, via, checks = plan
-    edges = host.edges
-    used = set(used)
+    edges, used = host.edges, set(used)
 
     def candidates(v):
         if via[v] is None:
-            return iter(start(v))
+            return iter(first if v == order[0] else scan(v))
         u, lab, out = via[v]
         es = host.out_edges(vmap[u]) if out else host.in_edges(vmap[u])
         return iter(dict.fromkeys(edges[e][2 if out else 0] for e in es if edges[e][1] == lab))
 
-    def fits(v, w):
-        return all(len(es) == n if lab is None else sum(edges[e][1] == lab for e in es) >= n
-                   for out, lab, n in need[v] for es in [_side(host, w, out)]) and \
-            all(len(_between(host, vmap[s], lab, vmap[t])) >= n for s, lab, t, n in checks[v])
-
-    # Depth-first over ``order`` with one candidate iterator per assigned
-    # level; a level's current choice is undone before its next one is tried.
-    vmaps: list[dict[int, int]] = [] if order else [{}]
-    vmap: dict[int, int] = {}
-    stack = [candidates(order[0])] if order else []
+    vmaps, vmap = [], {}
+    stack = [candidates(order[0])]
     while stack:
         v = order[len(stack) - 1]
         used.discard(vmap.pop(v, None))
         for w in stack[-1]:
-            if w not in used:
+            if w not in used and fits(v, w):
                 vmap[v] = w
-                if fits(v, w):
+                if not checks[v] or all(len(_between(host, vmap[s], lab, vmap[t])) >= n
+                                        for s, lab, t, n in checks[v]):
                     break
         else:
             vmap.pop(v, None)
@@ -152,66 +161,56 @@ def find_pattern_embeddings(host: Graph, pattern: Graph, ptype: PatchType | None
                             anchors: Set[int] | None = None) -> list[Renaming]:
     """All vertex- and edge-injective embeddings of ``pattern`` into ``host``.
 
-    The first vertex of each pattern component takes its candidates from
-    the host's ``label_index``, every later one from the edges of a placed
-    neighbour's image that carry the label and direction of a pattern edge.
-    With ``ptype``, the left patch type of a rule, embeddings that cannot
-    adhere are left out: a pattern vertex that no type edge leaves needs an
-    image with exactly its pattern out-degree, and likewise for in-edges;
-    a pattern vertex with no loop type edge needs an image with exactly its
-    pattern loops.
-
-    With ``anchors``, only the embeddings whose image meets them are listed:
-    the search starts from each anchor in turn, placing each pattern vertex
-    there as the root of its component, and keeps the anchors already tried
-    out of the image, so every embedding is found once.
-
-    The empty pattern has exactly one (empty) embedding, which meets no
-    anchor.  Results come in a canonical order: lexicographic on (sorted
-    image vertices, sorted image edges, then the maps themselves); ``ptype``
-    and ``anchors`` only remove entries.
+    Each pattern vertex's needs (see ``_Matcher``) are compared with the
+    counts of each host vertex, taken once per search; with ``ptype``, a
+    rule's left patch type, they leave out embeddings that cannot adhere.
+    The search starts at the rarest label and follows edges.  An anchor
+    roots a search at each pattern vertex whose needs it meets, and tried
+    anchors stay out of the image: only embeddings that meet ``anchors``
+    are listed, each once.  The empty pattern has one (empty) embedding,
+    which meets no anchor.  Results come in a canonical order:
+    lexicographic on (sorted image vertices, sorted image edges, then the
+    maps themselves); ``ptype`` and ``anchors`` only remove entries.
     """
-    if len(pattern.vertices) > len(host.vertices) or len(pattern.edges) > len(host.edges):
-        return []
-    need = _needs(pattern, None if ptype is None else frozenset(ptype.by_shape()))
+    if not pattern.vertices:
+        return [Renaming()] if anchors is None else []
+    if ptype is None or (ptype.pattern is not pattern and ptype.pattern != pattern):
+        m = _Matcher(pattern, ptype)
+    else:
+        m = ptype._matcher = ptype._matcher or _Matcher(pattern, ptype)
+    index, seen = host.label_index(), {}
+
+    def fits(v, w):
+        counts = seen.get(w) or seen.setdefault(w, _counts(host, w))
+        for key, n, op in m.needs[v]:
+            if not op(counts.get(key, 0), n):
+                return False
+        return True
 
     def rarest(v):
-        return min(((len(host.label_index().get(lab, ())), lab, out)
-                    for out, lab, _ in need[v] if lab),
-                   default=(len(host.edges) + 1, None, None))
+        return min(((len(index.get(lab, ())), lab, side) for (side, lab), _, _ in m.needs[v]
+                    if lab is not None), default=(len(host.edges) + 1, None, None))
 
     def scan(v):
-        _, lab, out = rarest(v)
+        _, lab, side = rarest(v)
         return (sorted(host.vertices) if lab is None else dict.fromkeys(
-            host.edges[e][0 if out else 2] for e in host.label_index().get(lab, ())))
+            host.edges[e][0 if side == "out" else 2] for e in index.get(lab, ())))
 
     if anchors is None:
-        if not pattern.labels() <= host.label_index().keys():
-            return []
-        # Components in order of their rarest vertex, each from that vertex.
-        plan = _plan(pattern, tuple(sorted(pattern.vertices, key=lambda v: (rarest(v)[0], v))))
-        vmaps = _vertex_maps(host, need, plan, scan, set())
+        root = min(m.vertices, key=lambda v: (rarest(v)[0], v))
+        vmaps = _vertex_maps(host, m.plan(root), scan(root), scan, fits, set())
     else:
-        # Rooted at p, then the other components in id order.
-        vmaps, tried, verts = [], set(), sorted(pattern.vertices)
+        vmaps, tried = [], set()
         for a in sorted(anchors & host.vertices):
-            for p in verts:
-                vmaps += _vertex_maps(host, need, _plan(pattern, (p, *verts)),
-                                      lambda v, a=a, p=p: (a,) if v == p else scan(v), tried)
+            for p in m.vertices:
+                if fits(p, a):
+                    vmaps += _vertex_maps(host, m.plan(p), (a,), scan, fits, tried)
             tried.add(a)
-
-    results = []
-    for vm in vmaps:
-        pat_groups: dict[tuple, list[int]] = {}
-        for e, (s, lab, t) in pattern.sorted_edges():
-            pat_groups.setdefault((vm[s], lab, vm[t]), []).append(e)
-        pools = [(ps, _between(host, *key)) for key, ps in sorted(pat_groups.items())]
-        for choice in itertools.product(
-                *[itertools.permutations(hs, len(ps)) for ps, hs in pools]):
-            results.append(Renaming(vm, {p: h for (ps, _), images in zip(pools, choice)
-                                         for p, h in zip(ps, images)}))
-    results.sort(key=_embedding_key)
-    return results
+    # Per vertex map, each group of pattern edges onto its host edges.
+    results = [Renaming(vm, dict(zip(m.edges, itertools.chain(*choice)))) for vm in vmaps
+               for choice in itertools.product(*[itertools.permutations(
+                   _between(host, vm[s], lab, vm[t]), n) for (s, lab, t), n in m.groups])]
+    return sorted(results, key=_embedding_key)
 
 
 def find_redexes(host: Graph, rule: QuasiRule,
@@ -223,14 +222,14 @@ def find_redexes(host: Graph, rule: QuasiRule,
     adhere, read off the host's edges, are dropped before any decomposition
     is made; with ``anchors``, so are those whose match misses them.  The
     second component flags that some enumeration hit the map cap
-    (``PGR_MAX_MAPS``, see ``adherence_maps``).
+    (``default_map_cap()``, read once per call).
     """
     pattern, ptype = rule.lhs.pattern, rule.lhs.ptype
-    redexes, truncated = [], False
+    redexes, truncated, cap = [], False, default_map_cap()
     for emb in find_pattern_embeddings(host, pattern, ptype, anchors):
         mv, me = emb.image_vertices(), emb.image_edges()
         je = patch_edges(host, mv, me)
-        maps, cut = adherence_maps(host, je, ptype, match_positions(pattern, emb))
+        maps, cut = adherence_maps(host, je, ptype, match_positions(pattern, emb), cap)
         if maps:
             d = PatchDecomposition(host, mv, me, je)
             truncated = truncated or cut
@@ -257,7 +256,7 @@ class RedexSets:
     vertex.  A rule is searched in full when first asked for; ``advance``
     then only collects the vertices each step touched, and the next ask
     drops the entries at them, searches anew, through ``find_redexes``,
-    from those still in the host, as ``anchors``, and merges the new
+    from those still in the host, if any, as ``anchors``, and merges the new
     entries in by bisection.
     """
 
@@ -283,7 +282,8 @@ class RedexSets:
                 self._capped[name] -= x.capped
                 for v in x.embedding.vmap.values():
                     at.get(v, set()).discard(key)
-            found = self._search(name, touched & self.host.vertices)
+            if anchors := touched & self.host.vertices:
+                found = self._search(name, anchors)
         entries, at = self._entries[name], self._at[name]
         for x in found:
             insort(entries, x, key=itemgetter(0))
@@ -298,8 +298,7 @@ class RedexSets:
         found = []
         for emb, group in itertools.groupby(redexes, attrgetter("embedding")):
             group = list(group)
-            found.append(_Entry(_embedding_key(emb), emb, [r.h_l for r in group],
-                                group[0].capped))
+            found.append(_Entry(_embedding_key(emb), emb, [r.h_l for r in group], group[0].capped))
         return found
 
     def redex(self, name: str, entry: _Entry, h_l: dict[int, int]) -> Redex:

@@ -61,7 +61,7 @@ def _parse_map_cap(raw: str | None) -> int:
 class PatchType:
     """Unlabeled placeholder edges over a pattern graph and CONTEXT."""
 
-    __slots__ = ("pattern", "edges", "_by_shape")
+    __slots__ = ("pattern", "edges", "_by_shape", "_matcher")
 
     def __init__(self, pattern: Graph, edges: Mapping[int, tuple[Endpoint, Endpoint]] = ()):
         self.pattern = pattern
@@ -72,7 +72,7 @@ class PatchType:
             for ep in (s, t):
                 if ep != CONTEXT and ep not in pattern.vertices:
                     raise ValueError(f"type edge {e}: endpoint {ep} not a pattern vertex")
-        self._by_shape = None
+        self._by_shape = self._matcher = None  # ``_matcher``: see ``matching``
 
     def is_simple(self) -> bool:
         pairs = list(self.edges.values())
@@ -219,18 +219,18 @@ def patch_shape(j: Graph, e: int, at: Mapping[int, int]) -> tuple[Endpoint, Endp
     return (at.get(s, CONTEXT), at.get(t, CONTEXT))
 
 
-def adherence_maps(g: Graph, patch: list[int], ptype: PatchType,
-                   at: Mapping[int, int]) -> tuple[list[dict[int, int]], bool]:
+def adherence_maps(g: Graph, patch: list[int], ptype: PatchType, at: Mapping[int, int],
+                   cap: int) -> tuple[list[dict[int, int]], bool]:
     """All total adherence maps from the edges ``patch`` (in id order) of
-    ``g``, the patch or its host, into ``ptype``.
+    ``g``, the patch or its host, into ``ptype``, up to ``cap`` of them.
 
     ``at`` maps the match vertices to the pattern vertices of ``ptype``.
     Returns the maps in lexicographic order over (patch edge id, type edge
-    id) together with a flag telling whether the listing was cut off at the
-    map cap.  The cap is ``default_map_cap()`` (``PGR_MAX_MAPS``), read here
-    and nowhere else.  An empty list means the patch does not adhere at all.
+    id) together with a flag telling whether the listing was cut off at
+    ``cap``.  Its callers, ``find_redexes`` and ``enumerate_adherence_maps``,
+    read the cap, ``default_map_cap()`` (``PGR_MAX_MAPS``), once per call.
+    An empty list means the patch does not adhere at all.
     """
-    cap = default_map_cap()
     candidates, by_shape = [], ptype.by_shape()
     for e in patch:
         cands = by_shape.get(patch_shape(g, e, at))
@@ -245,8 +245,8 @@ def adherence_maps(g: Graph, patch: list[int], ptype: PatchType,
 def enumerate_adherence_maps(j: Graph, ptype: PatchType,
                              at: Mapping[int, int]) -> tuple[list[dict[int, int]], bool]:
     """All total adherence maps from patch ``j`` into ``ptype``, as
-    ``adherence_maps`` lists them."""
-    return adherence_maps(j, sorted(j.edges), ptype, at)
+    ``adherence_maps`` lists them under ``default_map_cap()``."""
+    return adherence_maps(j, sorted(j.edges), ptype, at, default_map_cap())
 
 
 def adherence_ok(j: Graph, ptype: PatchType, at: Mapping[int, int],

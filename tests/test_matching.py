@@ -24,7 +24,7 @@ from fixtures import (
     shallow_recursion,
     strict_delete_rule,
 )
-from pgr import systems
+from pgr import matching, rules, systems
 from pgr.exceptions import NotASubgraph
 from pgr.graph import (
     EMPTY_GRAPH,
@@ -603,6 +603,27 @@ class TestFindRedexes:
         redexes, truncated = find_redexes(host, rule)
         assert truncated
         assert len(redexes) == 3
+
+    def test_map_cap_is_read_once_per_call(self, monkeypatch):
+        # Counted: one read per call on a DS state, however many embeddings
+        # it lists; ``adherence_maps`` takes the cap and reads none.
+        states, cap, reads = ds_states()[::40], matching.default_map_cap, []
+
+        def counted():
+            reads.append(1)
+            return cap()
+
+        def unread():
+            raise AssertionError("the cap is read by find_redexes only")
+
+        monkeypatch.setattr(matching, "default_map_cap", counted)
+        monkeypatch.setattr(rules, "default_map_cap", unread)
+        listed = []
+        for g in states:
+            for rule in dijkstra_scholten_system().values():
+                listed.append(len(find_redexes(g, rule)[0]))
+                assert len(reads) == len(listed)
+        assert max(listed) > 1
 
 
 class TestContextOf:

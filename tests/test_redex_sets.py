@@ -9,6 +9,8 @@ fresh ``find_redexes`` of the current host.
 
 import random
 
+from previous_search import previous_embeddings
+
 from fixtures import (
     deadlock_workload_nets,
     perfbench_module,
@@ -207,22 +209,59 @@ class TestAnchoredSearch:
         assert find_pattern_embeddings(host, EMPTY_GRAPH) != []
         assert find_pattern_embeddings(host, EMPTY_GRAPH, anchors={0, 1, 2, 3}) == []
 
-    def test_search_plans_are_built_once_per_pattern(self):
-        pattern = Graph([0, 1], [(0, 0, "a", 1)])
-        host = Graph.from_triples(range(4), [(0, "a", 1), (1, "a", 2), (2, "a", 3)])
-        first = find_pattern_embeddings(host, pattern, anchors={1})
-        everywhere = find_pattern_embeddings(host, pattern)
-        built = matching._plan.cache_info().misses
-        # Repeated searches, with anchors or without, build no plan.
-        assert find_pattern_embeddings(host, pattern, anchors={1}) == first
-        assert find_pattern_embeddings(host, pattern) == everywhere
-        # An equal pattern built anew shares the plans of the first.
-        twin = Graph([0, 1], [(0, 0, "a", 1)])
-        assert find_pattern_embeddings(host, twin, anchors={2}) == [
-            e for e in everywhere if 2 in e.image_vertices()]
-        assert find_pattern_embeddings(host, twin) == everywhere
-        assert matching._plan.cache_info().misses == built
-        assert [e.vmap for e in first] == [{0: 0, 1: 1}, {0: 1, 1: 2}]
+    def test_matchers_are_built_once_per_scheme(self, monkeypatch):
+        # Counted: a left scheme's matcher is built on its first search, and
+        # repeated searches, anchored or not, build neither it nor a plan.
+        host = next(g for g, _, _ in deadlock_workload_nets()
+                    if find_redexes(g, deadlock_rules()["grant"])[0])
+        init, built = matching._Matcher.__init__, []
+
+        def counted(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(matching._Matcher, "__init__", counted)
+        rule = deadlock_rules()["grant"]
+        pattern, ptype = rule.lhs.pattern, rule.lhs.ptype
+        everywhere = find_pattern_embeddings(host, pattern, ptype)
+        anchors = set(sorted(host.vertices)[::3]) | {everywhere[-1].vmap[0]}
+        first = find_pattern_embeddings(host, pattern, ptype, anchors)
+        assert first and built == [ptype._matcher]
+        plans = dict(ptype._matcher.plans)
+        assert plans
+        for _ in range(3):
+            assert find_pattern_embeddings(host, pattern, ptype, anchors) == first
+            assert find_pattern_embeddings(host, pattern, ptype) == everywhere
+        assert built == [ptype._matcher]
+        assert ptype._matcher.plans.keys() == plans.keys()
+        assert all(ptype._matcher.plans[root] is plan for root, plan in plans.items())
+        assert first == [e for e in everywhere if not anchors.isdisjoint(e.image_vertices())]
+        # A search without the type builds a matcher of its own per call.
+        assert find_pattern_embeddings(host, pattern, anchors=anchors) == previous_embeddings(
+            host, pattern, None, anchors)
+        assert len(built) == 2 and built[1] is not ptype._matcher
+
+
+def test_no_search_when_no_touched_vertex_is_left(monkeypatch):
+    # Counted: a ``destroy`` step touches only the vertex it removes, so the
+    # next reads of every rule drop that vertex's entries and search nothing;
+    # each read still equals a fresh search (``assert_like_reference``).
+    search, calls = matching.find_redexes, []
+
+    def counted(host, rule, anchors=None):
+        calls.append(anchors)
+        return search(host, rule, anchors)
+
+    monkeypatch.setattr(matching, "find_redexes", counted)
+    nets = deadlock_workload_nets()
+    net = max((g for g, _, _ in nets[::9]), key=lambda g: len(g.vertices))
+    calls.clear()
+    result, reads = checked_normalize(monkeypatch, net, deadlock_rules())
+    destroys = sum(record.rule == "destroy" for record in result[2])
+    assert destroys > 0
+    assert all(anchors is None or anchors for anchors in calls)
+    assert len(calls) <= reads - destroys
+    assert result == outcome(reference_normalize, net, deadlock_rules())
 
 
 def test_ring_decompositions_per_step_do_not_grow(monkeypatch):
