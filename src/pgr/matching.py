@@ -14,7 +14,7 @@ from bisect import bisect_left, insort
 from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass
-from operator import attrgetter, eq, ge, itemgetter
+from operator import eq, ge, itemgetter
 from typing import NamedTuple
 
 from .graph import Graph, PatchDecomposition, Renaming, decompose_at, patch_edges
@@ -172,8 +172,14 @@ def find_pattern_embeddings(host: Graph, pattern: Graph, ptype: PatchType | None
     lexicographic on (sorted image vertices, sorted image edges, then the
     maps themselves); ``ptype`` and ``anchors`` only remove entries.
     """
+    return [r for _, r in _embeddings(host, pattern, ptype, anchors)]
+
+
+def _embeddings(host: Graph, pattern: Graph, ptype: PatchType | None,
+                anchors: Set[int] | None) -> list[tuple[tuple, Renaming]]:
+    """``find_pattern_embeddings``, each paired with its ``_embedding_key``."""
     if not pattern.vertices:
-        return [Renaming()] if anchors is None else []
+        return [(_embedding_key(Renaming()), Renaming())] if anchors is None else []
     if ptype is None or (ptype.pattern is not pattern and ptype.pattern != pattern):
         m = _Matcher(pattern, ptype)
     else:
@@ -210,7 +216,25 @@ def find_pattern_embeddings(host: Graph, pattern: Graph, ptype: PatchType | None
     results = [Renaming(vm, dict(zip(m.edges, itertools.chain(*choice)))) for vm in vmaps
                for choice in itertools.product(*[itertools.permutations(
                    _between(host, vm[s], lab, vm[t]), n) for (s, lab, t), n in m.groups])]
-    return sorted(results, key=_embedding_key)
+    return sorted(((_embedding_key(r), r) for r in results), key=itemgetter(0))
+
+
+class _Entry(NamedTuple):
+    key: tuple
+    embedding: Renaming
+    maps: list[dict[int, int]]  # each keyed by the patch edges, in id order
+    capped: bool
+
+
+def _redex_entries(host: Graph, rule: QuasiRule, anchors: Set[int] | None = None):
+    """Each embedding of ``rule`` in ``host`` whose patch adheres, in redex
+    order, as an ``_Entry``; the map cap (``default_map_cap()``) is read once."""
+    pattern, ptype, cap = rule.lhs.pattern, rule.lhs.ptype, default_map_cap()
+    for key, emb in _embeddings(host, pattern, ptype, anchors):
+        je = patch_edges(host, emb.image_vertices(), emb.image_edges())
+        maps, cut = adherence_maps(host, je, ptype, match_positions(pattern, emb), cap)
+        if maps:
+            yield _Entry(key, emb, maps, cut)
 
 
 def find_redexes(host: Graph, rule: QuasiRule,
@@ -221,27 +245,14 @@ def find_redexes(host: Graph, rule: QuasiRule,
     most one), sharing one decomposition.  Embeddings whose patch does not
     adhere, read off the host's edges, are dropped before any decomposition
     is made; with ``anchors``, so are those whose match misses them.  The
-    second component flags that some enumeration hit the map cap
-    (``default_map_cap()``, read once per call).
+    second component flags that some enumeration hit the map cap.
     """
-    pattern, ptype = rule.lhs.pattern, rule.lhs.ptype
-    redexes, truncated, cap = [], False, default_map_cap()
-    for emb in find_pattern_embeddings(host, pattern, ptype, anchors):
-        mv, me = emb.image_vertices(), emb.image_edges()
-        je = patch_edges(host, mv, me)
-        maps, cut = adherence_maps(host, je, ptype, match_positions(pattern, emb), cap)
-        if maps:
-            d = PatchDecomposition(host, mv, me, je)
-            truncated = truncated or cut
-            redexes += [Redex(rule, emb, d, h_l, cut) for h_l in maps]
+    redexes, truncated = [], False
+    for _, emb, maps, capped in _redex_entries(host, rule, anchors):
+        d = PatchDecomposition(host, emb.image_vertices(), emb.image_edges(), list(maps[0]))
+        truncated = truncated or capped
+        redexes += [Redex(rule, emb, d, h_l, capped) for h_l in maps]
     return redexes, truncated
-
-
-class _Entry(NamedTuple):
-    key: tuple
-    embedding: Renaming
-    maps: list[dict[int, int]]
-    capped: bool
 
 
 class RedexSets:
@@ -255,8 +266,8 @@ class RedexSets:
     kept as entries sorted by ``_embedding_key`` and indexed by image
     vertex.  A rule is searched in full when first asked for; ``advance``
     then only collects the vertices each step touched, and the next ask
-    drops the entries at them, searches anew, through ``find_redexes``,
-    from those still in the host, if any, as ``anchors``, and merges the new
+    drops the entries at them, searches anew, through ``_redex_entries``, from
+    those still in the host, if any, as ``anchors``, and merges the new
     entries in by bisection.
     """
 
@@ -274,7 +285,7 @@ class RedexSets:
         found = []
         if name not in self._entries:
             self._entries[name], self._at[name], self._capped[name] = [], {}, 0
-            found = self._search(name, None)
+            found = _redex_entries(self.host, self.system[name])
         elif touched := self._touched[name]:
             entries, at = self._entries[name], self._at[name]
             for key in set().union(*(at.pop(v, ()) for v in touched)):
@@ -283,7 +294,7 @@ class RedexSets:
                 for v in x.embedding.vmap.values():
                     at.get(v, set()).discard(key)
             if anchors := touched & self.host.vertices:
-                found = self._search(name, anchors)
+                found = _redex_entries(self.host, self.system[name], anchors)
         entries, at = self._entries[name], self._at[name]
         for x in found:
             insort(entries, x, key=itemgetter(0))
@@ -292,14 +303,6 @@ class RedexSets:
                 at.setdefault(v, set()).add(x.key)
         self._touched[name] = set()
         return entries, self._capped[name] > 0
-
-    def _search(self, name: str, anchors: set[int] | None) -> list[_Entry]:
-        redexes, _ = find_redexes(self.host, self.system[name], anchors)
-        found = []
-        for emb, group in itertools.groupby(redexes, attrgetter("embedding")):
-            group = list(group)
-            found.append(_Entry(_embedding_key(emb), emb, [r.h_l for r in group], group[0].capped))
-        return found
 
     def redex(self, name: str, entry: _Entry, h_l: dict[int, int]) -> Redex:
         """The redex of an entry and one of its maps, in the current host

@@ -8,8 +8,9 @@ Two worked distributed-systems models ship with the engine:
   valid nets, a second rule set simulates the system behavior, and a
   restriction of it decides deadlock by normalization.
 * Dijkstra-Scholten termination detection: the classic parent-tree algorithm
-  over an undirected network, with basic/control messages and counters all
-  encoded as labeled edges.
+  over an undirected network, with basic/control messages, counters and, in
+  the bounded state-space walk, each process's send budget all encoded as
+  labeled edges, so that the walk is a plain search over ``successors``.
 
 The module also bundles small structural rules (merge, copy, split) and the
 two standard encodings of vertex labels into edge labels.
@@ -17,14 +18,14 @@ two standard encodings of vertex labels into edge labels.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .exceptions import AlphabetClash, BadArity, SelfLoopInTopology
 from .graph import EMPTY_GRAPH, UNLABELED, Graph, canonical_form
-from .matching import find_redexes
-from .rewrite import StepRecord, apply_at, normalize
+from .rewrite import StepRecord, normalize, successors
 from .rules import CONTEXT as CTX
 from .rules import QuasiRule, RuleSketch, build_rule, desugar_rule
 
@@ -198,6 +199,10 @@ def deadlock_rules() -> dict[str, QuasiRule]:
     }
 
 
+# Built on first use, once per process: each rule keeps its matcher and plans.
+_deadlock_rules = functools.cache(deadlock_rules)
+
+
 @dataclass
 class WaitForNet:
     """A wait-for graph plus its vertex classification."""
@@ -272,11 +277,26 @@ def detect_deadlock(net: WaitForNet | Graph, max_steps: int = 10000) -> Deadlock
     """Normalize under {grant, resolve, destroy}; a nonempty normal form
     means some processes can never be drained, i.e. a deadlock."""
     g = net.graph if isinstance(net, WaitForNet) else net
-    nf, trace = normalize(g, deadlock_rules(), "first", max_steps=max_steps)
+    nf, trace = normalize(g, _deadlock_rules(), "first", max_steps=max_steps)
     return DeadlockReport(not nf.is_empty(), nf, tuple(trace))
 
 
 # -- Dijkstra-Scholten termination detection ---------------------------------
+
+
+def _send_rule(k: int | None = None) -> QuasiRule:
+    """A tree member (0) sends a basic message to a neighbour (1) and counts
+    it with an s loop.  With ``k``, the sender's budget vertex (2) also
+    trades its ``left-k`` loop for ``left-(k-1)``: a plain vertex, so its
+    budget edge and loop are all it may have."""
+    lhs = [(0, 0, "t", 0), (1, 0, "e", 1)]
+    rhs = [(10, 0, "t", 0), (11, 0, "e", 1), (12, 0, "s", 0), (13, 0, "b", 1)]
+    if k is not None:
+        lhs += [(2, 0, "budget", 2), (3, 2, f"left-{k}", 2)]
+        rhs += [(14, 0, "budget", 2), (15, 2, f"left-{k - 1}", 2)]
+    vertices = [0, 1] if k is None else [0, 1, 2]
+    return desugar_rule(RuleSketch(Graph(vertices, lhs), Graph(vertices, rhs),
+                                   black=frozenset({0, 1})))
 
 
 def dijkstra_scholten_system() -> dict[str, QuasiRule]:
@@ -287,12 +307,6 @@ def dijkstra_scholten_system() -> dict[str, QuasiRule]:
     vertices admit no loops beyond those drawn, which is what gates the
     join, quit and announce rules.
     """
-    send = desugar_rule(RuleSketch(
-        Graph([0, 1], [(0, 0, "t", 0), (1, 0, "e", 1)]),
-        Graph([0, 1], [(10, 0, "t", 0), (11, 0, "e", 1),
-                       (12, 0, "s", 0), (13, 0, "b", 1)]),
-        black=frozenset({0, 1}),
-    ))
     rec_b_in_tree = desugar_rule(RuleSketch(
         Graph([0, 1], [(0, 1, "t", 1), (1, 0, "b", 1)]),
         Graph([0, 1], [(10, 1, "t", 1), (11, 1, "c", 0)]),
@@ -324,7 +338,7 @@ def dijkstra_scholten_system() -> dict[str, QuasiRule]:
         [(CTX, 0, "in"), (0, CTX, "out")],
     )
     return {
-        "snd-b": send,
+        "snd-b": _send_rule(),
         "rec-b-1": rec_b_in_tree,
         "rec-b-2": rec_b_join,
         "rec-c": rec_c,
@@ -371,12 +385,8 @@ def ds_initial_network(links: list[tuple[int, int]], initiator: int) -> DsState:
         if u == v:
             raise SelfLoopInTopology(f"link {u}-{v} is a self loop")
         vertices.update((u, v))
-    triples = []
-    for u, v in sorted(set(links)):
-        triples.append((u, "e", v))
-        triples.append((v, "e", u))
-    triples.append((initiator, "i", initiator))
-    triples.append((initiator, "t", initiator))
+    triples = [(a, "e", b) for u, v in sorted(set(links)) for a, b in ((u, v), (v, u))]
+    triples += [(initiator, "i", initiator), (initiator, "t", initiator)]
     return DsState(Graph.from_triples(vertices, triples))
 
 
@@ -390,92 +400,72 @@ class DsExploration:
     truncated: bool
 
 
-def _step_vertex_map(host: Graph, cert) -> dict[int, int]:
-    """Where each surviving host vertex ends up in the step result.
-
-    Context vertices, the host's vertices off the match, keep their ids; a
-    matched vertex survives exactly when its pattern vertex also appears
-    (same id) on the right side, landing on the corresponding fresh copy.
-    """
-    out = {v: v for v in host.vertices - cert.redex.embedding.image_vertices()}
-    inst = cert.rhs_instance.vmap
-    for p, hv in cert.redex.embedding.vmap.items():
-        if p in inst:
-            out[hv] = inst[p]
-    return out
-
-
-def _budget_key(g: Graph, budgets: dict[int, int]) -> Graph:
-    # Matched vertices get fresh ids on every step, so states can only be
-    # compared up to isomorphism; the per-process send budget is folded in
-    # as reserved loops so it participates in the canonical form.
-    eid = itertools.count(g.max_id() + 1)
-    edges = dict(g.edges)
-    for v in sorted(g.vertices):
-        for _ in range(budgets.get(v, 0)):
-            edges[next(eid)] = (v, "send-budget", v)
-    return canonical_form(Graph(g.vertices, edges))
-
-
 def announce_safe(g: Graph) -> bool:
     """No message in transit and no tree membership outside the initiator."""
     initiators = {s for s, lab, t in g.edges.values() if lab == "i" and s == t}
-    for s, lab, t in g.edges.values():
-        if lab in ("b", "c"):
-            return False
-        if lab == "t" and s not in initiators:
-            return False
-    return True
+    return not any(lab in ("b", "c") or (lab == "t" and s not in initiators)
+                   for s, lab, _ in g.edges.values())
+
+
+@functools.cache
+def _walk_rules(max_sends: int) -> dict[str, QuasiRule]:
+    """``dijkstra_scholten_system`` with one budgeted send rule per k in
+    1..max_sends in place of ``snd-b``.  ``announce`` comes first, so that
+    ``successors``' dedup never drops its first result."""
+    system = dijkstra_scholten_system()
+    sends = {f"snd-b-{k}": _send_rule(k) for k in range(1, max_sends + 1)}
+    rest = {name: rule for name, rule in system.items() if name not in ("snd-b", "announce")}
+    return {"announce": system["announce"], **sends, **rest}
+
+
+def _with_budgets(g: Graph, k: int) -> Graph:
+    """``g`` with a budget vertex per process, holding one ``left-k`` loop;
+    budget vertex b takes the edge ids b + 1 and b + 2."""
+    budgets = dict(zip(sorted(g.vertices), itertools.count(g.max_id() + 1, 3)))
+    edges = {**g.edges, **{b + 1: (v, "budget", b) for v, b in budgets.items()},
+             **{b + 2: (b, f"left-{k}", b) for b in budgets.values()}}
+    return Graph(g.vertices.union(budgets.values()), edges)
+
+
+def _without_budgets(g: Graph) -> Graph:
+    budgets = {t for _, lab, t in g.edges.values() if lab == "budget"}
+    return Graph._trusted(g.vertices - budgets, {e: x for e, x in g.edges.items()
+                                                 if x[1] != "budget" and x[0] not in budgets})
 
 
 def ds_explore(initial: DsState | Graph, max_sends_per_process: int = 2,
                max_depth: int | None = None) -> DsExploration:
     """Exhaustive state-space walk with at most the given sends per process.
 
-    Records every state in which the announce rule is enabled, and flags
-    those where a basic/control message is still in transit or a non-initiator
-    still sits in the tree.
+    A process's sends left are in the state graph: a ``budget`` edge to a
+    vertex of its own with one ``left-k`` loop, which only the send rule of
+    that k matches and lowers.  The walk is breadth-first over
+    ``successors``, with one seen set of canonical forms, to ``max_depth``
+    steps (``truncated`` tells that deeper states were left).  It records
+    every state (budget vertices removed), those in which the announce rule
+    is enabled, and, among these, those where a basic/control message is
+    still in transit or a non-initiator still sits in the tree.
     """
     g0 = initial.graph if isinstance(initial, DsState) else initial
-    system = dijkstra_scholten_system()
-
-    budgets0 = {v: max_sends_per_process for v in g0.vertices}
-    frontier = [(g0, budgets0)]
-    seen = {_budget_key(g0, budgets0)}
-    states = []
-    announce_states = []
-    violations = []
-    truncated = False
-    depth = 0
-    while frontier:
-        if max_depth is not None and depth > max_depth:
-            truncated = True
-            break
-        next_frontier = []
-        for g, budgets in frontier:
-            states.append(g)
-            for name, rule in system.items():
-                redexes, _ = find_redexes(g, rule)
-                if name == "announce" and redexes:
-                    announce_states.append(g)
-                    if not announce_safe(g):
-                        violations.append(g)
-                for redex in redexes:
-                    if name == "snd-b" and budgets[redex.embedding.vmap[0]] <= 0:
-                        continue
-                    succ, cert = apply_at(g, redex)
-                    vmap = _step_vertex_map(g, cert)
-                    new_budgets = {vmap[v]: n for v, n in budgets.items()}
-                    if name == "snd-b":
-                        sender = vmap[redex.embedding.vmap[0]]
-                        new_budgets[sender] -= 1
-                    key = _budget_key(succ, new_budgets)
-                    if key not in seen:
-                        seen.add(key)
-                        next_frontier.append((succ, new_budgets))
-        frontier = next_frontier
-        depth += 1
-    return DsExploration(states, announce_states, violations, truncated)
+    system = _walk_rules(max_sends_per_process)
+    start = _with_budgets(g0, max_sends_per_process)
+    seen, queue = {canonical_form(start)}, deque([(0, start)])
+    out = DsExploration([], [], [], False)
+    while queue and (max_depth is None or queue[0][0] <= max_depth):
+        depth, g = queue.popleft()
+        state = _without_budgets(g)
+        out.states.append(state)
+        steps, _ = successors(g, system)
+        if any(name == "announce" for name, _ in steps):
+            out.announce_states.append(state)
+            if not announce_safe(state):
+                out.safety_violations.append(state)
+        for _, succ in steps:
+            if (key := canonical_form(succ)) not in seen:
+                seen.add(key)
+                queue.append((depth + 1, succ))
+    out.truncated = bool(queue)
+    return out
 
 
 # -- elementary structural rules ----------------------------------------------

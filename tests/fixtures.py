@@ -11,6 +11,8 @@ import importlib
 import sys
 from pathlib import Path
 
+from previous_ds_explore import previous_walk
+
 from pgr import graph, matching, rewrite, rules, systems
 from pgr.formats import parse_document
 from pgr.graph import Graph
@@ -45,10 +47,9 @@ def deadlock_workload_nets(seed=3):
 
 @functools.cache
 def ds_states():
-    """Every state of the two-send ``ds_explore`` walks on line3 and star4."""
-    walks = {"line3": [(0, 1), (1, 2)], "star4": [(0, 1), (0, 2), (0, 3)]}
-    states = {name: systems.ds_explore(systems.ds_initial_network(links, 0), 2).states
-              for name, links in walks.items()}
+    """Every state of the two-send walks on line3 and star4, as the reference
+    ``previous_ds_explore`` lists them (ids and order included)."""
+    states = {name: previous_walk(name, 2).states for name in ("line3", "star4")}
     assert {name: len(s) for name, s in states.items()} == {"line3": 479, "star4": 210}
     return [g for s in states.values() for g in s]
 

@@ -1,7 +1,7 @@
 """Command-line driver: commands, outputs, exit codes."""
 
 import pytest
-from fixtures import shallow_recursion
+from fixtures import SAMPLES, shallow_recursion
 
 from pgr.cli import main
 from pgr.formats import parse_graph
@@ -260,6 +260,14 @@ def test_ds_explore(workdir, capsys):
     assert code == 0
     assert "explored" in out
     assert "quiescent" in out
+
+
+def test_ds_explore_output_is_pinned(capsys):
+    code = main(["ds-explore", str(SAMPLES / "line3.topo"), "--max-sends", "2"])
+    assert capsys.readouterr().out == ("explored 479 states\n"
+                                       "announce enabled in 15 state(s)\n"
+                                       "announce is only enabled in quiescent states\n")
+    assert code == 0
 
 
 def test_ds_explore_depth_cap(workdir, capsys):

@@ -89,16 +89,16 @@ class TestAgainstPreviousSearch:
     def test_searches_of_normalize(self, monkeypatch):
         # The anchored searches that ``normalize`` makes after each step,
         # on the host as it is at the time of the call.
-        search = matching.find_pattern_embeddings
+        search = matching._embeddings
         calls = []
 
-        def checked(host, pattern, ptype=None, anchors=None):
+        def checked(host, pattern, ptype, anchors):
             got = search(host, pattern, ptype, anchors)
-            assert got == previous_embeddings(host, pattern, ptype, anchors)
+            assert [r for _, r in got] == previous_embeddings(host, pattern, ptype, anchors)
             calls.append(anchors is not None)
             return got
 
-        monkeypatch.setattr(matching, "find_pattern_embeddings", checked)
+        monkeypatch.setattr(matching, "_embeddings", checked)
         for g, _, _ in deadlock_workload_nets()[::10]:
             detect_deadlock(g)
         for g in ds_states()[::60]:

@@ -24,7 +24,7 @@ from fixtures import (
     shallow_recursion,
     strict_delete_rule,
 )
-from pgr import matching, rules, systems
+from pgr import matching, rewrite, rules
 from pgr.exceptions import NotASubgraph
 from pgr.graph import (
     EMPTY_GRAPH,
@@ -434,26 +434,28 @@ class TestNoGraphsPerEmbedding:
                 assert embeddings == [r.embedding for r in find_redexes(g, rule)[0]]
 
     def test_walk_derives_parts_only_for_applied_redexes(self, monkeypatch):
-        # A derived part is cached in the decomposition's instance dict.
+        # A derived part is cached in the decomposition's instance dict.  The
+        # walk steps through ``successors``, which applies every redex it
+        # lists: a spent sender has no send redex to skip.
         listed, applied = [], []
-        search, step = systems.find_redexes, systems.apply_at
+        search, step = rewrite.find_redexes, rewrite.apply_at
 
         def recorded(*args):
             out = search(*args)
-            listed.extend(r.decomposition for r in out[0])
+            listed.extend(out[0])
             return out
 
-        def counted(*args):
-            applied.append(1)
-            return step(*args)
+        def counted(host, redex, *args):
+            applied.append(redex)
+            return step(host, redex, *args)
 
-        monkeypatch.setattr(systems, "find_redexes", recorded)
-        monkeypatch.setattr(systems, "apply_at", counted)
+        monkeypatch.setattr(rewrite, "find_redexes", recorded)
+        monkeypatch.setattr(rewrite, "apply_at", counted)
         ds_explore(ds_initial_network([(0, 1), (1, 2)], 0), 2)
-        unique = {id(d): d for d in listed}.values()
+        assert list(map(id, listed)) == list(map(id, applied))
+        unique = {id(r.decomposition): r.decomposition for r in listed}.values()
         derived = sum(("patch" in vars(d)) + ("match" in vars(d)) for d in unique)
-        assert len(unique) > len(applied) > 0
-        assert derived <= len(applied)
+        assert 0 < derived <= len(applied)
 
 
 class TestEmbeddings:

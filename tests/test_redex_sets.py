@@ -245,23 +245,24 @@ class TestAnchoredSearch:
 def test_no_search_when_no_touched_vertex_is_left(monkeypatch):
     # Counted: a ``destroy`` step touches only the vertex it removes, so the
     # next reads of every rule drop that vertex's entries and search nothing;
-    # each read still equals a fresh search (``assert_like_reference``).
-    search, calls = matching.find_redexes, []
+    # each read still equals a fresh search (``checked_normalize``), and the
+    # searches are counted in a second, unchecked run.
+    nets = deadlock_workload_nets()
+    net = max((g for g, _, _ in nets[::9]), key=lambda g: len(g.vertices))
+    result, reads = checked_normalize(monkeypatch, net, deadlock_rules())
+    assert result == outcome(reference_normalize, net, deadlock_rules())
+    search, calls = matching._redex_entries, []
 
     def counted(host, rule, anchors=None):
         calls.append(anchors)
         return search(host, rule, anchors)
 
-    monkeypatch.setattr(matching, "find_redexes", counted)
-    nets = deadlock_workload_nets()
-    net = max((g for g, _, _ in nets[::9]), key=lambda g: len(g.vertices))
-    calls.clear()
-    result, reads = checked_normalize(monkeypatch, net, deadlock_rules())
+    monkeypatch.setattr(matching, "_redex_entries", counted)
+    assert outcome(normalize, net, deadlock_rules()) == result
     destroys = sum(record.rule == "destroy" for record in result[2])
     assert destroys > 0
     assert all(anchors is None or anchors for anchors in calls)
     assert len(calls) <= reads - destroys
-    assert result == outcome(reference_normalize, net, deadlock_rules())
 
 
 def test_ring_decompositions_per_step_do_not_grow(monkeypatch):

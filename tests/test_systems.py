@@ -1,10 +1,19 @@
 """Bundled systems: wait-for nets, termination detection, elementary rules."""
 
-import pytest
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
+import pytest
+from fixtures import deadlock_workload_nets
+from previous_ds_explore import TOPOLOGIES, previous_walk
+
+from pgr import matching, systems
 from pgr.exceptions import AlphabetClash, SelfLoopInTopology
 from pgr.graph import EMPTY_GRAPH, Graph, canonical_form, isomorphic
-from pgr.matching import find_redexes
+from pgr.matching import find_pattern_embeddings, find_redexes
 from pgr.rewrite import apply_at, successors
 from pgr.rules import CONTEXT, build_rule, rules_isomorphic, validate_quasi_rule
 from pgr.systems import (
@@ -222,6 +231,30 @@ class TestDeadlock:
         assert [r.rule for r in report.trace] == \
             ["grant", "resolve", "destroy", "destroy"]
 
+    def test_rules_are_built_once_per_process(self, monkeypatch):
+        # Counted: after its first call, deadlock detection builds no matcher
+        # (so no rule), while ``deadlock_rules()`` still hands out new rules.
+        nets = [g for g, _, _ in deadlock_workload_nets()[::10]]
+        detect_deadlock(nets[0])
+        init, built = matching._Matcher.__init__, []
+
+        def counted(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(matching._Matcher, "__init__", counted)
+        assert any(detect_deadlock(g).trace for g in nets)
+        assert built == []
+        assert deadlock_rules()["grant"] is not deadlock_rules()["grant"]
+
+    def test_bundled_rule_sets_are_built_on_first_use(self):
+        # Importing the engine builds no rule: the caches start empty.
+        code = ("import pgr.cli, pgr.systems as s; "
+                "assert s._deadlock_rules.cache_info().currsize == 0; "
+                "assert s._walk_rules.cache_info().currsize == 0")
+        env = {**os.environ, "PYTHONPATH": str(Path(systems.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
     def test_measure_strictly_decreases(self):
         net = request_net((0, (1, 2), 2), (1, (2,), 1), processes=[0, 1, 2])
         rules = deadlock_rules()
@@ -366,6 +399,108 @@ class TestDijkstraScholten:
         assert announce_safe(good)
         bad = Graph.from_triples([0, 1], [(0, "i", 0), (1, "t", 1), (0, "e", 1)])
         assert not announce_safe(bad)
+
+
+def budgets(g):
+    """Each process's sends left: the k of the ``left-k`` loop on the vertex
+    its ``budget`` edge leads to."""
+    left = {s: int(lab.removeprefix("left-")) for s, lab, t in g.edges.values()
+            if lab.startswith("left-")}
+    return {s: left[t] for s, lab, t in g.edges.values() if lab == "budget"}
+
+
+def budgeted_states(links, sends, limit):
+    """The first ``limit`` states, budget vertices kept, of a breadth-first
+    walk over ``successors`` under the walk's rules."""
+    system = systems._walk_rules(sends)
+    states = [systems._with_budgets(ds_initial_network(links, 0).graph, sends)]
+    seen = {canonical_form(states[0])}
+    for g in states:
+        for _, succ in successors(g, system)[0]:
+            if len(states) < limit and canonical_form(succ) not in seen:
+                seen.add(canonical_form(succ))
+                states.append(succ)
+    return states
+
+
+class TestSendBudgetInTheGraph:
+    PINNED = {"line3": (479, 15), "star4": (210, 10), "triangle": (1366, 13)}
+
+    @pytest.mark.parametrize("sends", [0, 1, 2])
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+    def test_walk_equals_reference(self, topology, sends):
+        # Equal multisets of canonical forms, with and without a depth cap.
+        def classes(graphs):
+            return Counter(canonical_form(g) for g in graphs)
+
+        for depth in (None, 0, 3):
+            expected = previous_walk(topology, sends, depth)
+            got = ds_explore(ds_initial_network(TOPOLOGIES[topology], 0), sends, depth)
+            for part in ("states", "announce_states", "safety_violations"):
+                assert classes(getattr(got, part)) == classes(getattr(expected, part))
+            assert got.truncated == expected.truncated
+            assert got.truncated or depth != 0
+            if sends == 2 and depth is None:
+                assert (len(got.states), len(got.announce_states)) == self.PINNED[topology]
+
+    def test_states_carry_no_budget(self):
+        result = ds_explore(ds_initial_network(TOPOLOGIES["star4"], 0), 1)
+        assert all(DsState(g).violations() == [] for g in result.states)
+
+    def test_spent_sender_has_no_send_embedding(self):
+        g = ds_initial_network(TOPOLOGIES["line3"], 0).graph
+        spent = systems._with_budgets(g, 0)
+        for k in (1, 2):
+            rule = systems._send_rule(k)
+            assert find_pattern_embeddings(spent, rule.lhs.pattern, rule.lhs.ptype) == []
+            assert find_redexes(spent, rule)[0] == []
+            assert len(find_redexes(systems._with_budgets(g, k), rule)[0]) == 1
+
+    def test_send_redexes_are_exactly_the_budgeted_sends(self):
+        # One send redex per e-edge out of a tree member with sends left,
+        # under the rule of its budget, and none elsewhere.
+        spent = 0
+        for topology in ("line3", "triangle"):
+            for g in budgeted_states(TOPOLOGIES[topology], 2, 120):
+                left = budgets(g)
+                tree = {s for s, lab, t in g.edges.values() if lab == "t"}
+                spent += sum(left[v] == 0 for v in tree)
+                expected = sorted((s, t) for s, lab, t in g.edges.values()
+                                  if lab == "e" and s in tree and left[s] > 0)
+                found = []
+                for k in (1, 2):
+                    for redex in find_redexes(g, systems._send_rule(k))[0]:
+                        sender, receiver = redex.embedding.vmap[0], redex.embedding.vmap[1]
+                        assert left[sender] == k
+                        found.append((sender, receiver))
+                assert sorted(found) == expected
+        assert spent > 0
+
+    def test_send_step_lowers_only_its_senders_budget(self):
+        steps = 0
+        for g in budgeted_states(TOPOLOGIES["star4"], 2, 60):
+            left = budgets(g)
+            for k in (1, 2):
+                for redex in find_redexes(g, systems._send_rule(k))[0]:
+                    result, cert = apply_at(g, redex)
+                    moved = {hv: cert.rhs_instance.vmap[p]
+                             for p, hv in redex.embedding.vmap.items()}
+                    sender = redex.embedding.vmap[0]
+                    assert budgets(result) == {moved.get(v, v): n - (v == sender)
+                                               for v, n in left.items()}
+                    steps += 1
+        assert steps > 20
+
+    def test_public_system_is_unchanged(self):
+        walk = systems._walk_rules(2)
+        public = dijkstra_scholten_system()
+        assert list(public) == ["snd-b", "rec-b-1", "rec-b-2", "rec-c", "quit", "announce"]
+        assert list(walk) == ["announce", "snd-b-1", "snd-b-2",
+                              "rec-b-1", "rec-b-2", "rec-c", "quit"]
+        for name in ("announce", "rec-b-1", "rec-b-2", "rec-c", "quit"):
+            assert rules_isomorphic(walk[name], public[name]) is not None
+        assert systems._walk_rules(2) is walk
+        assert dijkstra_scholten_system()["snd-b"] is not public["snd-b"]
 
 
 class TestElementaryRules:
