@@ -26,12 +26,11 @@ EdgeTriple = tuple[int, str, int]
 
 
 class Graph:
-    """A finite directed multigraph with labeled edges.  ``Graph(...)``
-    checks its input; the graphs the engine derives from valid graphs do
-    not, and a step edits a draft copy of its host (``_replace``)."""
+    """A finite directed multigraph with labeled edges.  ``Graph(...)`` checks
+    its input, derived graphs do not; each builds its own index on first use,
+    and a step edits a draft copy of its host (``_replace``)."""
 
-    __slots__ = ("_vertices", "_edges", "_hash", "_out", "_in", "_by_label", "_labelling",
-                 "_max")
+    __slots__ = ("_vertices", "_edges", "_hash", "_index", "_labelling", "_max")
 
     def __init__(self, vertices: Iterable[int] = (), edges=()):
         """Create a graph.
@@ -61,7 +60,7 @@ class Graph:
 
     def _set(self, vertices: frozenset[int], edges: dict[int, EdgeTriple]) -> "Graph":
         self._vertices, self._edges = vertices, edges
-        self._hash = self._out = self._in = self._by_label = self._labelling = self._max = None
+        self._hash = self._index = self._labelling = self._max = None
         return self
 
     @classmethod
@@ -70,42 +69,38 @@ class Graph:
         return cls.__new__(cls)._set(vertices, edges)
 
     def _draft(self) -> "Graph":
-        """A copy that the engine edits in place before handing it out.  It
-        shares the index lists, which an edit copies before changing one."""
-        out, inc = self._indexes()
+        """A copy, with the largest id, that the engine edits in place."""
         g = Graph._trusted(self._vertices, dict(self._edges))
-        g._out, g._in, g._by_label = dict(out), dict(inc), dict(self.label_index())
         g._max = self.max_id()
         return g
 
     def _replace(self, d: "PatchDecomposition", patch: "Graph", match_vertices: Iterable[int],
                  match_edges: dict[int, EdgeTriple]) -> None:
         """Edit this draft of ``d``'s host into ``patch_compose(d.context,
-        patch, new match)``, edge order included.  New ids lie above every
-        id of the draft, so appending keeps each index list in id order."""
+        patch, new match)``, edge order included, and its index, if built,
+        into that of a fresh build.  New ids lie above every id of the
+        draft, so appending keeps each index list in id order."""
         mv, new_v = d._mv, frozenset(match_vertices)
         added = {**patch.edges, **match_edges}
-        changes = [(e, self._edges.pop(e), False) for e in itertools.chain(d._je, d._me)]
-        changes += [(e, triple, True) for e, triple in sorted(added.items())]
+        removed = [(e, self._edges.pop(e)) for e in itertools.chain(d._je, d._me)]
         self._edges.update(added)
         self._vertices = (self._vertices - mv) | new_v
-        for v in mv:
-            del self._out[v], self._in[v]
-        self._out.update(dict.fromkeys(new_v, []))
-        self._in.update(dict.fromkeys(new_v, []))
-        for index, at in ((self._out, 0), (self._in, 2), (self._by_label, 1)):
-            copied = set()
-            for e, triple, new in changes:
-                if (key := triple[at]) in mv:
-                    continue
-                if key not in copied:
-                    copied.add(key)
-                    index[key] = list(index.get(key, ()))
-                if new:
-                    index[key].append(e)
-                else:
-                    del index[key][bisect_left(index[key], e)]
-        self._by_label = {label: es for label, es in self._by_label.items() if es}
+        if self._index is not None:
+            out, inc, by_label = self._index
+            for v in mv:
+                del out[v], inc[v]
+            for v in new_v:
+                out[v], inc[v] = [], []
+            for e, (s, lab, t) in removed:
+                for es in (out.get(s), inc.get(t), by_label[lab]):
+                    if es is not None:
+                        del es[bisect_left(es, e)]
+                if not by_label[lab]:
+                    del by_label[lab]
+            for e, (s, lab, t) in sorted(added.items()):
+                out[s].append(e)
+                inc[t].append(e)
+                by_label.setdefault(lab, []).append(e)
         top = max(itertools.chain(new_v, added), default=self._max)
         self._max = top if top in self._vertices or top in self._edges else None
         self._hash = self._labelling = None
@@ -137,16 +132,19 @@ class Graph:
         return sorted(self._edges.items())
 
     def _indexes(self):
-        if self._out is None:
+        """Out- and in-edges per vertex and edges per label, in id order;
+        built on first use and stored once filled."""
+        if self._index is None:
             out: dict[int, list[int]] = {v: [] for v in self._vertices}
             inc: dict[int, list[int]] = {v: [] for v in self._vertices}
+            by_label: dict[str, list[int]] = {}
             for e in sorted(self._edges):
-                s, _, t = self._edges[e]
+                s, lab, t = self._edges[e]
                 out[s].append(e)
                 inc[t].append(e)
-            self._out = out
-            self._in = inc
-        return self._out, self._in
+                by_label.setdefault(lab, []).append(e)
+            self._index = out, inc, by_label
+        return self._index
 
     def out_edges(self, v: int) -> list[int]:
         return self._indexes()[0][v]
@@ -155,15 +153,11 @@ class Graph:
         return self._indexes()[1][v]
 
     def label_index(self) -> dict[str, list[int]]:
-        """Edge ids by label, in id order; built once."""
-        if self._by_label is None:
-            self._by_label = {}
-            for e in sorted(self._edges):
-                self._by_label.setdefault(self._edges[e][1], []).append(e)
-        return self._by_label
+        """Edge ids by label, in id order."""
+        return self._indexes()[2]
 
     def incident_edges(self, v: int) -> set[int]:
-        out, inc = self._indexes()
+        out, inc, _ = self._indexes()
         return set(out[v]) | set(inc[v])
 
     def labels(self) -> set[str]:
@@ -346,7 +340,7 @@ def patch_compose(c: Graph, j: Graph, m: Graph) -> Graph:
 def patch_edges(g: Graph, match_vertices: frozenset[int], match_edges: frozenset[int]) -> list[int]:
     """The patch around a match, in id order: every edge outside the match
     that touches a match vertex, read off the incidence lists."""
-    out, inc = g._indexes()
+    out, inc, _ = g._indexes()
     return sorted({e for v in match_vertices for es in (out[v], inc[v]) for e in es
                    if e not in match_edges})
 
@@ -516,10 +510,11 @@ def _canonical_labelling(g: Graph) -> tuple[list[int], list[EdgeTriple]]:
     return [verts[i] for i in best[1]], best[0]
 
 
-def _labelling(g: Graph) -> tuple[list[int], list[EdgeTriple]]:
-    """``g``'s canonical order and certificate, searched once per graph."""
+def _labelling(g: Graph) -> tuple[list[int], Graph]:
+    """``g``'s canonical order and canonical form, searched once per graph."""
     if g._labelling is None:
-        g._labelling = _canonical_labelling(g)
+        order, cert = _canonical_labelling(g)
+        g._labelling = order, Graph._trusted(frozenset(range(len(order))), dict(enumerate(cert)))
     return g._labelling
 
 
@@ -529,11 +524,10 @@ def canonical_form(g: Graph) -> Graph:
     ``canonical_form(g) == canonical_form(h)`` holds exactly when the two
     graphs are isomorphic; vertices are renumbered ``0..n-1`` and edges
     ``0..m-1``.  The vertex order is the smallest leaf of an
-    individualization-refinement search pruned by automorphisms; it is
-    cached on ``g``.
+    individualization-refinement search pruned by automorphisms; it and
+    the form are cached on ``g``.
     """
-    order, cert = _labelling(g)
-    return Graph._trusted(frozenset(range(len(order))), dict(enumerate(cert)))
+    return _labelling(g)[1]
 
 
 def canonical_renaming(g: Graph) -> Renaming:
@@ -549,8 +543,8 @@ def canonical_renaming(g: Graph) -> Renaming:
 def find_isomorphism(g: Graph, h: Graph) -> Renaming | None:
     """Return a renaming with ``rename_graph(g, phi) == h``, or None.
 
-    The graphs are isomorphic exactly when they have as many vertices and
-    the same certificate, that is, the same canonical form; the witness is
+    The graphs are isomorphic exactly when they have the same canonical
+    form, that is, as many vertices and the same certificate; the witness is
     ``canonical_renaming(g)`` followed by the inverse of
     ``canonical_renaming(h)``.
     """
@@ -559,7 +553,7 @@ def find_isomorphism(g: Graph, h: Graph) -> Renaming | None:
     if Counter(lab for _, lab, _ in g.edges.values()) != Counter(
             lab for _, lab, _ in h.edges.values()):
         return None
-    if _labelling(g)[1] != _labelling(h)[1]:
+    if canonical_form(g) != canonical_form(h):
         return None
     to_canon, back = canonical_renaming(g), canonical_renaming(h).inverse()
     return Renaming({v: back.vmap[i] for v, i in to_canon.vmap.items()},

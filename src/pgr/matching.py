@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import eq, ge, itemgetter
 from typing import NamedTuple
 
-from .graph import Graph, PatchDecomposition, Renaming, decompose_at, patch_edges
+from .graph import Graph, PatchDecomposition, Renaming, patch_edges
 from .rules import (CONTEXT, PatchType, QuasiRule, adherence_maps, default_map_cap,
                     match_positions)
 
@@ -237,18 +237,17 @@ def _redex_entries(host: Graph, rule: QuasiRule, anchors: Set[int] | None = None
             yield _Entry(key, emb, maps, cut)
 
 
-def find_redexes(host: Graph, rule: QuasiRule,
-                 anchors: Set[int] | None = None) -> tuple[list[Redex], bool]:
+def find_redexes(host: Graph, rule: QuasiRule) -> tuple[list[Redex], bool]:
     """All redexes of ``rule`` in ``host`` in canonical order.
 
     Per embedding, one redex per adherence map (deterministic rules admit at
     most one), sharing one decomposition.  Embeddings whose patch does not
     adhere, read off the host's edges, are dropped before any decomposition
-    is made; with ``anchors``, so are those whose match misses them.  The
-    second component flags that some enumeration hit the map cap.
+    is made.  The second component flags that some enumeration hit the map
+    cap.
     """
     redexes, truncated = [], False
-    for _, emb, maps, capped in _redex_entries(host, rule, anchors):
+    for _, emb, maps, capped in _redex_entries(host, rule):
         d = PatchDecomposition(host, emb.image_vertices(), emb.image_edges(), list(maps[0]))
         truncated = truncated or capped
         redexes += [Redex(rule, emb, d, h_l, capped) for h_l in maps]
@@ -306,9 +305,10 @@ class RedexSets:
 
     def redex(self, name: str, entry: _Entry, h_l: dict[int, int]) -> Redex:
         """The redex of an entry and one of its maps, in the current host
-        (until the next step, when that host is a draft edited in place)."""
+        (until the next step, when that host is a draft edited in place);
+        the keys of ``h_l`` are its patch edges, as in ``find_redexes``."""
         emb = entry.embedding
-        d = decompose_at(self.host, emb.image_vertices(), emb.image_edges())
+        d = PatchDecomposition(self.host, emb.image_vertices(), emb.image_edges(), list(h_l))
         return Redex(self.system[name], emb, d, h_l, entry.capped)
 
     def advance(self, host: Graph, touched: set[int]) -> None:

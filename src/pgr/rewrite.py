@@ -326,8 +326,7 @@ class StepRecord:
 
 
 def normalize(host: Graph, system: dict[str, QuasiRule], strategy: str = "first",
-              seed: int | None = None, max_steps: int = 10000,
-              canonical: bool = False) -> tuple[Graph, list[StepRecord]]:
+              seed: int | None = None, max_steps: int = 10000) -> tuple[Graph, list[StepRecord]]:
     """Apply redexes until none remains.
 
     ``first`` picks the first redex of the first applicable rule in declared
@@ -340,9 +339,8 @@ def normalize(host: Graph, system: dict[str, QuasiRule], strategy: str = "first"
     record is ``truncated`` when a redex list it read was capped by the map
     cap (``PGR_MAX_MAPS``), so it chose from an incomplete list.  Raises
     StepLimitReached (carrying the partial trace) if no normal form is found
-    within ``max_steps``.  ``canonical`` renames the final result into
-    canonical form; it stays off by default so trace ids keep pointing into
-    the intermediate graphs.
+    within ``max_steps``.  The result keeps its step-local ids, so trace
+    ids point into the intermediate graphs.
     """
     if strategy not in ("first", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -360,7 +358,7 @@ def normalize(host: Graph, system: dict[str, QuasiRule], strategy: str = "first"
                 break
             pool += [(name, x, h_l) for x in entries for h_l in x.maps]
         if not pool:
-            return (canonical_form(g) if canonical else g), trace
+            return g, trace
         name, entry, h_l = pool[0] if strategy == "first" else pool[rng.randrange(len(pool))]
         redex = sets.redex(name, entry, h_l)
         touched = redex.decomposition.patch.vertices | redex.embedding.image_vertices()
@@ -371,7 +369,7 @@ def normalize(host: Graph, system: dict[str, QuasiRule], strategy: str = "first"
     # One more look: the limit only matters if a redex is still there.
     if any(sets.entries(name)[0] for name in system):
         raise StepLimitReached(g, trace)
-    return (canonical_form(g) if canonical else g), trace
+    return g, trace
 
 
 def check_rule_determinism(rule: QuasiRule, hosts: list[Graph]) -> dict[str, int]:

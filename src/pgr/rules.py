@@ -14,7 +14,6 @@ allows several.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -42,11 +41,7 @@ DEFAULT_MAP_CAP = 4096
 
 def default_map_cap() -> int:
     """The adherence-map cap: PGR_MAX_MAPS if set, else DEFAULT_MAP_CAP."""
-    return _parse_map_cap(os.environ.get("PGR_MAX_MAPS"))
-
-
-@functools.lru_cache(maxsize=16)
-def _parse_map_cap(raw: str | None) -> int:
+    raw = os.environ.get("PGR_MAX_MAPS")
     if raw is None:
         return DEFAULT_MAP_CAP
     try:

@@ -101,8 +101,19 @@ def assert_indexes_like_fresh(g):
     carried = g._max
     fresh = Graph(g.vertices, g.edges)
     assert g._indexes() == fresh._indexes()
-    assert g.label_index() == fresh.label_index()
     assert carried in (None, fresh.max_id()) and g.max_id() == fresh.max_id()
+
+
+def anchored_redexes(host, rule, anchors):
+    """The redexes that ``RedexSets`` searches after a step: those of
+    ``matching._redex_entries`` from ``anchors``, built as ``find_redexes``
+    builds its own, with the cap flag."""
+    redexes, truncated = [], False
+    for _, emb, maps, capped in matching._redex_entries(host, rule, anchors):
+        d = graph.PatchDecomposition(host, emb.image_vertices(), emb.image_edges(), list(maps[0]))
+        truncated = truncated or capped
+        redexes += [matching.Redex(rule, emb, d, h_l, capped) for h_l in maps]
+    return redexes, truncated
 
 
 def hub_host() -> Graph:

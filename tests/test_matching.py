@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 from fixtures import (
+    anchored_redexes,
     copy_vertex_rule,
     deadlock_workload_nets,
     delete_rule,
@@ -312,8 +313,10 @@ def assert_like_eager(host, rule, anchors=None):
     """Same redexes in the same order as the eager search: embedding, map,
     cap flag and all three parts; the maps of one embedding share one
     decomposition.  Both read the map cap from ``PGR_MAX_MAPS``.  Returns
-    the number of redexes."""
-    got, cut = find_redexes(host, rule, anchors)
+    the number of redexes.  With ``anchors``, the anchored search of
+    ``RedexSets`` is compared."""
+    got, cut = find_redexes(host, rule) if anchors is None else \
+        anchored_redexes(host, rule, anchors)
     expected, expected_cut = eager_find_redexes(host, rule, anchors)
     assert cut == expected_cut, (host, rule)
     assert [(r.embedding, r.h_l, r.capped) for r in got] == \

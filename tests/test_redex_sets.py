@@ -12,6 +12,7 @@ import random
 from previous_search import previous_embeddings
 
 from fixtures import (
+    anchored_redexes,
     deadlock_workload_nets,
     perfbench_module,
     random_deterministic_rule,
@@ -22,7 +23,7 @@ from fixtures import (
 )
 from pgr import graph, matching, rules
 from pgr.exceptions import StepLimitReached
-from pgr.graph import EMPTY_GRAPH, Graph, canonical_form
+from pgr.graph import EMPTY_GRAPH, Graph
 from pgr.matching import RedexSets, find_pattern_embeddings, find_redexes
 from pgr.rewrite import StepRecord, normalize
 from pgr.rules import CONTEXT, build_rule
@@ -34,8 +35,7 @@ from pgr.systems import (
 )
 
 
-def reference_normalize(host, system, strategy="first", seed=None, max_steps=10000,
-                        canonical=False):
+def reference_normalize(host, system, strategy="first", seed=None, max_steps=10000):
     if strategy not in ("first", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = random.Random(seed)
@@ -50,7 +50,7 @@ def reference_normalize(host, system, strategy="first", seed=None, max_steps=100
             if pool and strategy == "first":
                 break
         if not pool:
-            return (canonical_form(g) if canonical else g), trace
+            return g, trace
         name, redex = pool[0] if strategy == "first" else pool[rng.randrange(len(pool))]
         g, _ = reference_apply_at(g, redex)
         mv, me = redex.match_summary()
@@ -58,7 +58,7 @@ def reference_normalize(host, system, strategy="first", seed=None, max_steps=100
     # One more look: the limit only matters if a redex is still there.
     if any(find_redexes(g, rule)[0] for rule in system.values()):
         raise StepLimitReached(g, trace)
-    return (canonical_form(g) if canonical else g), trace
+    return g, trace
 
 
 def outcome(fn, *args, **kwargs):
@@ -196,7 +196,7 @@ class TestAnchoredSearch:
                     emb for emb in find_pattern_embeddings(host, pattern, t)
                     if not anchors.isdisjoint(emb.image_vertices())]
             full, _ = find_redexes(host, rule)
-            anchored, _ = find_redexes(host, rule, anchors=anchors)
+            anchored, _ = anchored_redexes(host, rule, anchors)
             assert_same_redexes(anchored, [r for r in full if not anchors.isdisjoint(
                 r.decomposition.match.vertices)])
 
@@ -307,3 +307,20 @@ def test_ring_steps_build_no_checked_graph(monkeypatch):
         assert len(trace) == n
         per_size[n] = len(counts) / n
     assert per_size[50] == per_size[200] == 0
+
+
+def test_ring_normalize_builds_its_index_once(monkeypatch):
+    # Counted: the first search builds the index of ``normalize``'s draft,
+    # and every later step edits that index in place.
+    host, rule = perfbench_module("scaling").ring(graph, rules, 200)
+    build, built = Graph._indexes, []
+
+    def counted(self):
+        if self._index is None:
+            built.append(self)
+        return build(self)
+
+    monkeypatch.setattr(Graph, "_indexes", counted)
+    nf, trace = normalize(host, {"drop-loop": rule})
+    assert len(trace) == 200
+    assert sum(g is nf for g in built) == 1 and host._index is None

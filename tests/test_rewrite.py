@@ -30,6 +30,7 @@ from fixtures import (
     three_spoke_rule,
     two_fresh_nodes,
 )
+from pgr import rewrite
 from pgr.exceptions import BoundTooSmall, InvalidRule, StepLimitReached
 from pgr.graph import (
     EMPTY_GRAPH,
@@ -187,17 +188,17 @@ class TestPlacementAgainstReference:
 def host_state(g):
     """Everything of ``g`` a step must leave as it was, its index lists by
     value."""
-    out, inc = g._indexes()
-    return (g.vertices, list(g.edges.items()), {v: list(es) for v, es in out.items()},
-            {v: list(es) for v, es in inc.items()},
-            {lab: list(es) for lab, es in g.label_index().items()})
+    return (g.vertices, list(g.edges.items()),
+            *({key: list(es) for key, es in index.items()} for index in g._indexes()))
 
 
 def assert_steps_like_reference(host, rule):
     """Every redex of ``rule`` in ``host``, at the default fresh base and
     above it, gives the reference's result, edge order included, and its
-    certificate; the result carries the indexes of a fresh build and the
-    host keeps its own.  Returns the number of steps compared."""
+    certificate, both through ``apply_at``, whose result builds no index,
+    and on a draft whose index is built, which the step edits in place into
+    that of a fresh build.  The host keeps its own.  Returns the number of
+    steps compared."""
     steps, before = 0, host_state(host)
     for redex in find_redexes(host, rule)[0]:
         for extra in (None, 7):
@@ -205,10 +206,16 @@ def assert_steps_like_reference(host, rule):
                                                   rule.rhs.pattern.max_id()) + extra
             result, cert = apply_at(host, redex, base)
             expected, expected_cert = reference_apply_at(host, redex, base)
+            assert result._index is None
             assert list(result.edges.items()) == list(expected.edges.items())
             assert result == expected and cert == expected_cert
             assert list(cert.j_prime.edges.items()) == list(expected_cert.j_prime.edges.items())
             assert_indexes_like_fresh(result)
+            draft = host._draft()
+            draft._indexes()
+            assert rewrite._step(draft, redex, base) == expected_cert
+            assert list(draft.edges.items()) == list(expected.edges.items())
+            assert_indexes_like_fresh(draft)
             steps += 1
     assert host_state(host) == before
     return steps
@@ -581,13 +588,6 @@ class TestNormalize:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             normalize(hub_host(), {}, strategy="greedy")
-
-    def test_optional_canonical_pass(self):
-        host = hub_host()
-        plain, _ = normalize(host, {"delete": delete_rule()})
-        canon, _ = normalize(host, {"delete": delete_rule()}, canonical=True)
-        assert canon == canonical_form(plain)
-        assert canon != plain  # default keeps the step-local ids
 
 
 class TestDeterminism:
