@@ -234,7 +234,8 @@ class Renaming:
 class PatchDecomposition:
     """A host split into context C, match M and the patch J between them: the
     host and the ids of a valid match and its patch, from which each of C, J
-    and M is derived on first use.  ``decompose_at`` checks the match."""
+    and M is derived on first use.  ``decompose_at`` checks the match, and C
+    refuses an edge that touches it (a patch id missing), so each is a graph."""
 
     def __init__(self, host: Graph, match_vertices: frozenset[int], match_edges: frozenset[int],
                  patch_edges: list[int]):
@@ -242,9 +243,11 @@ class PatchDecomposition:
 
     @functools.cached_property
     def context(self) -> Graph:
-        skip = self._me.union(self._je)
+        skip, mv = self._me.union(self._je), self._mv
         edges = {e: triple for e, triple in self._host.edges.items() if e not in skip}
-        return Graph._trusted(self._host.vertices - self._mv, edges)
+        if touching := [e for e, (s, _, t) in edges.items() if s in mv or t in mv]:
+            raise InvalidPatch([f"patch misses edges that touch the match: {sorted(touching)}"])
+        return Graph._trusted(self._host.vertices - mv, edges)
 
     @functools.cached_property
     def patch(self) -> Graph:
@@ -303,38 +306,35 @@ def is_simple(g: Graph) -> bool:
 
 def validate_patch(c: Graph, j: Graph, m: Graph) -> list[str]:
     """Check that C, J and M form a decomposition; one message per violation."""
+    cv, mv, ce, me, je = c.vertices, m.vertices, c.edges.keys(), m.edges.keys(), j.edges.keys()
+    ends, stray = set(), []
+    for e, (s, _, t) in j.edges.items():
+        ends.add(s)
+        ends.add(t)
+        if not ((t in mv or t in cv) if s in mv else (s in cv and t in mv)):
+            stray.append(e)
     out = []
-    if c.vertices & m.vertices:
-        out.append(f"context and match share vertices: {sorted(c.vertices & m.vertices)}")
-    shared = sorted(e for e in m.edges if e in c.edges)
-    if shared:
-        out.append(f"context and match share edges: {shared}")
-    overlap = sorted(e for e in j.edges if e in c.edges or e in m.edges)
-    if overlap:
-        out.append(f"patch edges reuse context/match edge ids: {overlap}")
-    for e, (s, _, t) in j.sorted_edges():
-        s_in_c, s_in_m = s in c.vertices, s in m.vertices
-        t_in_c, t_in_m = t in c.vertices, t in m.vertices
-        if not ((s_in_c and t_in_m) or (s_in_m and t_in_c) or (s_in_m and t_in_m)):
-            out.append(f"patch edge {e} does not run between context and match "
-                       f"or within the match")
-    endpoints = {s for s, _, _ in j.edges.values()} | {t for _, _, t in j.edges.values()}
-    extra = j.vertices - endpoints
-    if extra:
-        out.append(f"patch has isolated vertices: {sorted(extra)}")
-    missing = endpoints - j.vertices
-    if missing:
-        out.append(f"patch endpoints missing from its vertex set: {sorted(missing)}")
+    if not cv.isdisjoint(mv):
+        out.append(f"context and match share vertices: {sorted(cv & mv)}")
+    if not ce.isdisjoint(me):
+        out.append(f"context and match share edges: {sorted(ce & me)}")
+    if not (je.isdisjoint(ce) and je.isdisjoint(me)):
+        out.append(f"patch edges reuse context/match edge ids: {sorted(je & (ce | me))}")
+    out += [f"patch edge {e} does not run between context and match or within the match"
+            for e in sorted(stray)]
+    if not j.vertices <= ends:
+        out.append(f"patch has isolated vertices: {sorted(j.vertices - ends)}")
+    if not ends <= j.vertices:
+        out.append(f"patch endpoints missing from its vertex set: {sorted(ends - j.vertices)}")
     return out
 
 
 def patch_compose(c: Graph, j: Graph, m: Graph) -> Graph:
-    """Reassemble valid C, J and M into one graph, preserving all ids."""
-    violations = validate_patch(c, j, m)
-    if violations:
+    """Reassemble valid C, J and M into one graph, preserving all ids.  The
+    result is trusted: the parts are graphs and have just been validated."""
+    if violations := validate_patch(c, j, m):
         raise InvalidPatch(violations)
-    # Valid parts have pairwise disjoint edge ids, so one build suffices.
-    return Graph(c.vertices | j.vertices | m.vertices, {**c.edges, **j.edges, **m.edges})
+    return Graph._trusted(c.vertices | j.vertices | m.vertices, {**c.edges, **j.edges, **m.edges})
 
 
 def patch_edges(g: Graph, match_vertices: frozenset[int], match_edges: frozenset[int]) -> list[int]:

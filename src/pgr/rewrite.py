@@ -165,21 +165,25 @@ def _candidate_ok(result: Graph, cert: StepCertificate, m_prime: Graph) -> bool:
 @_false_on_error
 def _sigma_ok(cert: StepCertificate) -> bool:
     """Per right type edge, sigma is a bijection onto the old patch edges of
-    its trace image that keeps labels and the context vertex touched."""
+    its trace image that keeps labels and the context vertex touched.  The
+    new and old patch edges are grouped by type edge once."""
     redex = cert.redex
-    rule, d, t_r = redex.rule, redex.decomposition, redex.rule.rhs.ptype
+    rule, patch, t_r = redex.rule, redex.decomposition.patch, redex.rule.rhs.ptype
+    new, old = {}, {}
+    for e, t in cert.h_r.items():
+        new.setdefault(t, []).append(e)
+    for j, t in redex.h_l.items():
+        old.setdefault(t, []).append(j)
     for t in t_r.edges:
-        left = rule.trace[t]
-        new_edges = sorted(e for e, te in cert.h_r.items() if te == t)
-        old_edges = sorted(e for e, te in redex.h_l.items() if te == left)
-        if sorted(cert.sigma[e] for e in new_edges) != old_edges:
+        new_edges = new.get(t, [])
+        if sorted(cert.sigma[e] for e in new_edges) != sorted(old.get(rule.trace[t], [])):
             return False
         for e in new_edges:
             j = cert.sigma[e]
-            if cert.j_prime.label(e) != d.patch.label(j):
+            if cert.j_prime.label(e) != patch.label(j):
                 return False
             if not (context_of(e, cert.h_r, cert.j_prime, t_r)
-                    <= context_of(j, redex.h_l, d.patch, rule.lhs.ptype)):
+                    <= context_of(j, redex.h_l, patch, rule.lhs.ptype)):
                 return False
     return True
 
@@ -193,11 +197,14 @@ def brute_force_step_oracle(host: Graph, redex: Redex,
     has adherents, each endpoint either forced by the type edge or drawn from
     the context vertices the old edges touch, labels drawn from the old label
     multiset in every arrangement.  The left half of ``verify_step`` checks
-    the redex once (a failing one yields ``[]``); every candidate then goes
+    the redex first (a failing one yields ``[]``, so ``BoundTooSmall`` is
+    raised for valid redexes only); every candidate then goes
     once through the sigma-free part of its right half, and paired with
     every per-type-edge bijection through the rest, until one passes; the
     surviving results are deduplicated by canonical form.
     """
+    if not _redex_ok(host, redex):
+        return []
     rule = redex.rule
     d = redex.decomposition
     fresh_base = max(host.max_id(), rule.rhs.pattern.max_id()) + 1
@@ -216,8 +223,6 @@ def brute_force_step_oracle(host: Graph, redex: Redex,
     if total > size_bound:
         raise BoundTooSmall(f"replacement patch needs {total} edges, "
                             f"bound is {size_bound}")
-    if not _redex_ok(host, redex):
-        return []
 
     per_type_options: list[tuple[int, list[list[tuple[int, str, int]]]]] = []
     for t, (ts, tt) in sorted(t_r.edges.items()):

@@ -248,10 +248,9 @@ def adherence_ok(j: Graph, ptype: PatchType, at: Mapping[int, int],
                  mapping: Mapping[int, int]) -> bool:
     """Check a given map: total on the patch, and every patch edge, read
     through ``at``, has the shape of its type edge."""
-    if set(mapping) != set(j.edges):
-        return False
-    return all(te in ptype.edges and patch_shape(j, e, at) == ptype.edges[te]
-               for e, te in mapping.items())
+    types = ptype.edges
+    return mapping.keys() == j.edges.keys() and all(
+        types.get(te) == patch_shape(j, e, at) for e, te in mapping.items())
 
 
 # -- shorthand notation ------------------------------------------------------

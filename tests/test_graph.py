@@ -13,6 +13,7 @@ from pgr.exceptions import DomainGap, EdgeIdClash, InvalidPatch, NotASubgraph
 from pgr.graph import (
     EMPTY_GRAPH,
     Graph,
+    PatchDecomposition,
     Renaming,
     canonical_form,
     canonical_renaming,
@@ -267,6 +268,16 @@ class TestPatch:
         g = hub_host()
         assert patch_compose(EMPTY_GRAPH, EMPTY_GRAPH, g) == g
 
+    def test_compose_equals_a_checked_build(self):
+        # Trusted, yet the same graph as the checked constructor gives, edge
+        # order included, and with no index built.
+        parts = self.example_decomposition()
+        g = patch_compose(*parts)
+        built = Graph(frozenset().union(*(p.vertices for p in parts)),
+                      {e: triple for p in parts for e, triple in p.edges.items()})
+        assert g == built and list(g.edges.items()) == list(built.edges.items())
+        assert g._index is None
+
 
 class TestDecompose:
     def test_three_edge_patch(self):
@@ -292,6 +303,18 @@ class TestDecompose:
         g = hub_host()
         with pytest.raises(NotASubgraph):
             decompose_at(g, {2}, {3})  # edge 3 leaves vertex 2
+
+    def test_context_refuses_a_missed_patch_edge(self):
+        # Patch ids that miss edge 0 (1 -b-> 2) would leave it in C with
+        # its end on match vertex 2: C refuses it rather than dangle.
+        g = hub_host()
+        d = decompose_at(g, {2}, {2})
+        short = PatchDecomposition(g, d.match.vertices, frozenset(d.match.edges),
+                                   sorted(d.patch.edges)[1:])
+        assert sorted(d.patch.edges) == [0, 1, 3]
+        with pytest.raises(InvalidPatch, match=r"touch the match: \[0\]"):
+            short.context
+        assert short.patch.edges == {1: (1, "c", 2), 3: (2, "d", 3)}
 
     @given(graphs(), st.data())
     @settings(max_examples=60)

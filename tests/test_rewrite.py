@@ -35,6 +35,7 @@ from pgr.exceptions import BoundTooSmall, InvalidRule, StepLimitReached
 from pgr.graph import (
     EMPTY_GRAPH,
     Graph,
+    PatchDecomposition,
     Renaming,
     canonical_form,
     decompose_at,
@@ -435,6 +436,79 @@ class TestVerifyStep:
                               {e1: cert.h_r[e2], e2: cert.h_r[e1]}, cert.sigma)
         assert not verify_step(host, result, bad)
 
+    def redirect_step(self, triples):
+        """``redirect_rule`` applied at the a-loop on 2 of a host with the
+        given edges besides it."""
+        host = Graph.from_triples([1, 2, 4], [(2, "a", 2), *triples])
+        redex = only_redex(host, redirect_rule())
+        result, cert = apply_at(host, redex)
+        assert verify_step(host, result, cert)
+        return host, result, cert
+
+    def test_rejects_sigma_swapped_across_context_ends(self):
+        # Both old edges are b-edges into the hub, from 1 and from 4: the
+        # swap keeps labels and each type edge's old edges, so only the
+        # context end each new edge keeps tells it apart.
+        host, result, cert = self.redirect_step([(1, "b", 2), (4, "b", 2)])
+        e1, e2 = sorted(cert.sigma)
+        swapped = {e1: cert.sigma[e2], e2: cert.sigma[e1]}
+        bad = StepCertificate(cert.redex, cert.rhs_instance, cert.j_prime, cert.h_r, swapped)
+        assert not verify_step(host, result, bad)
+
+    def test_rejects_two_new_edges_on_one_old_edge(self):
+        # Parallel b-edges from 1: either old edge fits both new edges by
+        # label and context end, so only the bijection rejects the pairing.
+        host, result, cert = self.redirect_step([(1, "b", 2), (1, "b", 2)])
+        e1, e2 = sorted(cert.sigma)
+        onto_one = {e1: cert.sigma[e1], e2: cert.sigma[e1]}
+        bad = StepCertificate(cert.redex, cert.rhs_instance, cert.j_prime, cert.h_r, onto_one)
+        assert not verify_step(host, result, bad)
+
+    def test_rejects_sigma_into_another_trace_image(self):
+        # An in-edge and an out-edge, both b and both at context vertex 1:
+        # paired the other way round, each new edge keeps its label and
+        # context end, but lies outside its type edge's trace image.
+        host, result, cert = self.redirect_step([(1, "b", 2), (2, "b", 1)])
+        e1, e2 = sorted(cert.sigma)
+        assert cert.h_r[e1] != cert.h_r[e2]
+        crossed = {e1: cert.sigma[e2], e2: cert.sigma[e1]}
+        bad = StepCertificate(cert.redex, cert.rhs_instance, cert.j_prime, cert.h_r, crossed)
+        assert not verify_step(host, result, bad)
+
+    def test_rejects_decomposition_missing_a_patch_edge(self):
+        # Patch ids and left map both without one old edge: the left half
+        # composes back to the host, but the edge would sit in C with an end
+        # on the deleted match vertex, dangling in the result.
+        host = hub_host()
+        redex = only_redex(host, redirect_rule())
+        d = redex.decomposition
+        kept = sorted(d.patch.edges)[:-1]
+        short = Redex(redex.rule, redex.embedding,
+                      PatchDecomposition(host, d.match.vertices, frozenset(d.match.edges), kept),
+                      {j: redex.h_l[j] for j in kept})
+        result, cert = apply_at(host, short)
+        assert not verify_step(host, result, cert)
+        assert brute_force_step_oracle(host, short) == []
+
+    def test_parallel_drop_steps_build_no_checked_graph(self, monkeypatch):
+        # Counted: verification composes C, J' and M' from graphs it has
+        # validated, so it builds no graph through the checked constructor.
+        steps = []
+        for n in range(1, 7):
+            host = parallel_edge_host(n)
+            redexes, _ = find_redexes(host, parallel_drop_rule())
+            steps += [(host, *apply_at(host, r)) for r in redexes]
+        counts = []
+        init = Graph.__init__
+
+        def counted(self, *args, **kwargs):
+            counts.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", counted)
+        assert all(verify_step(host, result, cert) for host, result, cert in steps)
+        assert len(steps) == 126 and counts == []
+
 
 class TestBruteForceOracle:
     def test_empty_right_type_yields_context_plus_copy(self):
@@ -476,6 +550,24 @@ class TestBruteForceOracle:
         assert brute_force_step_oracle(host, cert.redex) == [canonical_form(result)]
         swapped = tampered_left(cert.redex, embedding=Renaming({0: 6, 1: 5}))
         assert brute_force_step_oracle(host, swapped) == []
+        # A left map that misses a patch edge fails the left half before the
+        # oracle reads the map.
+        host = hub_host()
+        redex = only_redex(host, redirect_rule())
+        result, cert = apply_at(host, redex)
+        short = {j: te for j, te in redex.h_l.items() if j != min(redex.h_l)}
+        bad = StepCertificate(tampered_left(redex, h_l=short), cert.rhs_instance,
+                              cert.j_prime, cert.h_r, cert.sigma)
+        assert not verify_step(host, result, bad)
+        assert brute_force_step_oracle(host, bad.redex) == []
+        assert brute_force_step_oracle(host, bad.redex, size_bound=0) == []
+        # So does a decomposition whose patch ids miss that edge too.
+        kept = sorted(redex.h_l)[1:]
+        d = redex.decomposition
+        missed = Redex(redex.rule, redex.embedding,
+                       PatchDecomposition(host, d.match.vertices, frozenset(d.match.edges), kept),
+                       {j: redex.h_l[j] for j in kept})
+        assert brute_force_step_oracle(host, missed) == []
 
     def test_bound_too_small(self):
         host = hub_host()

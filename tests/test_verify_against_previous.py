@@ -1,0 +1,201 @@
+"""The certificate checks against their previous versions (``previous_verify``):
+the verdicts of ``verify_step`` and its two halves and the oracle's outputs
+on genuine and tampered certificates, and the messages of ``validate_patch``
+and ``patch_compose`` on parts that break each condition in turn."""
+
+import random
+
+import previous_verify as previous
+from previous_verify import previous_checks
+
+from fixtures import (
+    parallel_drop_rule,
+    parallel_edge_host,
+    random_graph,
+    random_instances,
+    random_quasi_rule,
+    sample_documents,
+)
+from pgr.exceptions import InvalidPatch, PgrError
+from pgr.graph import Graph, PatchDecomposition, decompose_at, patch_compose, validate_patch
+from pgr.matching import Redex, find_redexes
+from pgr.rewrite import (
+    StepCertificate,
+    _redex_ok,
+    _rewrite_ok,
+    apply_at,
+    brute_force_step_oracle,
+    verify_step,
+)
+
+VARIANTS = 3  # tampered certificates of each kind per genuine one
+
+
+def step_sources():
+    """(host, redex) pairs: seeded deterministic and quasi steps, the
+    samples' rules on their graphs, and the parallel-drop rule on 1 to 8
+    parallel edges."""
+    rng = random.Random(4711)
+    for host, _, redex in random_instances(rng, 120):
+        yield host, redex
+    for _ in range(60):
+        host = random_graph(rng, list(range(rng.randint(1, 3))), 4)
+        yield from ((host, r) for r in find_redexes(host, random_quasi_rule(rng))[0][:2])
+    docs = sample_documents()
+    for g in (g for doc in docs for g in doc.graphs.values()):
+        for rule in (r for doc in docs for r in doc.rules.values()):
+            yield from ((g, r) for r in find_redexes(g, rule)[0])
+    for n in range(1, 9):
+        host = parallel_edge_host(n)
+        yield from ((host, r) for r in find_redexes(host, parallel_drop_rule())[0])
+
+
+def with_left(redex, h_l):
+    return Redex(redex.rule, redex.embedding, redex.decomposition, h_l)
+
+
+def tampered_redexes(redex):
+    """The redex itself, then its left map with one entry re-pointed to
+    another left type edge, and with one entry dropped, and its patch ids
+    and left map both without that entry."""
+    yield redex
+    types = sorted(redex.rule.lhs.ptype.edges)
+    repointed = [with_left(redex, {**redex.h_l, j: other})
+                 for j, te in sorted(redex.h_l.items()) for other in types if other != te]
+    yield from repointed[:VARIANTS]
+    if redex.h_l:
+        j = min(redex.h_l)
+        short = {k: v for k, v in redex.h_l.items() if k != j}
+        yield with_left(redex, short)
+        d = redex.decomposition
+        missed = PatchDecomposition(d._host, d.match.vertices, frozenset(d.match.edges),
+                                    sorted(short))
+        yield Redex(redex.rule, redex.embedding, missed, short)
+
+
+def tampered_certificates(host, result, cert):
+    """(host, result, certificate) triples: the genuine one, each redex of
+    ``tampered_redexes`` (the one that misses a patch id also with the step
+    ``apply_at`` takes there, which leaves that edge dangling), re-pointed
+    right map entries, swapped sigma values, an extra sigma key, and a wrong
+    host."""
+    def with_cert(**parts):
+        fields = dict(redex=cert.redex, rhs_instance=cert.rhs_instance,
+                      j_prime=cert.j_prime, h_r=cert.h_r, sigma=cert.sigma)
+        return host, result, StepCertificate(**{**fields, **parts})
+
+    for redex in tampered_redexes(cert.redex):
+        yield with_cert(redex=redex)
+        if redex.decomposition is not cert.redex.decomposition:
+            yield host, *apply_at(host, redex)
+    types = sorted(cert.redex.rule.rhs.ptype.edges)
+    repointed = [{**cert.h_r, e: other}
+                 for e, te in sorted(cert.h_r.items()) for other in types if other != te]
+    for h_r in repointed[:VARIANTS]:
+        yield with_cert(h_r=h_r)
+    news = sorted(cert.sigma)
+    swaps = [(a, b) for a in news for b in news if a < b and cert.sigma[a] != cert.sigma[b]]
+    for a, b in swaps[:VARIANTS]:
+        yield with_cert(sigma={**cert.sigma, a: cert.sigma[b], b: cert.sigma[a]})
+    olds = sorted(cert.redex.decomposition.patch.edges)
+    yield with_cert(sigma={**cert.sigma, result.max_id() + 1: olds[0] if olds else 0})
+    extra = host.max_id() + 1
+    yield Graph(host.vertices | {extra}, host.edges), result, cert
+    yield result, host, cert
+
+
+def verdicts(host, result, cert):
+    return (verify_step(host, result, cert), _redex_ok(host, cert.redex),
+            _rewrite_ok(result, cert))
+
+
+def oracle(host, redex):
+    try:
+        return brute_force_step_oracle(host, redex)
+    except PgrError as exc:
+        return type(exc).__name__
+
+
+def test_verdicts_equal_the_previous_checks():
+    seen = {True: 0, False: 0}
+    for host, redex in step_sources():
+        result, cert = apply_at(host, redex)
+        assert verify_step(host, result, cert)
+        for triple in tampered_certificates(host, result, cert):
+            got = verdicts(*triple)
+            with previous_checks():
+                assert got == verdicts(*triple), triple
+            seen[got[0]] += 1
+    assert seen[True] > 500 and seen[False] > 2000
+
+
+def test_oracle_outputs_equal_the_previous_checks():
+    outputs = set()
+    for host, redex in step_sources():
+        if len(host.edges) > 6:  # the oracle pairs n! sigmas on n parallel edges
+            continue
+        for tampered in tampered_redexes(redex):
+            got = oracle(host, tampered)
+            with previous_checks():
+                assert got == oracle(host, tampered)
+            outputs.add(got == [])
+    assert outputs == {True, False}
+
+
+def broken_parts(rng, kind):
+    """C, J and M of a decomposition of a random graph, with condition
+    ``kind`` of ``validate_patch`` broken (0: none; 1 to 6 in its message
+    order).  Broken parts are built unchecked: the checked constructor
+    would refuse a patch edge whose end is off the patch's vertex set."""
+    g = random_graph(rng, list(range(rng.randint(1, 5))), 6)
+    mv = set(rng.sample(sorted(g.vertices), rng.randint(1, len(g.vertices))))
+    me = [e for e, (s, _, t) in g.edges.items() if s in mv and t in mv and rng.random() < 0.5]
+    d = decompose_at(g, mv, me)
+    c, j, m = d.context, d.patch, d.match
+    v, fresh = rng.choice(sorted(mv)), g.max_id() + 1
+    if kind in (2, 3) and not m.edges:
+        m = Graph._trusted(m.vertices, {**m.edges, fresh + 2: (v, "a", v)})
+    if kind == 1:
+        c = Graph._trusted(c.vertices | {v}, c.edges)
+    elif kind == 2:
+        e = rng.choice(sorted(m.edges))
+        c = Graph._trusted(c.vertices | {fresh}, {**c.edges, e: (fresh, "b", fresh)})
+    elif kind == 3:
+        e = rng.choice(sorted(set(c.edges) | set(m.edges)))
+        j = Graph._trusted(j.vertices | {v}, {**j.edges, e: (v, "c", v)})
+    elif kind == 4:
+        j = Graph._trusted(j.vertices | {fresh}, {**j.edges, fresh + 1: (fresh, "a", v)})
+    elif kind == 5:
+        j = Graph._trusted(j.vertices | {fresh}, j.edges)
+    elif kind == 6:
+        j = Graph._trusted(j.vertices - {v}, {**j.edges, fresh + 1: (v, "a", v)})
+    return c, j, m
+
+
+PREFIXES = ["context and match share vertices", "context and match share edges",
+            "patch edges reuse context/match edge ids", "patch edge ",
+            "patch has isolated vertices", "patch endpoints missing"]
+
+
+def test_patch_messages_equal_the_previous_checks():
+    rng = random.Random(1618)
+    for i in range(1400):
+        kind = i % 7
+        c, j, m = broken_parts(rng, kind)
+        messages = validate_patch(c, j, m)
+        assert messages == previous.validate_patch(c, j, m)
+        if kind == 0:
+            assert messages == []
+            composed = patch_compose(c, j, m)
+            expected = previous.patch_compose(c, j, m)
+            assert list(composed.edges.items()) == list(expected.edges.items())
+            assert composed == expected
+            continue
+        assert any(msg.startswith(PREFIXES[kind - 1]) for msg in messages)
+        raised = []
+        for compose in (patch_compose, previous.patch_compose):
+            try:
+                compose(c, j, m)
+            except InvalidPatch as exc:
+                raised.append(exc.violations)
+        assert raised == [messages, messages]
