@@ -110,7 +110,6 @@ class _Cursor:
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*$")
 _INT_RE = re.compile(r"\d+$")
-_LABEL_RE = re.compile(r"[A-Za-z0-9_]+$")
 # Edge arrow written  SRC -LABEL-> TGT ; the lexer splits it into the dash
 # run, so labels live in their own token between two dashes.
 _EDGE_RE = re.compile(r"-([A-Za-z0-9_]+)->$")

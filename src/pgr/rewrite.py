@@ -145,21 +145,16 @@ def _redex_ok(host: Graph, redex: Redex) -> bool:
 
 @_false_on_error
 def _rewrite_ok(result: Graph, cert: StepCertificate) -> bool:
-    """The right half: ``_candidate_ok`` and ``_sigma_ok``."""
-    m_prime = rename_graph(cert.redex.rule.rhs.pattern, cert.rhs_instance)
-    return _candidate_ok(result, cert, m_prime) and _sigma_ok(cert)
-
-
-@_false_on_error
-def _candidate_ok(result: Graph, cert: StepCertificate, m_prime: Graph) -> bool:
-    """What does not depend on sigma's values: the old context, the new
-    patch and the new match ``m_prime`` compose to the result, the right map
-    adheres, and sigma is defined on exactly the new patch edges."""
+    """The right half: the old context, the new patch and the new match
+    compose to the result, the right map adheres, and sigma, defined on
+    exactly the new patch edges, passes ``_sigma_ok``."""
     rule = cert.redex.rule
+    m_prime = rename_graph(rule.rhs.pattern, cert.rhs_instance)
     return (patch_compose(cert.redex.decomposition.context, cert.j_prime, m_prime) == result
             and adherence_ok(cert.j_prime, rule.rhs.ptype,
                              match_positions(rule.rhs.pattern, cert.rhs_instance), cert.h_r)
-            and set(cert.sigma) == set(cert.j_prime.edges))
+            and set(cert.sigma) == set(cert.j_prime.edges)
+            and _sigma_ok(cert))
 
 
 @_false_on_error
@@ -193,101 +188,54 @@ def brute_force_step_oracle(host: Graph, redex: Redex,
     """Independent enumeration of every result the step conditions allow.
 
     Candidate replacement patches are generated from the declarative
-    constraints alone: per right type edge, as many edges as its trace image
-    has adherents, each endpoint either forced by the type edge or drawn from
-    the context vertices the old edges touch, labels drawn from the old label
-    multiset in every arrangement.  The left half of ``verify_step`` checks
-    the redex first (a failing one yields ``[]``, so ``BoundTooSmall`` is
-    raised for valid redexes only); every candidate then goes
-    once through the sigma-free part of its right half, and paired with
-    every per-type-edge bijection through the rest, until one passes; the
-    surviving results are deduplicated by canonical form.
+    constraints alone: per right type edge, one new edge per old edge of its
+    trace image (in id order), with that edge's label, the pattern ends the
+    type edge forces, and each context end drawn from the context vertices
+    those old edges touch; sigma pairs each new edge with the old edge it
+    was built from.  The left half of ``verify_step`` checks the redex first
+    (a failing one yields ``[]``, so ``BoundTooSmall`` is raised for valid
+    redexes only); the right half then decides each candidate, and the
+    results are deduplicated by canonical form.  No other pairing or label
+    arrangement is tried: a candidate that passes with one is isomorphic,
+    by renumbering its new edges within each type edge, to one built here.
     """
     if not _redex_ok(host, redex):
         return []
-    rule = redex.rule
-    d = redex.decomposition
-    fresh_base = max(host.max_id(), rule.rhs.pattern.max_id()) + 1
-    counter = itertools.count(fresh_base)
+    rule, d = redex.rule, redex.decomposition
+    counter = itertools.count(max(host.max_id(), rule.rhs.pattern.max_id()) + 1)
     inst = _instantiate_rhs(rule, counter)
     m_prime = rename_graph(rule.rhs.pattern, inst)
-    t_r = rule.rhs.ptype
 
     by_left: dict[int, list[int]] = {}
     for j in sorted(d.patch.edges):
         by_left.setdefault(redex.h_l[j], []).append(j)
-
-    needed = {t: len(by_left.get(rule.trace[t], ()))
-              for t in t_r.edges}
-    total = sum(needed.values())
+    total = sum(len(by_left.get(rule.trace[t], ())) for t in rule.rhs.ptype.edges)
     if total > size_bound:
         raise BoundTooSmall(f"replacement patch needs {total} edges, "
                             f"bound is {size_bound}")
 
-    per_type_options: list[tuple[int, list[list[tuple[int, str, int]]]]] = []
-    for t, (ts, tt) in sorted(t_r.edges.items()):
+    slots, h_r, sigma = [], {}, {}  # slots: (new edge, label, end pairs)
+    for t, (ts, tt) in sorted(rule.rhs.ptype.edges.items()):
         old = by_left.get(rule.trace[t], [])
-        if not old:
-            per_type_options.append((t, [[]]))
-            continue
-        labels = sorted(d.patch.label(j) for j in old)
-        ctx_choices = sorted({v for j in old
-                              for v in context_of(j, redex.h_l, d.patch, rule.lhs.ptype)})
-        slot_endpoints = []
-        if ts == CONTEXT:
-            sources = ctx_choices
-        else:
-            sources = [inst.vmap[ts]]
-        if tt == CONTEXT:
-            targets = ctx_choices
-        else:
-            targets = [inst.vmap[tt]]
-        slot_endpoints = [(s, t2) for s in sources for t2 in targets]
-        combos = []
-        seen = set()
-        for label_perm in itertools.permutations(labels):
-            if label_perm in seen:
-                continue
-            seen.add(label_perm)
-            for ends in itertools.product(slot_endpoints, repeat=len(old)):
-                combos.append([(s, lab, t2) for (s, t2), lab in zip(ends, label_perm)])
-        per_type_options.append((t, combos))
+        ctx = sorted({v for j in old
+                      for v in context_of(j, redex.h_l, d.patch, rule.lhs.ptype)})
+        sources = ctx if ts == CONTEXT else [inst.vmap[ts]]
+        targets = ctx if tt == CONTEXT else [inst.vmap[tt]]
+        for j in old:
+            e = next(counter)
+            h_r[e], sigma[e] = t, j
+            slots.append((e, d.patch.label(j), [(s, t2) for s in sources for t2 in targets]))
 
-    results: dict[Graph, Graph] = {}
-    for pick in itertools.product(*[opts for _, opts in per_type_options]):
-        jp_edges = {}
-        h_r = {}
-        slots_by_type = {}
-        eid = itertools.count(fresh_base + 1000)
-        for (t, _), triples in zip(per_type_options, pick):
-            slots = []
-            for s, lab, t2 in triples:
-                e = next(eid)
-                jp_edges[e] = (s, lab, t2)
-                h_r[e] = t
-                slots.append(e)
-            slots_by_type[t] = slots
-        vertices = {s for s, _, _ in jp_edges.values()} | \
-                   {t2 for _, _, t2 in jp_edges.values()}
-        j_prime = Graph(vertices, jp_edges)
+    results = set()
+    for ends in itertools.product(*(pairs for _, _, pairs in slots)):
+        jp_edges = {e: (s, lab, t2) for (e, lab, _), (s, t2) in zip(slots, ends)}
+        j_prime = Graph({x for s, _, t2 in jp_edges.values() for x in (s, t2)}, jp_edges)
         try:
             candidate = patch_compose(d.context, j_prime, m_prime)
         except PgrError:
             continue
-        sigma_spaces = []
-        for t, _ in per_type_options:
-            old = by_left.get(rule.trace[t], [])
-            sigma_spaces.append([dict(zip(slots_by_type[t], perm))
-                                 for perm in itertools.permutations(old)])
-        # Every sigma is defined on all slots, so the candidate part of the
-        # check holds for all of them or for none.
-        certs = (StepCertificate(redex, inst, j_prime, h_r,
-                                 {e: j for part in parts for e, j in part.items()})
-                 for parts in itertools.product(*sigma_spaces))
-        first = next(certs)
-        if _candidate_ok(candidate, first, m_prime) and \
-                any(_sigma_ok(cert) for cert in itertools.chain([first], certs)):
-            results.setdefault(canonical_form(candidate), candidate)
+        if _rewrite_ok(candidate, StepCertificate(redex, inst, j_prime, h_r, sigma)):
+            results.add(canonical_form(candidate))
     return sorted(results,
                   key=lambda g: (len(g.vertices), tuple(sorted(g.edges.values()))))
 

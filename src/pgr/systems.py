@@ -445,6 +445,9 @@ def ds_explore(initial: DsState | Graph, max_sends_per_process: int = 2,
     every state (budget vertices removed), those in which the announce rule
     is enabled, and, among these, those where a basic/control message is
     still in transit or a non-initiator still sits in the tree.
+    ``truncated`` is the depth cap only: every rule of the walk has a simple
+    left patch type, so an embedding has one adherence map at most and the
+    map cap (``PGR_MAX_MAPS``) never binds.
     """
     g0 = initial.graph if isinstance(initial, DsState) else initial
     system = _walk_rules(max_sends_per_process)

@@ -2,19 +2,23 @@
 the parts it reads: ``validate_patch`` with a scan per condition,
 ``patch_compose`` through the checked ``Graph(...)``, ``adherence_ok`` on
 key sets, and ``_sigma_ok`` rescanning both maps per right type
-edge.  ``previous_checks()`` runs ``verify_step``, its two halves and the
-oracle on them, so each verdict can be compared with today's.
+edge.  ``previous_checks()`` runs ``verify_step`` and its two halves on
+them, so each verdict can be compared with today's.  ``previous_oracle``
+is the oracle as it was before it built each new patch edge from the old
+edge it pairs with: it tries every arrangement of the old labels and, per
+candidate, every pairing.
 """
 
 import contextlib
+import itertools
 from collections.abc import Mapping
 
 from pgr import rewrite
-from pgr.exceptions import InvalidPatch
-from pgr.graph import Graph
-from pgr.matching import context_of
-from pgr.rewrite import StepCertificate, _false_on_error
-from pgr.rules import PatchType, patch_shape
+from pgr.exceptions import BoundTooSmall, InvalidPatch, PgrError
+from pgr.graph import Graph, canonical_form, rename_graph
+from pgr.matching import Redex, context_of
+from pgr.rewrite import StepCertificate, _false_on_error, _instantiate_rhs
+from pgr.rules import CONTEXT, PatchType, match_positions, patch_shape
 
 
 def validate_patch(c: Graph, j: Graph, m: Graph) -> list[str]:
@@ -99,3 +103,104 @@ def previous_checks():
     finally:
         for name, fn in saved.items():
             setattr(rewrite, name, fn)
+
+
+@_false_on_error
+def _candidate_ok(result: Graph, cert: StepCertificate, m_prime: Graph) -> bool:
+    """What does not depend on sigma's values: the old context, the new
+    patch and the new match ``m_prime`` compose to the result, the right map
+    adheres, and sigma is defined on exactly the new patch edges."""
+    rule = cert.redex.rule
+    return (patch_compose(cert.redex.decomposition.context, cert.j_prime, m_prime) == result
+            and adherence_ok(cert.j_prime, rule.rhs.ptype,
+                             match_positions(rule.rhs.pattern, cert.rhs_instance), cert.h_r)
+            and set(cert.sigma) == set(cert.j_prime.edges))
+
+
+def previous_oracle(host: Graph, redex: Redex, size_bound: int = 12) -> list[Graph]:
+    """Every result the step conditions allow: per right type edge, the old
+    labels in every distinct arrangement and every choice of context ends;
+    each candidate goes once through ``_candidate_ok`` and then through
+    ``_sigma_ok`` with every per-type-edge bijection until one passes.
+    Its new patch edges are numbered from the fresh base plus 1000.  Run it
+    within ``previous_checks()`` to check the redex as it was checked too."""
+    if not rewrite._redex_ok(host, redex):
+        return []
+    rule = redex.rule
+    d = redex.decomposition
+    fresh_base = max(host.max_id(), rule.rhs.pattern.max_id()) + 1
+    counter = itertools.count(fresh_base)
+    inst = _instantiate_rhs(rule, counter)
+    m_prime = rename_graph(rule.rhs.pattern, inst)
+    t_r = rule.rhs.ptype
+
+    by_left: dict[int, list[int]] = {}
+    for j in sorted(d.patch.edges):
+        by_left.setdefault(redex.h_l[j], []).append(j)
+
+    needed = {t: len(by_left.get(rule.trace[t], ()))
+              for t in t_r.edges}
+    total = sum(needed.values())
+    if total > size_bound:
+        raise BoundTooSmall(f"replacement patch needs {total} edges, "
+                            f"bound is {size_bound}")
+
+    per_type_options: list[tuple[int, list[list[tuple[int, str, int]]]]] = []
+    for t, (ts, tt) in sorted(t_r.edges.items()):
+        old = by_left.get(rule.trace[t], [])
+        if not old:
+            per_type_options.append((t, [[]]))
+            continue
+        labels = sorted(d.patch.label(j) for j in old)
+        ctx_choices = sorted({v for j in old
+                              for v in context_of(j, redex.h_l, d.patch, rule.lhs.ptype)})
+        sources = ctx_choices if ts == CONTEXT else [inst.vmap[ts]]
+        targets = ctx_choices if tt == CONTEXT else [inst.vmap[tt]]
+        slot_endpoints = [(s, t2) for s in sources for t2 in targets]
+        combos = []
+        seen = set()
+        for label_perm in itertools.permutations(labels):
+            if label_perm in seen:
+                continue
+            seen.add(label_perm)
+            for ends in itertools.product(slot_endpoints, repeat=len(old)):
+                combos.append([(s, lab, t2) for (s, t2), lab in zip(ends, label_perm)])
+        per_type_options.append((t, combos))
+
+    results: dict[Graph, Graph] = {}
+    for pick in itertools.product(*[opts for _, opts in per_type_options]):
+        jp_edges = {}
+        h_r = {}
+        slots_by_type = {}
+        eid = itertools.count(fresh_base + 1000)
+        for (t, _), triples in zip(per_type_options, pick):
+            slots = []
+            for s, lab, t2 in triples:
+                e = next(eid)
+                jp_edges[e] = (s, lab, t2)
+                h_r[e] = t
+                slots.append(e)
+            slots_by_type[t] = slots
+        vertices = {s for s, _, _ in jp_edges.values()} | \
+                   {t2 for _, _, t2 in jp_edges.values()}
+        j_prime = Graph(vertices, jp_edges)
+        try:
+            candidate = patch_compose(d.context, j_prime, m_prime)
+        except PgrError:
+            continue
+        sigma_spaces = []
+        for t, _ in per_type_options:
+            old = by_left.get(rule.trace[t], [])
+            sigma_spaces.append([dict(zip(slots_by_type[t], perm))
+                                 for perm in itertools.permutations(old)])
+        # Every sigma is defined on all slots, so the candidate part of the
+        # check holds for all of them or for none.
+        certs = (StepCertificate(redex, inst, j_prime, h_r,
+                                 {e: j for part in parts for e, j in part.items()})
+                 for parts in itertools.product(*sigma_spaces))
+        first = next(certs)
+        if _candidate_ok(candidate, first, m_prime) and \
+                any(_sigma_ok(cert) for cert in itertools.chain([first], certs)):
+            results.setdefault(canonical_form(candidate), candidate)
+    return sorted(results,
+                  key=lambda g: (len(g.vertices), tuple(sorted(g.edges.values()))))

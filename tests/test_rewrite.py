@@ -590,6 +590,43 @@ class TestBruteForceOracle:
                     [canonical_form(result)]
                 checked += 1
 
+    @pytest.mark.parametrize("n", range(9, 13))
+    def test_parallel_edges_give_one_candidate(self, n, monkeypatch):
+        # Each new edge is built from the old edge it pairs with, so the n
+        # kept parallel edges give one candidate and one check, not n! label
+        # arrangements and n! pairings.
+        host = parallel_edge_host(n)
+        rule = parallel_drop_rule()
+        first = find_redexes(host, rule)[0][0]
+        (keep,) = rule.trace.values()
+        (drop,) = set(rule.lhs.ptype.edges) - {keep}
+        calls = []
+        check = rewrite._rewrite_ok
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(rewrite, "_rewrite_ok", counted)
+        for h_l in ({j: keep for j in first.h_l},
+                    {j: keep if j % 3 else drop for j in first.h_l}):
+            redex = tampered_left(first, h_l=h_l)
+            calls.clear()
+            assert brute_force_step_oracle(host, redex) == \
+                [canonical_form(apply_at(host, redex)[0])]
+            assert len(calls) == 1
+
+    def test_new_edge_ids_follow_a_large_instance(self):
+        # The right pattern takes 1,001 ids: the new patch edges must be
+        # numbered after the whole instance, not at a fixed offset into it.
+        rhs = Graph([10], [(11 + i, 10, "x", 10) for i in range(1000)])
+        rule = build_rule(Graph([0]), {"in": (CONTEXT, 0)}, rhs, [(CONTEXT, 10, "in")])
+        host = Graph.from_triples([1, 2], [(1, "a", 2)])
+        redex = only_redex(host, rule)
+        result, cert = apply_at(host, redex)
+        assert verify_step(host, result, cert)
+        assert brute_force_step_oracle(host, redex) == [canonical_form(result)]
+
 
 class TestSuccessors:
     def test_single_rule_single_successor(self):

@@ -502,6 +502,17 @@ class TestSendBudgetInTheGraph:
         assert systems._walk_rules(2) is walk
         assert dijkstra_scholten_system()["snd-b"] is not public["snd-b"]
 
+    @pytest.mark.parametrize("sends", range(4))
+    def test_no_map_cap_binds_in_the_walk(self, sends, monkeypatch):
+        # Every rule of the walk has a simple left patch type, so each
+        # embedding has at most one adherence map and a cap of 1 cuts none.
+        system = systems._walk_rules(sends)
+        assert all(rule.deterministic for rule in
+                   [*system.values(), *dijkstra_scholten_system().values()])
+        monkeypatch.setenv("PGR_MAX_MAPS", "1")
+        for g in budgeted_states(TOPOLOGIES["line3"], sends, 40):
+            assert successors(g, system)[1] is False
+
 
 class TestElementaryRules:
     def test_all_validate(self):
