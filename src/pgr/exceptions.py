@@ -53,10 +53,6 @@ class BadArity(PgrError):
     """Request arity out of range (need 0 < n <= m)."""
 
 
-class BoundTooSmall(PgrError):
-    """The search bound given to an enumeration is below the known answer."""
-
-
 class StepLimitReached(PgrError):
     """Normalization hit the step limit before reaching a normal form."""
 

@@ -311,10 +311,10 @@ class RedexSets:
         d = PatchDecomposition(self.host, emb.image_vertices(), emb.image_edges(), list(h_l))
         return Redex(self.system[name], emb, d, h_l, entry.capped)
 
-    def advance(self, host: Graph, touched: set[int]) -> None:
-        """Move to ``host``, one step on; ``touched`` holds every vertex the
-        step removed, created or changed the edges of."""
-        self.host = host
+    def advance(self, touched: set[int]) -> None:
+        """Note one step on the host, which it edits in place; ``touched``
+        holds every vertex the step removed, created or changed the edges
+        of."""
         for pending in self._touched.values():
             pending |= touched
 

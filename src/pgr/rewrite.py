@@ -16,12 +16,7 @@ import itertools
 import random as random_module
 from dataclasses import dataclass
 
-from .exceptions import (
-    BoundTooSmall,
-    DeterminismViolation,
-    PgrError,
-    StepLimitReached,
-)
+from .exceptions import DeterminismViolation, PgrError, StepLimitReached
 from .graph import Graph, Renaming, canonical_form, patch_compose, rename_graph
 from .matching import Redex, RedexSets, context_of, find_redexes
 from .rules import CONTEXT, QuasiRule, adherence_ok, match_positions
@@ -157,7 +152,6 @@ def _rewrite_ok(result: Graph, cert: StepCertificate) -> bool:
             and _sigma_ok(cert))
 
 
-@_false_on_error
 def _sigma_ok(cert: StepCertificate) -> bool:
     """Per right type edge, sigma is a bijection onto the old patch edges of
     its trace image that keeps labels and the context vertex touched.  The
@@ -183,61 +177,46 @@ def _sigma_ok(cert: StepCertificate) -> bool:
     return True
 
 
-def brute_force_step_oracle(host: Graph, redex: Redex,
-                            size_bound: int = 12) -> list[Graph]:
-    """Independent enumeration of every result the step conditions allow.
+def brute_force_step_oracle(host: Graph, redex: Redex) -> list[Graph]:
+    """The result the step conditions allow, derived from them alone.
 
-    Candidate replacement patches are generated from the declarative
-    constraints alone: per right type edge, one new edge per old edge of its
-    trace image (in id order), with that edge's label, the pattern ends the
-    type edge forces, and each context end drawn from the context vertices
-    those old edges touch; sigma pairs each new edge with the old edge it
-    was built from.  The left half of ``verify_step`` checks the redex first
-    (a failing one yields ``[]``, so ``BoundTooSmall`` is raised for valid
-    redexes only); the right half then decides each candidate, and the
-    results are deduplicated by canonical form.  No other pairing or label
-    arrangement is tried: a candidate that passes with one is isomorphic,
-    by renumbering its new edges within each type edge, to one built here.
+    The left half of ``verify_step`` checks the redex first; a failing one
+    yields ``[]``.  The conditions then fix the new patch up to the
+    numbering of its edges: per right type edge, sigma pairs one new edge
+    with each old edge of its trace image, and the new edge keeps that
+    edge's label, takes the copies of the type edge's pattern ends, and, at
+    CONTEXT, must touch the context vertex its old edge touches.  So one
+    candidate is built, its new edges numbered after the right-pattern
+    instance, and one check of the right half decides it: the result is
+    ``[]`` or its canonical form.  No other context end or pairing can pass
+    ``_sigma_ok``, and a candidate that passes with another label
+    arrangement is this one with its new edges renumbered.
     """
     if not _redex_ok(host, redex):
         return []
     rule, d = redex.rule, redex.decomposition
     counter = itertools.count(max(host.max_id(), rule.rhs.pattern.max_id()) + 1)
     inst = _instantiate_rhs(rule, counter)
-    m_prime = rename_graph(rule.rhs.pattern, inst)
 
     by_left: dict[int, list[int]] = {}
     for j in sorted(d.patch.edges):
         by_left.setdefault(redex.h_l[j], []).append(j)
-    total = sum(len(by_left.get(rule.trace[t], ())) for t in rule.rhs.ptype.edges)
-    if total > size_bound:
-        raise BoundTooSmall(f"replacement patch needs {total} edges, "
-                            f"bound is {size_bound}")
-
-    slots, h_r, sigma = [], {}, {}  # slots: (new edge, label, end pairs)
-    for t, (ts, tt) in sorted(rule.rhs.ptype.edges.items()):
-        old = by_left.get(rule.trace[t], [])
-        ctx = sorted({v for j in old
-                      for v in context_of(j, redex.h_l, d.patch, rule.lhs.ptype)})
-        sources = ctx if ts == CONTEXT else [inst.vmap[ts]]
-        targets = ctx if tt == CONTEXT else [inst.vmap[tt]]
-        for j in old:
+    jp_edges, h_r, sigma = {}, {}, {}
+    for t, type_ends in sorted(rule.rhs.ptype.edges.items()):
+        for j in by_left.get(rule.trace[t], []):
+            ctx = context_of(j, redex.h_l, d.patch, rule.lhs.ptype)
+            s, t2 = (min(ctx) if x == CONTEXT else inst.vmap[x] for x in type_ends)
             e = next(counter)
-            h_r[e], sigma[e] = t, j
-            slots.append((e, d.patch.label(j), [(s, t2) for s in sources for t2 in targets]))
+            jp_edges[e], h_r[e], sigma[e] = (s, d.patch.label(j), t2), t, j
 
-    results = set()
-    for ends in itertools.product(*(pairs for _, _, pairs in slots)):
-        jp_edges = {e: (s, lab, t2) for (e, lab, _), (s, t2) in zip(slots, ends)}
-        j_prime = Graph({x for s, _, t2 in jp_edges.values() for x in (s, t2)}, jp_edges)
-        try:
-            candidate = patch_compose(d.context, j_prime, m_prime)
-        except PgrError:
-            continue
-        if _rewrite_ok(candidate, StepCertificate(redex, inst, j_prime, h_r, sigma)):
-            results.add(canonical_form(candidate))
-    return sorted(results,
-                  key=lambda g: (len(g.vertices), tuple(sorted(g.edges.values()))))
+    j_prime = Graph({x for s, _, t2 in jp_edges.values() for x in (s, t2)}, jp_edges)
+    try:
+        candidate = patch_compose(d.context, j_prime, rename_graph(rule.rhs.pattern, inst))
+    except PgrError:
+        return []
+    if _rewrite_ok(candidate, StepCertificate(redex, inst, j_prime, h_r, sigma)):
+        return [canonical_form(candidate)]
+    return []
 
 
 def successors(host: Graph, system: dict[str, QuasiRule],
@@ -316,7 +295,7 @@ def normalize(host: Graph, system: dict[str, QuasiRule], strategy: str = "first"
         redex = sets.redex(name, entry, h_l)
         touched = redex.decomposition.patch.vertices | redex.embedding.image_vertices()
         cert = _step(g, redex, None)
-        sets.advance(g, touched | cert.rhs_instance.image_vertices())
+        sets.advance(touched | cert.rhs_instance.image_vertices())
         mv, me = redex.match_summary()
         trace.append(StepRecord(name, mv, me, truncated))
     # One more look: the limit only matters if a redex is still there.
@@ -326,8 +305,8 @@ def normalize(host: Graph, system: dict[str, QuasiRule], strategy: str = "first"
 
 
 def check_rule_determinism(rule: QuasiRule, hosts: list[Graph]) -> dict[str, int]:
-    """Apply every redex twice with different fresh bases and shuffled
-    enumeration; isomorphic results are required each time.
+    """Apply every redex at the default fresh base and at a far one; each
+    result must be isomorphic to the first derivation at its location.
 
     Only meaningful for rules with a simple left patch type; quasi rules are
     rejected outright.

@@ -273,6 +273,13 @@ def parallel_edge_host(n: int) -> Graph:
     return Graph.from_triples([0, 1], [(0, "a", 1)] * n)
 
 
+def sender_host(k: int) -> Graph:
+    """A hub 0 with an a-loop and one b-edge in from each of k senders 1..k:
+    the context end of each new patch edge has k candidates."""
+    return Graph.from_triples(range(k + 1),
+                              [(0, "a", 0)] + [(i, "b", 0) for i in range(1, k + 1)])
+
+
 def random_graph(rng, vertices, max_edges, labels="ab", edge_base=0):
     edges = []
     if vertices:

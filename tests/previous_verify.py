@@ -5,8 +5,8 @@ key sets, and ``_sigma_ok`` rescanning both maps per right type
 edge.  ``previous_checks()`` runs ``verify_step`` and its two halves on
 them, so each verdict can be compared with today's.  ``previous_oracle``
 is the oracle as it was before it built each new patch edge from the old
-edge it pairs with: it tries every arrangement of the old labels and, per
-candidate, every pairing.
+edge it pairs with: it tries every arrangement of the old labels, every
+choice of context ends and, per candidate, every pairing.
 """
 
 import contextlib
@@ -14,7 +14,7 @@ import itertools
 from collections.abc import Mapping
 
 from pgr import rewrite
-from pgr.exceptions import BoundTooSmall, InvalidPatch, PgrError
+from pgr.exceptions import InvalidPatch, PgrError
 from pgr.graph import Graph, canonical_form, rename_graph
 from pgr.matching import Redex, context_of
 from pgr.rewrite import StepCertificate, _false_on_error, _instantiate_rhs
@@ -115,6 +115,11 @@ def _candidate_ok(result: Graph, cert: StepCertificate, m_prime: Graph) -> bool:
             and adherence_ok(cert.j_prime, rule.rhs.ptype,
                              match_positions(rule.rhs.pattern, cert.rhs_instance), cert.h_r)
             and set(cert.sigma) == set(cert.j_prime.edges))
+
+
+class BoundTooSmall(PgrError):
+    """The search bound given to ``previous_oracle`` is below the size of
+    the replacement patch."""
 
 
 def previous_oracle(host: Graph, redex: Redex, size_bound: int = 12) -> list[Graph]:

@@ -10,12 +10,15 @@ import previous_verify as previous
 from previous_verify import previous_checks
 
 from fixtures import (
+    invert_pull_rule,
     parallel_drop_rule,
     parallel_edge_host,
     random_graph,
     random_instances,
     random_quasi_rule,
+    redirect_rule,
     sample_documents,
+    sender_host,
 )
 from pgr.exceptions import InvalidPatch, PgrError
 from pgr.graph import Graph, PatchDecomposition, decompose_at, patch_compose, validate_patch
@@ -34,8 +37,10 @@ VARIANTS = 3  # tampered certificates of each kind per genuine one
 
 def step_sources():
     """(host, redex) pairs: seeded deterministic and quasi steps, the
-    samples' rules on their graphs, and the parallel-drop rule on 1 to 8
-    parallel edges."""
+    samples' rules on their graphs, the parallel-drop rule on 1 to 8
+    parallel edges, and a hub with 2 to 4 senders under a rule that keeps
+    their edges and one that reverses them, so each context end has as many
+    candidates as senders."""
     rng = random.Random(4711)
     for host, _, redex in random_instances(rng, 120):
         yield host, redex
@@ -49,6 +54,10 @@ def step_sources():
     for n in range(1, 9):
         host = parallel_edge_host(n)
         yield from ((host, r) for r in find_redexes(host, parallel_drop_rule())[0])
+    for k in range(2, 5):
+        host = sender_host(k)
+        for rule in (redirect_rule(), invert_pull_rule()):
+            yield from ((host, r) for r in find_redexes(host, rule)[0])
 
 
 def with_left(redex, h_l):
