@@ -2,8 +2,8 @@
 
 Vertices and edges are opaque non-negative integers living in separate
 namespaces within one graph.  Every edge carries a source, a target and a
-label; parallel edges and loops are allowed.  Graphs are immutable after
-construction, so they can be shared freely.
+label; parallel edges and loops are allowed.  A graph handed out is never
+changed, so it can be shared freely: the engine edits only drafts of its own.
 
 An edge is stored as a ``(src, label, tgt)`` triple, matching the arrow
 reading ``src -label-> tgt`` used by the text format.
@@ -38,19 +38,13 @@ class Graph:
         ``edges`` is either a mapping ``{edge_id: (src, label, tgt)}`` or an
         iterable of ``(edge_id, src, label, tgt)`` tuples.
         """
-        vertices = frozenset(vertices)
-        if isinstance(edges, Mapping):
-            edge_map = {int(e): (s, lab, t) for e, (s, lab, t) in edges.items()}
-            if len(edge_map) < len(edges):
-                dup = Counter(int(e) for e in edges).most_common(1)[0][0]
-                raise ValueError(f"duplicate edge id {dup}")
-        else:
-            edge_map = {}
-            for eid, s, lab, t in edges:
-                eid = int(eid)
-                if eid in edge_map:
-                    raise ValueError(f"duplicate edge id {eid}")
-                edge_map[eid] = (s, lab, t)
+        vertices, edge_map = frozenset(vertices), {}
+        pairs = edges.items() if isinstance(edges, Mapping) else (
+            (eid, (s, lab, t)) for eid, s, lab, t in edges)
+        for eid, (s, lab, t) in pairs:
+            if (eid := int(eid)) in edge_map:
+                raise ValueError(f"duplicate edge id {eid}")
+            edge_map[eid] = (s, lab, t)
         for eid, (s, lab, t) in edge_map.items():
             if s not in vertices or t not in vertices:
                 raise ValueError(f"edge {eid}: endpoint outside the vertex set")
@@ -86,21 +80,13 @@ class Graph:
         self._edges.update(added)
         self._vertices = (self._vertices - mv) | new_v
         if self._index is not None:
-            out, inc, by_label = self._index
+            out, inc, _, counts = self._index
             for v in mv:
-                del out[v], inc[v]
+                del out[v], inc[v], counts[v]
             for v in new_v:
-                out[v], inc[v] = [], []
-            for e, (s, lab, t) in removed:
-                for es in (out.get(s), inc.get(t), by_label[lab]):
-                    if es is not None:
-                        del es[bisect_left(es, e)]
-                if not by_label[lab]:
-                    del by_label[lab]
-            for e, (s, lab, t) in sorted(added.items()):
-                out[s].append(e)
-                inc[t].append(e)
-                by_label.setdefault(lab, []).append(e)
+                out[v], inc[v], counts[v] = [], [], {}
+            _index_edges(self._index, removed, -1)
+            _index_edges(self._index, sorted(added.items()), 1)
         top = max(itertools.chain(new_v, added), default=self._max)
         self._max = top if top in self._vertices or top in self._edges else None
         self._hash = self._labelling = None
@@ -132,18 +118,13 @@ class Graph:
         return sorted(self._edges.items())
 
     def _indexes(self):
-        """Out- and in-edges per vertex and edges per label, in id order;
-        built on first use and stored once filled."""
+        """Out- and in-edges per vertex and edges per label, in id order, and
+        ``edge_counts`` per vertex; built on first use and stored once filled."""
         if self._index is None:
-            out: dict[int, list[int]] = {v: [] for v in self._vertices}
-            inc: dict[int, list[int]] = {v: [] for v in self._vertices}
-            by_label: dict[str, list[int]] = {}
-            for e in sorted(self._edges):
-                s, lab, t = self._edges[e]
-                out[s].append(e)
-                inc[t].append(e)
-                by_label.setdefault(lab, []).append(e)
-            self._index = out, inc, by_label
+            vs = self._vertices
+            index = {v: [] for v in vs}, {v: [] for v in vs}, {}, {v: {} for v in vs}
+            _index_edges(index, sorted(self._edges.items()), 1)
+            self._index = index
         return self._index
 
     def out_edges(self, v: int) -> list[int]:
@@ -156,8 +137,15 @@ class Graph:
         """Edge ids by label, in id order."""
         return self._indexes()[2]
 
+    def edge_counts(self, v: int) -> dict[tuple, int]:
+        """The edges at ``v`` by side and label: ``("out", lab)`` counts its
+        out-edges, ``("in", lab)`` its in-edges and ``("loop", lab)`` its
+        loops (a loop is on all three sides); label None counts the whole
+        side.  A key that counts 0 is left out.  Treat as read-only."""
+        return self._indexes()[3][v]
+
     def incident_edges(self, v: int) -> set[int]:
-        out, inc, _ = self._indexes()
+        out, inc = self._indexes()[:2]
         return set(out[v]) | set(inc[v])
 
     def labels(self) -> set[str]:
@@ -188,6 +176,33 @@ class Graph:
 
 
 EMPTY_GRAPH = Graph()
+
+
+def _index_edges(index, edges: list[tuple[int, EdgeTriple]], step: int) -> None:
+    """Add (``step`` 1) or remove (-1) ``edges``, in id order, to or from a
+    graph's index, at those of their ends that are in it."""
+    out, inc, by_label, counts = index
+    for e, (s, lab, t) in edges:
+        for es in (out.get(s), inc.get(t), by_label.setdefault(lab, [])):
+            if es is not None and step > 0:
+                es.append(e)
+            elif es is not None:
+                del es[bisect_left(es, e)]
+        if not by_label[lab]:
+            del by_label[lab]
+        for v, keys in zip((s, t, s) if s == t else (s, t), _count_keys(lab)):
+            if (c := counts.get(v)) is not None:
+                for key in keys:
+                    if n := c.get(key, 0) + step:
+                        c[key] = n
+                    else:
+                        del c[key]
+
+
+@functools.lru_cache(maxsize=1024)
+def _count_keys(label: str) -> tuple:
+    """Per side, the ``edge_counts`` keys of an edge with ``label``; shared."""
+    return tuple(((side, None), (side, label)) for side in ("out", "in", "loop"))
 
 
 class Renaming:
@@ -296,12 +311,7 @@ def rename_graph(g: Graph, phi: Renaming) -> Graph:
 
 def is_simple(g: Graph) -> bool:
     """True iff no two distinct edges agree on source, target and label."""
-    seen = set()
-    for s, lab, t in g.edges.values():
-        if (s, lab, t) in seen:
-            return False
-        seen.add((s, lab, t))
-    return True
+    return len(set(g.edges.values())) == len(g.edges)
 
 
 def validate_patch(c: Graph, j: Graph, m: Graph) -> list[str]:
@@ -340,7 +350,7 @@ def patch_compose(c: Graph, j: Graph, m: Graph) -> Graph:
 def patch_edges(g: Graph, match_vertices: frozenset[int], match_edges: frozenset[int]) -> list[int]:
     """The patch around a match, in id order: every edge outside the match
     that touches a match vertex, read off the incidence lists."""
-    out, inc, _ = g._indexes()
+    out, inc = g._indexes()[:2]
     return sorted({e for v in match_vertices for es in (out[v], inc[v]) for e in es
                    if e not in match_edges})
 

@@ -45,31 +45,13 @@ def _embedding_key(r: Renaming):
             tuple(sorted(r.vmap.items())), tuple(sorted(r.emap.items())))
 
 
-def _counts(g: Graph, v: int) -> dict[tuple, int]:
-    """The edges at ``v`` by side and label: ``("out", lab)`` counts its
-    out-edges, ``("in", lab)`` its in-edges and ``("loop", lab)`` its loops
-    (a loop is on all three sides); label None counts the whole side."""
-    edges, out, inc = g.edges, g.out_edges(v), g.in_edges(v)
-    counts = {("out", None): len(out), ("in", None): len(inc), ("loop", None): 0}
-    for e in out:
-        _, lab, t = edges[e]
-        counts["out", lab] = counts.get(("out", lab), 0) + 1
-        if t == v:
-            counts["loop", None] += 1
-            counts["loop", lab] = counts.get(("loop", lab), 0) + 1
-    for e in inc:
-        key = ("in", edges[e][1])
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
 class _Matcher:
     """What a search needs of a pattern and its left patch type, if any;
     built once per left scheme (``PatchType._matcher``), else per call.
     ``needs[v]``: ``(key, n, op)``, the image of v has ``op`` (eq or ge) n
-    edges counted by ``_counts`` under key: at least the pattern's count per
-    side and label, and with a type exactly the pattern's on each side (or
-    the loops) that no type edge opens at v."""
+    edges counted by ``Graph.edge_counts`` under key: at least the pattern's
+    count per side and label, and with a type exactly the pattern's on each
+    side (or the loops) that no type edge opens at v, 0 included."""
 
     def __init__(self, pattern: Graph, ptype: PatchType | None):
         self.pattern, self.vertices, self.plans = pattern, sorted(pattern.vertices), {}
@@ -80,9 +62,10 @@ class _Matcher:
             {("loop", s) for s, t in shapes if s == t}
         self.needs = {}
         for v in self.vertices:
-            counts = _counts(pattern, v)
-            self.needs[v] = [((side, lab), n, eq) for (side, lab), n in counts.items()
-                             if lab is None and ptype is not None and (side, v) not in opened]
+            counts = pattern.edge_counts(v)
+            self.needs[v] = [((side, None), counts.get((side, None), 0), eq)
+                             for side in ("out", "in", "loop")
+                             if ptype is not None and (side, v) not in opened]
             self.needs[v] += [(k, n, ge) for k, n in counts.items() if k[1] is not None]
 
     def plan(self, root: int):
@@ -162,7 +145,7 @@ def find_pattern_embeddings(host: Graph, pattern: Graph, ptype: PatchType | None
     """All vertex- and edge-injective embeddings of ``pattern`` into ``host``.
 
     Each pattern vertex's needs (see ``_Matcher``) are compared with the
-    counts of each host vertex, taken once per search; with ``ptype``, a
+    edge counts that the host's index keeps per vertex; with ``ptype``, a
     rule's left patch type, they leave out embeddings that cannot adhere.
     The search starts at the rarest label and follows edges.  An anchor
     roots a search at each pattern vertex whose needs it meets, and tried
@@ -184,10 +167,10 @@ def _embeddings(host: Graph, pattern: Graph, ptype: PatchType | None,
         m = _Matcher(pattern, ptype)
     else:
         m = ptype._matcher = ptype._matcher or _Matcher(pattern, ptype)
-    index, seen = host.label_index(), {}
+    _, _, index, host_counts = host._indexes()
 
     def fits(v, w):
-        counts = seen.get(w) or seen.setdefault(w, _counts(host, w))
+        counts = host_counts[w]
         for key, n, op in m.needs[v]:
             if not op(counts.get(key, 0), n):
                 return False

@@ -17,7 +17,7 @@ import random as random_module
 from dataclasses import dataclass
 
 from .exceptions import DeterminismViolation, PgrError, StepLimitReached
-from .graph import Graph, Renaming, canonical_form, patch_compose, rename_graph
+from .graph import Graph, Renaming, canonical_form, find_isomorphism, patch_compose, rename_graph
 from .matching import Redex, RedexSets, context_of, find_redexes
 from .rules import CONTEXT, QuasiRule, adherence_ok, match_positions
 
@@ -34,10 +34,8 @@ class StepCertificate:
 
 
 def _instantiate_rhs(rule: QuasiRule, counter) -> Renaming:
-    pattern = rule.rhs.pattern
-    vmap = {v: next(counter) for v in sorted(pattern.vertices)}
-    emap = {e: next(counter) for e in sorted(pattern.edges)}
-    return Renaming(vmap, emap)
+    vertices, edges, _ = rule._step_plan
+    return Renaming(dict(zip(vertices, counter)), dict(zip(edges, counter)))
 
 
 def construct_rhs_patch(redex: Redex, fresh_base: int):
@@ -46,30 +44,27 @@ def construct_rhs_patch(redex: Redex, fresh_base: int):
     Returns ``(rhs_instance, j_prime, h_r, sigma)`` where ``sigma`` pairs
     every new patch edge with the old patch edge it derives from.  A new
     edge keeps the label of its old edge; each end is the copy of the right
-    type edge's pattern end or, at CONTEXT, the old edge's context end
-    (``context_of``).  Fresh ids are drawn from ``fresh_base`` upward.
+    type edge's pattern end or, at CONTEXT, the old edge's end at the slot
+    that the rule's ``_step_plan`` names.  Fresh ids count up from ``fresh_base``.
     """
-    rule = redex.rule
+    rule, d, h_l = redex.rule, redex.decomposition, redex.h_l
     counter = itertools.count(fresh_base)
     inst = _instantiate_rhs(rule, counter)
-    patch = redex.decomposition.patch
+    old = d._host.edges
 
     by_left: dict[int, list[int]] = {}
-    for j in sorted(patch.edges):
-        by_left.setdefault(redex.h_l[j], []).append(j)
+    for j in sorted(d._je):
+        by_left.setdefault(h_l[j], []).append(j)
 
-    jp_edges = {}
-    h_r = {}
-    sigma = {}
+    jp_edges, h_r, sigma = {}, {}, {}
     ends = dict(inst.vmap)  # and CONTEXT, per old edge, to its context end
-    for t, (ts, tt) in sorted(rule.rhs.ptype.edges.items()):
-        for j in by_left.get(rule.trace[t], ()):
-            if CONTEXT in (ts, tt):
-                (ends[CONTEXT],) = context_of(j, redex.h_l, patch, rule.lhs.ptype)
+    for t, left, ts, tt, slot in rule._step_plan[2]:
+        for j in by_left.get(left, ()):
+            triple = old[j]
+            if slot is not None:
+                ends[CONTEXT] = triple[slot]
             eid = next(counter)
-            jp_edges[eid] = (ends[ts], patch.label(j), ends[tt])
-            h_r[eid] = t
-            sigma[eid] = j
+            jp_edges[eid], h_r[eid], sigma[eid] = (ends[ts], triple[1], ends[tt]), t, j
     vertices = frozenset(x for s, _, t in jp_edges.values() for x in (s, t))
     return inst, Graph._trusted(vertices, jp_edges), h_r, sigma
 
@@ -293,7 +288,7 @@ def normalize(host: Graph, system: dict[str, QuasiRule], strategy: str = "first"
             return g, trace
         name, entry, h_l = pool[0] if strategy == "first" else pool[rng.randrange(len(pool))]
         redex = sets.redex(name, entry, h_l)
-        touched = redex.decomposition.patch.vertices | redex.embedding.image_vertices()
+        touched = {x for j in h_l for x in g.edges[j][::2]} | redex.embedding.image_vertices()
         cert = _step(g, redex, None)
         sets.advance(touched | cert.rhs_instance.image_vertices())
         mv, me = redex.match_summary()
@@ -313,8 +308,6 @@ def check_rule_determinism(rule: QuasiRule, hosts: list[Graph]) -> dict[str, int
     """
     if not rule.deterministic:
         raise ValueError("rule is quasi; determinism is not claimed for it")
-    from .graph import find_isomorphism
-
     checked = 0
     for host in hosts:
         redexes, _ = find_redexes(host, rule)

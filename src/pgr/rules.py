@@ -14,6 +14,7 @@ allows several.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -138,6 +139,18 @@ class QuasiRule:
     @property
     def deterministic(self) -> bool:
         return self.lhs.ptype.is_simple()
+
+    @functools.cached_property
+    def _step_plan(self):
+        """What a step needs of the rule, worked out on first use: the right
+        pattern's vertices and edges in id order, and per right type edge in
+        id order ``(id, trace image, src, tgt, slot)``, with ``slot`` the index
+        (0 or 2) of the context end in the old triples, if the edge has one."""
+        t_l, pattern = self.lhs.ptype.edges, self.rhs.pattern
+        return sorted(pattern.vertices), sorted(pattern.edges), [
+            (t, self.trace[t], ts, tt,
+             2 * t_l[self.trace[t]].index(CONTEXT) if CONTEXT in (ts, tt) else None)
+            for t, (ts, tt) in self.rhs.ptype.sorted_edges()]
 
 
 def validate_quasi_rule(rule: QuasiRule) -> list[str]:

@@ -10,6 +10,7 @@ also equal the full scan of ``reference_embeddings``.
 import contextlib
 import random
 from collections import Counter
+from operator import eq
 
 from fixtures import (
     deadlock_workload_nets,
@@ -23,10 +24,12 @@ from fixtures import (
 from previous_search import previous_embeddings
 from test_matching import reference_embeddings
 
-from pgr import matching
+from pgr import matching, rewrite
 from pgr.exceptions import StepLimitReached
+from pgr.graph import Graph
 from pgr.matching import find_pattern_embeddings
 from pgr.rewrite import normalize
+from pgr.rules import CONTEXT, PatchType
 from pgr.systems import deadlock_rules, detect_deadlock, dijkstra_scholten_system
 
 
@@ -107,6 +110,19 @@ class TestAgainstPreviousSearch:
         assert sum(calls) > 100 and not all(calls)
 
 
+def test_zero_needs_leave_out_what_cannot_adhere():
+    # A typed search needs exactly 0 edges on each side, loops included,
+    # that no type edge opens and the pattern leaves empty: a host vertex
+    # with such an edge cannot adhere, and no embedding is listed there.
+    pattern = Graph([0])
+    ptype = PatchType(pattern, {1: (CONTEXT, 0)})
+    assert sorted(matching._Matcher(pattern, ptype).needs[0]) == [
+        (("loop", None), 0, eq), (("out", None), 0, eq)]
+    host = Graph.from_triples([1, 2, 3, 4], [(2, "a", 1), (4, "a", 4)])
+    assert [r.vmap[0] for r in find_pattern_embeddings(host, pattern, ptype)] == [1, 3]
+    assert [r.vmap[0] for r in find_pattern_embeddings(host, pattern)] == [1, 2, 3, 4]
+
+
 def degree_admits(host, pattern, ptype, p, a):
     """Whether host vertex ``a`` has the degrees to be the image of pattern
     vertex ``p``: at least p's edges per side and label, loops included,
@@ -147,3 +163,62 @@ def test_plans_start_only_where_the_anchor_meets_the_needs(monkeypatch):
             pairs += len(anchors) * len(pattern.vertices)
             admitted += len(expected)
     assert 0 < admitted < pairs / 2
+
+
+def previous_counts(g, v):
+    """``matching._counts`` as it was before the index kept the counts: the
+    edges at ``v`` by side and label, counted afresh, with the three side
+    totals present even at 0."""
+    edges, out, inc = g.edges, g.out_edges(v), g.in_edges(v)
+    counts = {("out", None): len(out), ("in", None): len(inc), ("loop", None): 0}
+    for e in out:
+        _, lab, t = edges[e]
+        counts["out", lab] = counts.get(("out", lab), 0) + 1
+        if t == v:
+            counts["loop", None] += 1
+            counts["loop", lab] = counts.get(("loop", lab), 0) + 1
+    for e in inc:
+        key = ("in", edges[e][1])
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def assert_counts_like_previous(g):
+    """Every vertex's ``edge_counts`` are the previous counts without their
+    zeros; returns the number of vertices compared."""
+    for v in g.vertices:
+        assert g.edge_counts(v) == {k: n for k, n in previous_counts(g, v).items() if n}, (g, v)
+    return len(g.vertices)
+
+
+class TestCountsAgainstPrevious:
+    """The counts that the index keeps against the per-search counts they
+    replace, on fresh graphs and on drafts after every step."""
+
+    def test_random_graphs(self):
+        rng = random.Random(17)
+        assert sum(assert_counts_like_previous(host) for host, _, _ in
+                   random_instances(rng, 150)) > 150
+        assert sum(assert_counts_like_previous(random_graph(rng, list(range(6)), 12))
+                   for _ in range(200)) == 1200
+
+    def test_samples_and_dijkstra_scholten_states(self):
+        graphs = [g for doc in sample_documents() for g in doc.graphs.values()] + ds_states()
+        assert sum(map(assert_counts_like_previous, graphs)) > len(graphs)
+
+    def test_drafts_after_every_normalize_step(self, monkeypatch):
+        step, steps = rewrite._step, []
+
+        def checked(g, redex, fresh_base):
+            cert = step(g, redex, fresh_base)
+            steps.append(assert_counts_like_previous(g))
+            return cert
+
+        monkeypatch.setattr(rewrite, "_step", checked)
+        nets = deadlock_workload_nets()
+        for g, _, _ in nets[::3]:
+            detect_deadlock(g)
+        for g in ds_states()[::30]:
+            with contextlib.suppress(StepLimitReached):
+                normalize(g, dijkstra_scholten_system(), "random", seed=2, max_steps=30)
+        assert len(steps) > len(nets)

@@ -439,7 +439,8 @@ class TestNoGraphsPerEmbedding:
     def test_walk_derives_parts_only_for_applied_redexes(self, monkeypatch):
         # A derived part is cached in the decomposition's instance dict.  The
         # walk steps through ``successors``, which applies every redex it
-        # lists: a spent sender has no send redex to skip.
+        # lists: a spent sender has no send redex to skip.  A step reads
+        # the patch off the host, so no redex derives J or M.
         listed, applied = [], []
         search, step = rewrite.find_redexes, rewrite.apply_at
 
@@ -458,7 +459,22 @@ class TestNoGraphsPerEmbedding:
         assert list(map(id, listed)) == list(map(id, applied))
         unique = {id(r.decomposition): r.decomposition for r in listed}.values()
         derived = sum(("patch" in vars(d)) + ("match" in vars(d)) for d in unique)
-        assert 0 < derived <= len(applied)
+        assert applied and derived == 0
+
+    def test_detect_deadlock_derives_no_parts(self, monkeypatch):
+        step, applied = rewrite._step, []
+
+        def recorded(g, redex, fresh_base):
+            applied.append(redex)
+            return step(g, redex, fresh_base)
+
+        monkeypatch.setattr(rewrite, "_step", recorded)
+        nets = deadlock_workload_nets()
+        for g, _, _ in nets:
+            detect_deadlock(g)
+        assert len(applied) > len(nets)
+        assert not any("patch" in vars(r.decomposition) or "match" in vars(r.decomposition)
+                       for r in applied)
 
 
 class TestEmbeddings:

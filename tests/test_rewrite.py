@@ -1,5 +1,6 @@
 """Rewrite engine: step construction, verification, oracle, normalization."""
 
+import copy
 import itertools
 import random
 
@@ -66,7 +67,8 @@ from pgr.rules import (
     enumerate_adherence_maps,
     validate_quasi_rule,
 )
-from pgr.systems import deadlock_rules, dijkstra_scholten_system
+from pgr.systems import deadlock_rules, dijkstra_scholten_system, waitfor_grammar
+from test_systems import grammar_reachable
 
 
 def only_redex(host, rule):
@@ -175,6 +177,11 @@ class TestPlacementAgainstReference:
         assert sum(assert_placed_like_reference(g, rule) for g in ds_states()
                    for rule in system.values()) > 0
 
+    def test_grammar_walk(self):
+        rules = waitfor_grammar()
+        assert sum(assert_placed_like_reference(g, rule) for g in grammar_reachable(5)
+                   for rule in rules.values()) > 0
+
     def test_invalid_rule_raises_in_both(self):
         # The right type edge reaches the context, its trace image does not:
         # the new edge would have no context end to take, so no redex of
@@ -188,10 +195,10 @@ class TestPlacementAgainstReference:
 
 
 def host_state(g):
-    """Everything of ``g`` a step must leave as it was, its index lists by
-    value."""
+    """Everything of ``g`` a step must leave as it was, its index lists and
+    counts by value."""
     return (g.vertices, list(g.edges.items()),
-            *({key: list(es) for key, es in index.items()} for index in g._indexes()))
+            *({key: copy.copy(es) for key, es in index.items()} for index in g._indexes()))
 
 
 def assert_steps_like_reference(host, rule):
@@ -251,6 +258,11 @@ class TestStepAgainstReference:
         assert sum(assert_steps_like_reference(g, rule) for g in ds_states()
                    for rule in system.values()) > 0
 
+    def test_grammar_walk(self):
+        rules = waitfor_grammar()
+        assert sum(assert_steps_like_reference(g, rule) for g in grammar_reachable(5)
+                   for rule in rules.values()) > 0
+
     def test_normal_forms_carry_fresh_indexes(self):
         for g, _, _ in deadlock_workload_nets()[::7]:
             before = host_state(g)
@@ -259,6 +271,28 @@ class TestStepAgainstReference:
             assert_indexes_like_fresh(nf)
             assert isinstance(nf.vertices, frozenset)
             assert hash(nf) == hash(Graph(nf.vertices, nf.edges))
+
+    def test_every_step_leaves_a_fresh_index(self, monkeypatch):
+        # After each step of ``normalize``, on the draft whose index its
+        # searches built, and on every ``successors`` result.
+        step, edited = rewrite._step, []
+
+        def checked(g, redex, fresh_base):
+            cert = step(g, redex, fresh_base)
+            edited.append(g._index is not None)
+            assert_indexes_like_fresh(g)
+            return cert
+
+        monkeypatch.setattr(rewrite, "_step", checked)
+        nets = deadlock_workload_nets()
+        for g, _, _ in nets:
+            normalize(g, deadlock_rules())
+        assert all(edited) and len(edited) > len(nets)
+        system = dijkstra_scholten_system()
+        results = [result for g in ds_states() for _, result in successors(g, system)[0]]
+        assert len(results) > len(ds_states())
+        for result in results:
+            assert_indexes_like_fresh(result)
 
 
 class TestConstructRhsPatch:
@@ -302,6 +336,35 @@ class TestConstructRhsPatch:
             assert len(j_prime.edges) == expected
 
 
+class TestStepPlan:
+    def test_slots_name_the_context_end_of_the_old_edge(self):
+        # k4 = (CTX, 4) is kept in place and inverted, k3 = (3, CTX) moved:
+        # the context end is the old source for both k4 copies, the old
+        # target for k3, and edges inside the pattern have none.
+        rule = three_spoke_rule()
+        vertices, edges, types = rule._step_plan
+        assert (vertices, edges) == ([11, 13, 14], [100, 101])
+        assert [(rule.rhs.ptype.edges[t], slot) for t, _, _, _, slot in types] == [
+            ((11, 13), None), ((11, 13), None), ((CONTEXT, 11), 0), ((14, CONTEXT), 0),
+            ((13, CONTEXT), 2)]
+        assert [left for _, left, _, _, _ in types] == [rule.trace[t] for t, *_ in types]
+
+    def test_steps_work_the_plan_out_once_and_call_no_context_of(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("context_of called on the step path")
+
+        monkeypatch.setattr(rewrite, "context_of", refused)
+        rules = deadlock_rules()
+        for g, _, _ in deadlock_workload_nets()[::5]:
+            normalize(g, rules)
+        plans = {name: vars(rule)["_step_plan"] for name, rule in rules.items()
+                 if "_step_plan" in vars(rule)}
+        assert plans
+        for g, _, _ in deadlock_workload_nets()[1::5]:
+            normalize(g, rules)
+        assert all(rules[name]._step_plan is plan for name, plan in plans.items())
+
+
 class TestApplyAt:
     def test_host_untouched(self):
         host = hub_host()
@@ -337,6 +400,40 @@ class TestApplyAt:
         result, cert = apply_at(host, only_redex(host, three_spoke_rule()))
         assert verify_step(host, result, cert)
         assert isomorphic(result, three_spoke_expected())
+
+    def test_map_missing_a_patch_edge_raises(self):
+        # The step reads each patch edge's type off ``h_l``; a map that
+        # misses one is refused, even where the right side drops every
+        # edge of that type, and never read as a request to drop the edge.
+        for host, rule in [(hub_host(), delete_rule()), (hub_host(), redirect_rule()),
+                           (three_spoke_host(), three_spoke_rule())]:
+            redex = only_redex(host, rule)
+            for j in redex.h_l:
+                short = {k: t for k, t in redex.h_l.items() if k != j}
+                with pytest.raises(KeyError):
+                    apply_at(host, tampered_left(redex, h_l=short))
+
+    def test_equal_rules_built_apart_step_alike(self):
+        # Two equal rules built apart, their steps interleaved: each gives
+        # the other's results and certificates, ids and edge order included.
+        hosts = [hub_host(), hub_host_extra_loop(), three_spoke_host(), *ds_states()[::40]]
+        makers = [delete_rule, redirect_rule, duplicate_rule, invert_pull_rule,
+                  copy_vertex_rule, three_spoke_rule,
+                  *(lambda name=name: dijkstra_scholten_system()[name]
+                    for name in dijkstra_scholten_system())]
+        steps = 0
+        for make in makers:
+            first, second = make(), make()
+            assert first == second and first is not second
+            for host in hosts:
+                for a, b in zip(find_redexes(host, first)[0], find_redexes(host, second)[0]):
+                    (ra, ca), (rb, cb) = apply_at(host, a), apply_at(host, b)
+                    assert list(ra.edges.items()) == list(rb.edges.items())
+                    assert list(ca.j_prime.edges.items()) == list(cb.j_prime.edges.items())
+                    assert (ca.rhs_instance, ca.h_r, ca.sigma) == (cb.rhs_instance, cb.h_r,
+                                                                   cb.sigma)
+                    steps += 1
+        assert steps > 20, steps
 
 
 class TestVerifyStep:
