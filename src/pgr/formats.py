@@ -366,15 +366,15 @@ def parse_rules(text: str) -> list[QuasiRule]:
     return list(parse_document(text).rules.values())
 
 
+def _graph_lines(g: Graph, indent: str) -> list[str]:
+    """The node and edge lines of one graph body."""
+    return ([f"{indent}node {v};" for v in sorted(g.vertices)]
+            + [f"{indent}{e}: {s} -{lab}-> {t};" for e, (s, lab, t) in g.sorted_edges()])
+
+
 def serialize_graph(g: Graph, name: str = "G") -> str:
     """Deterministic text for one graph; parsing it back is id-exact."""
-    lines = [f"graph {name} {{"]
-    for v in sorted(g.vertices):
-        lines.append(f"  node {v};")
-    for e, (s, lab, t) in g.sorted_edges():
-        lines.append(f"  {e}: {s} -{lab}-> {t};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"graph {name} {{", *_graph_lines(g, "  "), "}"]) + "\n"
 
 
 def _endpoint_text(ep) -> str:
@@ -383,24 +383,14 @@ def _endpoint_text(ep) -> str:
 
 def serialize_rule(rule: QuasiRule, name: str = "R") -> str:
     """Deterministic text for one desugared rule; round-trips id-exactly."""
-    lines = [f"rule {name} {{", "  lhs {"]
-    for v in sorted(rule.lhs.pattern.vertices):
-        lines.append(f"    node {v};")
-    for e, (s, lab, t) in rule.lhs.pattern.sorted_edges():
-        lines.append(f"    {e}: {s} -{lab}-> {t};")
+    lines = [f"rule {name} {{", "  lhs {", *_graph_lines(rule.lhs.pattern, "    ")]
     for te, (s, t) in rule.lhs.ptype.sorted_edges():
         lines.append(f"    type k{te}: {_endpoint_text(s)} -> {_endpoint_text(t)};")
-    lines.append("  }")
-    lines.append("  rhs {")
-    for v in sorted(rule.rhs.pattern.vertices):
-        lines.append(f"    node {v};")
-    for e, (s, lab, t) in rule.rhs.pattern.sorted_edges():
-        lines.append(f"    {e}: {s} -{lab}-> {t};")
+    lines += ["  }", "  rhs {", *_graph_lines(rule.rhs.pattern, "    ")]
     for te, (s, t) in rule.rhs.ptype.sorted_edges():
         lines.append(f"    type: {_endpoint_text(s)} -> {_endpoint_text(t)} "
                      f"from k{rule.trace[te]};")
-    lines.append("  }")
-    lines.append("}")
+    lines += ["  }", "}"]
     return "\n".join(lines) + "\n"
 
 

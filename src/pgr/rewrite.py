@@ -107,7 +107,7 @@ def verify_step(host: Graph, result: Graph, cert: StepCertificate) -> bool:
     onto the corresponding left patch edges.  Malformed certificates count
     as failures rather than raising.
     """
-    return _redex_ok(host, cert.redex) and _rewrite_ok(result, cert)
+    return _redex_ok(host, cert.redex) and _rewritten(cert) == result
 
 
 def _false_on_error(check):
@@ -134,17 +134,17 @@ def _redex_ok(host: Graph, redex: Redex) -> bool:
 
 
 @_false_on_error
-def _rewrite_ok(result: Graph, cert: StepCertificate) -> bool:
-    """The right half: the old context, the new patch and the new match
-    compose to the result, the right map adheres, and sigma, defined on
-    exactly the new patch edges, passes ``_sigma_ok``."""
+def _rewritten(cert: StepCertificate) -> Graph | bool:
+    """The right half: the result that the old context, the new patch and
+    the new match compose to, if the right map adheres and sigma, defined
+    on exactly the new patch edges, passes ``_sigma_ok``; else False."""
     rule = cert.redex.rule
-    m_prime = rename_graph(rule.rhs.pattern, cert.rhs_instance)
-    return (patch_compose(cert.redex.decomposition.context, cert.j_prime, m_prime) == result
-            and adherence_ok(cert.j_prime, rule.rhs.ptype,
-                             match_positions(rule.rhs.pattern, cert.rhs_instance), cert.h_r)
+    result = patch_compose(cert.redex.decomposition.context, cert.j_prime,
+                           rename_graph(rule.rhs.pattern, cert.rhs_instance))
+    return (adherence_ok(cert.j_prime, rule.rhs.ptype,
+                         match_positions(rule.rhs.pattern, cert.rhs_instance), cert.h_r)
             and set(cert.sigma) == set(cert.j_prime.edges)
-            and _sigma_ok(cert))
+            and _sigma_ok(cert) and result)  # a Graph is always true
 
 
 def _sigma_ok(cert: StepCertificate) -> bool:
@@ -182,10 +182,10 @@ def brute_force_step_oracle(host: Graph, redex: Redex) -> list[Graph]:
     edge's label, takes the copies of the type edge's pattern ends, and, at
     CONTEXT, must touch the context vertex its old edge touches.  So one
     candidate is built, its new edges numbered after the right-pattern
-    instance, and one check of the right half decides it: the result is
-    ``[]`` or its canonical form.  No other context end or pairing can pass
-    ``_sigma_ok``, and a candidate that passes with another label
-    arrangement is this one with its new edges renumbered.
+    instance, and the right half of ``verify_step`` composes and decides it
+    at once: the result is ``[]`` or its canonical form.  No other context
+    end or pairing can pass ``_sigma_ok``, and a candidate that passes with
+    another label arrangement is this one with its new edges renumbered.
     """
     if not _redex_ok(host, redex):
         return []
@@ -205,13 +205,8 @@ def brute_force_step_oracle(host: Graph, redex: Redex) -> list[Graph]:
             jp_edges[e], h_r[e], sigma[e] = (s, d.patch.label(j), t2), t, j
 
     j_prime = Graph({x for s, _, t2 in jp_edges.values() for x in (s, t2)}, jp_edges)
-    try:
-        candidate = patch_compose(d.context, j_prime, rename_graph(rule.rhs.pattern, inst))
-    except PgrError:
-        return []
-    if _rewrite_ok(candidate, StepCertificate(redex, inst, j_prime, h_r, sigma)):
-        return [canonical_form(candidate)]
-    return []
+    candidate = _rewritten(StepCertificate(redex, inst, j_prime, h_r, sigma))
+    return [] if candidate is False else [canonical_form(candidate)]
 
 
 def successors(host: Graph, system: dict[str, QuasiRule],
@@ -222,24 +217,31 @@ def successors(host: Graph, system: dict[str, QuasiRule],
     The flag tells whether some redex list was cut off at the map cap
     (``PGR_MAX_MAPS``), so results may be missing.
     """
-    out = []
-    seen, results = set(), set()
-    truncated = False
+    out, _, truncated = _expand(host, system, set() if dedup else None)
+    return out, truncated
+
+
+def _expand(host: Graph, system: dict[str, QuasiRule],
+            seen: set[Graph] | None) -> tuple[list[tuple[str, Graph]], set[str], bool]:
+    """``successors`` and the names of the rules with a redex; with a ``seen``
+    set, a result is kept only if its canonical form is new, and adds it."""
+    out, fired, results, truncated = [], set(), set(), False
     for name, rule in system.items():
         redexes, cut = find_redexes(host, rule)
         truncated = truncated or cut
+        if redexes:
+            fired.add(name)
         for redex in redexes:
             result, _ = apply_at(host, redex)
-            if dedup:
+            if seen is not None:
                 if result in results:  # an exact repeat needs no labelling
                     continue
                 results.add(result)
-                key = canonical_form(result)
-                if key in seen:
+                if (key := canonical_form(result)) in seen:
                     continue
                 seen.add(key)
             out.append((name, result))
-    return out, truncated
+    return out, fired, truncated
 
 
 @dataclass(frozen=True)

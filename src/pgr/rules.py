@@ -95,9 +95,10 @@ class PatchType:
     def by_shape(self) -> dict[tuple[Endpoint, Endpoint], list[int]]:
         """Type edge ids grouped by endpoint pair, in id order; built once."""
         if self._by_shape is None:
-            self._by_shape = {}
+            by_shape = {}
             for te, pair in self.sorted_edges():
-                self._by_shape.setdefault(pair, []).append(te)
+                by_shape.setdefault(pair, []).append(te)
+            self._by_shape = by_shape  # stored once complete
         return self._by_shape
 
     def __eq__(self, other):

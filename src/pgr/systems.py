@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .exceptions import AlphabetClash, BadArity, SelfLoopInTopology
 from .graph import EMPTY_GRAPH, UNLABELED, Graph, canonical_form
-from .rewrite import StepRecord, normalize, successors
+from .rewrite import StepRecord, _expand, normalize
 from .rules import CONTEXT as CTX
 from .rules import QuasiRule, RuleSketch, build_rule, desugar_rule
 
@@ -410,8 +410,7 @@ def announce_safe(g: Graph) -> bool:
 @functools.cache
 def _walk_rules(max_sends: int) -> dict[str, QuasiRule]:
     """``dijkstra_scholten_system`` with one budgeted send rule per k in
-    1..max_sends in place of ``snd-b``.  ``announce`` comes first, so that
-    ``successors``' dedup never drops its first result."""
+    1..max_sends in place of ``snd-b``."""
     system = dijkstra_scholten_system()
     sends = {f"snd-b-{k}": _send_rule(k) for k in range(1, max_sends + 1)}
     rest = {name: rule for name, rule in system.items() if name not in ("snd-b", "announce")}
@@ -439,12 +438,12 @@ def ds_explore(initial: DsState | Graph, max_sends_per_process: int = 2,
 
     A process's sends left are in the state graph: a ``budget`` edge to a
     vertex of its own with one ``left-k`` loop, which only the send rule of
-    that k matches and lowers.  The walk is breadth-first over
-    ``successors``, with one seen set of canonical forms, to ``max_depth``
-    steps (``truncated`` tells that deeper states were left).  It records
-    every state (budget vertices removed), those in which the announce rule
-    is enabled, and, among these, those where a basic/control message is
-    still in transit or a non-initiator still sits in the tree.
+    that k matches and lowers.  The walk is breadth-first over the
+    expansion of ``successors``, which labels each result once against the
+    walk's seen set, to ``max_depth`` steps (``truncated`` tells that deeper
+    states were left).  It records every state (budget vertices removed),
+    those in which the announce rule has a redex, and, among these, those
+    where a message is in transit or a non-initiator still sits in the tree.
     ``truncated`` is the depth cap only: every rule of the walk has a simple
     left patch type, so an embedding has one adherence map at most and the
     map cap (``PGR_MAX_MAPS``) never binds.
@@ -458,15 +457,12 @@ def ds_explore(initial: DsState | Graph, max_sends_per_process: int = 2,
         depth, g = queue.popleft()
         state = _without_budgets(g)
         out.states.append(state)
-        steps, _ = successors(g, system)
-        if any(name == "announce" for name, _ in steps):
+        steps, fired, _ = _expand(g, system, seen)
+        if "announce" in fired:
             out.announce_states.append(state)
             if not announce_safe(state):
                 out.safety_violations.append(state)
-        for _, succ in steps:
-            if (key := canonical_form(succ)) not in seen:
-                seen.add(key)
-                queue.append((depth + 1, succ))
+        queue.extend((depth + 1, succ) for _, succ in steps)
     out.truncated = bool(queue)
     return out
 

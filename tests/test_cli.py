@@ -351,3 +351,93 @@ def test_round_trip_through_cli(workdir, capsys):
     result_file.write_text(out)
     code = main(["dot", str(result_file)])
     assert code == 0
+
+
+def test_graph_name_in_two_files_is_input_error(workdir, capsys):
+    (workdir / "again.pgr").write_text(HUB)
+    code = main(["validate", str(workdir / "host.pgr"), str(workdir / "again.pgr")])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: duplicate graph name 'G' across input files\n"
+
+
+def test_two_graphs_need_graph_flag(workdir, capsys):
+    (workdir / "two.pgr").write_text(HUB + HUB.replace("graph G", "graph H"))
+    argv = ["match", str(workdir / "two.pgr"), str(workdir / "rules.pgr"), "--rule", "delete"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: input holds 2 graphs; pick one with --graph\n"
+    assert main([*argv, "--graph", "H"]) == 0
+
+
+def test_unknown_system_is_input_error(workdir, capsys):
+    code = main(["normalize", str(workdir / "host.pgr"), str(workdir / "rules.pgr"),
+                 "--system", "ghost"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: unknown system 'ghost'\n"
+
+
+def test_match_warns_when_capped(tmp_path, capsys, monkeypatch):
+    # Two in-edges over two parallel placeholders give four maps; the cap is 2.
+    (tmp_path / "fan.pgr").write_text(QUASI)
+    argv = ["match", str(tmp_path / "fan.pgr"), str(tmp_path / "fan.pgr")]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith("4 redex(es)\n")
+    monkeypatch.setenv("PGR_MAX_MAPS", "2")
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: adherence map enumeration was capped\n"
+    assert captured.out.endswith("2 redex(es)\n")
+
+
+def test_apply_without_redex_is_negative_verdict(workdir, capsys):
+    code = main(["apply", str(workdir / "host.pgr"), str(workdir / "rules.pgr"),
+                 "--rule", "strict"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert (captured.out, captured.err) == ("", "no redex\n")
+
+
+def test_dot_redex_index_out_of_range(workdir, capsys):
+    code = main(["dot", str(workdir / "host.pgr"), "--rules", str(workdir / "rules.pgr"),
+                 "--rule", "delete", "--redex-index", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: redex index 1 out of range; 1 redex(es) found\n"
+
+
+def test_non_integer_bound_is_input_error(workdir, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["deadlock", str(workdir / "chain.pgr"), "--max-steps", "abc"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --max-steps: expected a non-negative integer, got 'abc'\n")
+
+
+@pytest.mark.parametrize("body, lines", [
+    ("node 0; 0: 0 -q-> 0;",
+     ["labels outside the wait-for alphabet: ['q']",
+      "vertices neither process nor request: [0]",
+      "loop 0 is not a z/s loop on a request vertex"]),
+    ("node 0; node 1; node 10; 0: 0 -s-> 10; 1: 10 -_-> 1; 2: 10 -z-> 10;",
+     ["edge 0 between distinct vertices must be unlabeled"]),
+    ("node 0; node 1; 0: 0 -_-> 1;",
+     ["edge 0 does not join a process and a request"]),
+    ("node 1; node 10; 0: 10 -_-> 1; 1: 10 -z-> 10;",
+     ["request 10 needs exactly one requester, has 0"]),
+    ("node 0; node 10; 0: 0 -_-> 10; 1: 10 -z-> 10;",
+     ["request 10 has no target"]),
+    ("node 0; node 1; node 10; 0: 0 -_-> 10; 1: 10 -_-> 1; 2: 10 -_-> 1; 3: 10 -z-> 10;",
+     ["request 10 targets a process twice"]),
+    ("node 0; node 1; node 10; 0: 0 -_-> 10; 1: 10 -_-> 0; 2: 10 -_-> 1; 3: 10 -z-> 10;",
+     ["request 10 targets its own requester"]),
+    ("node 0; node 1; node 10; node 11; 0: 0 -_-> 10; 1: 10 -_-> 1; 2: 10 -z-> 10; "
+     "3: 0 -_-> 11; 4: 11 -_-> 1; 5: 11 -z-> 11;",
+     ["process 0 has more than one outgoing request"]),
+])
+def test_each_net_violation_is_input_error(tmp_path, capsys, body, lines):
+    (tmp_path / "net.pgr").write_text(f"graph n {{ {body} }}")
+    code = main(["deadlock", str(tmp_path / "net.pgr")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "".join(f"invalid wait-for net: {line}\n" for line in lines)

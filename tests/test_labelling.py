@@ -9,6 +9,7 @@ only their names changed.  The current engine must give the same vertex
 order and certificate on every graph.
 """
 
+import random
 from collections import defaultdict, deque
 
 import pytest
@@ -237,3 +238,41 @@ def test_equal_graph_built_anew_is_searched_again(searches):
     assert searches[0] == 2
     assert canonical_form(g) == form and canonical_form(copy) == form
     assert searches[0] == 2
+
+
+def disjoint_cycles(lengths, rng=None):
+    """Disjoint directed ``a``-cycles of the given lengths; with ``rng``,
+    vertex and edge ids are shuffled."""
+    n = sum(lengths)
+    ids = list(range(n))
+    edge_ids = list(range(n))
+    if rng is not None:
+        rng.shuffle(ids)
+        rng.shuffle(edge_ids)
+    edges, start = {}, 0
+    for length in lengths:
+        for i in range(length):
+            s, t = start + i, start + (i + 1) % length
+            edges[edge_ids[s]] = (ids[s], "a", ids[t])
+        start += length
+    return Graph(ids, edges)
+
+
+@pytest.mark.parametrize("lengths", [[3, 6], [3, 3, 6], [4, 4, 8], [3, 4, 5]])
+def test_smaller_leaf_replaces_first_leaf(lengths):
+    # Refinement cannot split these regular graphs, so the search reaches
+    # leaves whose certificates differ from the first one; the form must be
+    # the smallest of them whatever the numbering.
+    rng = random.Random(sum(lengths))
+    forms = {canonical_form(disjoint_cycles(lengths, rng)) for _ in range(20)}
+    assert forms == {canonical_form(disjoint_cycles(lengths))}
+
+
+@pytest.mark.parametrize("lengths, other", [([3, 3, 6], [6, 6]), ([3, 4, 5], [4, 4, 4]),
+                                            ([3, 6], [4, 5])])
+def test_cycle_unions_of_one_size_stay_apart(lengths, other):
+    rng = random.Random(len(lengths))
+    for _ in range(5):
+        g, h = disjoint_cycles(lengths, rng), disjoint_cycles(other, rng)
+        assert canonical_form(g) != canonical_form(h)
+        assert find_isomorphism(g, h) is None

@@ -26,6 +26,7 @@ from fixtures import (
     reference_apply_at,
     sample_documents,
     sender_host,
+    set_map_cap,
     strict_delete_rule,
     three_spoke_expected,
     three_spoke_host,
@@ -698,13 +699,13 @@ class TestBruteForceOracle:
         senders = sender_host(n)
         steps.append((senders, only_redex(senders, redirect_rule())))
         calls = []
-        check = rewrite._rewrite_ok
+        check = rewrite._rewritten
 
         def counted(*args):
             calls.append(args)
             return check(*args)
 
-        monkeypatch.setattr(rewrite, "_rewrite_ok", counted)
+        monkeypatch.setattr(rewrite, "_rewritten", counted)
         for host, redex in steps:
             calls.clear()
             assert brute_force_step_oracle(host, redex) == \
@@ -723,7 +724,59 @@ class TestBruteForceOracle:
         assert brute_force_step_oracle(host, redex) == [canonical_form(result)]
 
 
+def previous_successors(host, system, dedup=True):
+    """``successors`` as it was before its body became ``_expand``."""
+    out = []
+    seen, results = set(), set()
+    truncated = False
+    for name, rule in system.items():
+        redexes, cut = find_redexes(host, rule)
+        truncated = truncated or cut
+        for redex in redexes:
+            result, _ = apply_at(host, redex)
+            if dedup:
+                if result in results:
+                    continue
+                results.add(result)
+                key = canonical_form(result)
+                if key in seen:
+                    continue
+                seen.add(key)
+            out.append((name, result))
+    return out, truncated
+
+
+def successor_sources():
+    """(host, system) pairs: the wait-for grammar on its states up to depth
+    5, the termination-detection rules on the DS states, seeded
+    deterministic and quasi rules on random hosts, and the parallel-drop
+    rule on 1 to 4 parallel edges."""
+    grammar = waitfor_grammar()
+    yield from ((g, grammar) for g in grammar_reachable(5))
+    system = dijkstra_scholten_system()
+    yield from ((g, system) for g in ds_states())
+    rng = random.Random(2718)
+    for host, rule, _ in random_instances(rng, 80):
+        yield host, {"r": rule, "q": random_quasi_rule(rng)}
+    yield from ((parallel_edge_host(n), {"drop": parallel_drop_rule()}) for n in range(1, 5))
+
+
 class TestSuccessors:
+    @pytest.mark.parametrize("dedup", [True, False])
+    def test_equal_to_previous_successors(self, dedup, monkeypatch):
+        # Names, graphs with their edge order, and the flag; a map cap of 2
+        # on every other host cuts some quasi redex lists.
+        flags = set()
+        for i, (host, system) in enumerate(successor_sources()):
+            set_map_cap(monkeypatch, 2 if i % 2 else None)
+            got, truncated = successors(host, system, dedup=dedup)
+            expected, flag = previous_successors(host, system, dedup=dedup)
+            assert [(n, list(g.edges.items()), g.vertices) for n, g in got] == \
+                [(n, list(g.edges.items()), g.vertices) for n, g in expected]
+            assert truncated == flag
+            flags.add(flag)
+        assert flags == {True, False}
+
     def test_single_rule_single_successor(self):
         host = hub_host()
         succ, truncated = successors(host, {"delete": delete_rule()})
@@ -773,6 +826,15 @@ class TestOneMapCap:
 
 
 class TestNormalize:
+    def test_step_limit_equal_to_the_steps_needed(self):
+        # The limit is only reached if a redex is left after the last step.
+        host = Graph.from_triples(range(3), [(v, "a", v) for v in range(3)])
+        nf, trace = normalize(host, {"strict": strict_delete_rule()})
+        assert len(trace) == 3
+        assert normalize(host, {"strict": strict_delete_rule()}, max_steps=3) == (nf, trace)
+        with pytest.raises(StepLimitReached):
+            normalize(host, {"strict": strict_delete_rule()}, max_steps=2)
+
     def test_normal_host_returns_itself(self):
         host = hub_host()
         nf, trace = normalize(host, {"strict": strict_delete_rule()})

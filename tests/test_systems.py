@@ -10,7 +10,7 @@ import pytest
 from fixtures import deadlock_workload_nets
 from previous_ds_explore import TOPOLOGIES, previous_walk
 
-from pgr import matching, systems
+from pgr import graph, matching, rewrite, systems
 from pgr.exceptions import AlphabetClash, SelfLoopInTopology
 from pgr.graph import EMPTY_GRAPH, Graph, canonical_form, isomorphic
 from pgr.matching import find_pattern_embeddings, find_redexes
@@ -442,6 +442,37 @@ class TestSendBudgetInTheGraph:
             assert got.truncated or depth != 0
             if sends == 2 and depth is None:
                 assert (len(got.states), len(got.announce_states)) == self.PINNED[topology]
+
+    def test_announce_does_not_depend_on_rule_order(self, monkeypatch):
+        # A copy of announce ahead of it under another name gives results
+        # equal to announce's own; the walk reads announce off the rules
+        # with a redex, not off the results that survive the dedup.
+        walk = systems._walk_rules(2)
+        reordered = {"announce-copy": walk["announce"], **walk}
+        monkeypatch.setattr(systems, "_walk_rules", lambda sends: reordered)
+        got = ds_explore(ds_initial_network(TOPOLOGIES["line3"], 0), 2)
+        assert (len(got.states), len(got.announce_states)) == self.PINNED["line3"]
+        assert got.safety_violations == []
+
+    def test_one_labelling_lookup_per_result(self, monkeypatch):
+        # Every ``canonical_form`` call of the walk labels a graph that was
+        # not labelled before: no state's form is looked up twice.
+        calls, searches = [0], [0]
+
+        def counted(count, fn):
+            def wrapped(g):
+                count[0] += 1
+                return fn(g)
+            return wrapped
+
+        for module in (rewrite, systems):
+            monkeypatch.setattr(module, "canonical_form",
+                                counted(calls, module.canonical_form))
+        monkeypatch.setattr(graph, "_canonical_labelling",
+                            counted(searches, graph._canonical_labelling))
+        for topology in ("line3", "star4"):
+            ds_explore(ds_initial_network(TOPOLOGIES[topology], 0), 2)
+        assert calls[0] == searches[0] > 689
 
     def test_states_carry_no_budget(self):
         result = ds_explore(ds_initial_network(TOPOLOGIES["star4"], 0), 1)

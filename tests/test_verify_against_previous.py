@@ -26,7 +26,7 @@ from pgr.matching import Redex, find_redexes
 from pgr.rewrite import (
     StepCertificate,
     _redex_ok,
-    _rewrite_ok,
+    _rewritten,
     apply_at,
     brute_force_step_oracle,
     verify_step,
@@ -116,7 +116,7 @@ def tampered_certificates(host, result, cert):
 
 def verdicts(host, result, cert):
     return (verify_step(host, result, cert), _redex_ok(host, cert.redex),
-            _rewrite_ok(result, cert))
+            _rewritten(cert) == result)
 
 
 def oracle(host, redex, run=brute_force_step_oracle):
