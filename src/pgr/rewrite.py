@@ -16,10 +16,11 @@ import itertools
 import random as random_module
 from dataclasses import dataclass
 
-from .exceptions import DeterminismViolation, PgrError, StepLimitReached
-from .graph import Graph, Renaming, canonical_form, find_isomorphism, patch_compose, rename_graph
+from .exceptions import DeterminismViolation, InvalidPatch, PgrError, StepLimitReached
+from .graph import (Graph, Renaming, canonical_form, find_isomorphism, patch_compose, patch_edges,
+                    rename_graph)
 from .matching import Redex, RedexSets, context_of, find_redexes
-from .rules import CONTEXT, QuasiRule, adherence_ok, match_positions
+from .rules import CONTEXT, QuasiRule, match_positions, patch_shape
 
 
 @dataclass
@@ -100,14 +101,11 @@ def _step(g: Graph, redex: Redex, fresh_base: int | None) -> StepCertificate:
 
 
 def verify_step(host: Graph, result: Graph, cert: StepCertificate) -> bool:
-    """Re-check a certificate against the declarative step conditions.
-
-    Verifies both compositions, both adherence maps, and per right type edge
-    that sigma restricts to a label-preserving, context-respecting bijection
-    onto the corresponding left patch edges.  Malformed certificates count
-    as failures rather than raising.
-    """
-    return _redex_ok(host, cert.redex) and _rewritten(cert) == result
+    """Re-check a certificate against the step conditions, on the step's
+    parts: ``_redex_ok`` reads the redex off the host, ``_result_ok`` makes
+    one pass over J' and one over M'; neither composes a graph or derives C,
+    J or M.  A malformed certificate is a failure, not an exception."""
+    return _redex_ok(host, cert.redex) and _result_ok(host, result, cert)
 
 
 def _false_on_error(check):
@@ -116,97 +114,99 @@ def _false_on_error(check):
     def guarded(*args):
         try:
             return check(*args)
-        except (PgrError, KeyError, ValueError):
+        except (PgrError, KeyError, TypeError, ValueError):
             return False
     return guarded
 
 
 @_false_on_error
 def _redex_ok(host: Graph, redex: Redex) -> bool:
-    """The left half: the decomposition composes to the host, its match is
-    the image of the left pattern, and the left map adheres."""
-    rule, d = redex.rule, redex.decomposition
-    return (patch_compose(d.context, d.patch, d.match) == host
-            and rename_graph(rule.lhs.pattern, redex.embedding) == d.match
-            and adherence_ok(d.patch, rule.lhs.ptype,
-                             match_positions(rule.lhs.pattern, redex.embedding),
-                             redex.h_l))
+    """The left half: the decomposition splits ``host``, its match is the
+    image of the left pattern, its patch ids are the edges outside the match
+    that touch it, and each patch edge's host triple adheres under ``h_l``."""
+    d, emb, pattern, types = (redex.decomposition, redex.embedding, redex.rule.lhs.pattern,
+                              redex.rule.lhs.ptype.edges)
+    vmap, at = emb.vmap, match_positions(pattern, emb)
+    return ((d._host is host or d._host == host) and at.keys() == d._mv
+            and {emb.emap[p]: (vmap[s], lab, vmap[t]) for p, (s, lab, t) in pattern.edges.items()}
+            == {e: host.edges[e] for e in d._me}
+            and redex.h_l.keys() == set(d._je) == set(patch_edges(host, d._mv, d._me))
+            and all(types.get(te) == patch_shape(host, j, at) for j, te in redex.h_l.items()))
 
 
 @_false_on_error
-def _rewritten(cert: StepCertificate) -> Graph | bool:
-    """The right half: the result that the old context, the new patch and
-    the new match compose to, if the right map adheres and sigma, defined
-    on exactly the new patch edges, passes ``_sigma_ok``; else False."""
-    rule = cert.redex.rule
-    result = patch_compose(cert.redex.decomposition.context, cert.j_prime,
-                           rename_graph(rule.rhs.pattern, cert.rhs_instance))
-    return (adherence_ok(cert.j_prime, rule.rhs.ptype,
-                         match_positions(rule.rhs.pattern, cert.rhs_instance), cert.h_r)
-            and set(cert.sigma) == set(cert.j_prime.edges)
-            and _sigma_ok(cert) and result)  # a Graph is always true
-
-
-def _sigma_ok(cert: StepCertificate) -> bool:
-    """Per right type edge, sigma is a bijection onto the old patch edges of
-    its trace image that keeps labels and the context vertex touched.  The
-    new and old patch edges are grouped by type edge once."""
-    redex = cert.redex
-    rule, patch, t_r = redex.rule, redex.decomposition.patch, redex.rule.rhs.ptype
-    new, old = {}, {}
-    for e, t in cert.h_r.items():
-        new.setdefault(t, []).append(e)
-    for j, t in redex.h_l.items():
-        old.setdefault(t, []).append(j)
-    for t in t_r.edges:
-        new_edges = new.get(t, [])
-        if sorted(cert.sigma[e] for e in new_edges) != sorted(old.get(rule.trace[t], [])):
+def _result_ok(host: Graph, result: Graph, cert: StepCertificate) -> bool:
+    """The right half: one pass over J' and one over M', each edge in the
+    result with its triple.  A new edge is the one fixed by its right type
+    edge and its sigma partner, an old patch edge in the trace image: the
+    type edge's pattern ends copied, the partner's label and, at CONTEXT,
+    the partner's context end, a context vertex.  Then sigma is onto per
+    right type edge, the old patch holds every edge at the match, and the
+    rest of the result is the host outside the old patch and match."""
+    rule, d, h_l = cert.redex.rule, cert.redex.decomposition, cert.redex.h_l
+    jp, h_r, sigma, old, new = cert.j_prime.edges, cert.h_r, cert.sigma, host.edges, result.edges
+    pattern, inst, je, cv = rule.rhs.pattern, cert.rhs_instance, set(d._je), host.vertices - d._mv
+    ends = dict(inst.vmap)  # and CONTEXT, per new edge, to its partner's context end
+    m_v = {ends[p] for p in pattern.vertices}
+    m_e = {inst.emap[p]: (ends[s], lab, ends[t]) for p, (s, lab, t) in pattern.edges.items()}
+    plan, per_left, pairs = {}, {}, set()  # per_left: right type edges per trace image
+    for t, left, ts, tt, slot in rule._step_plan[2]:
+        plan[t], per_left[left] = (left, ts, tt, slot), per_left.get(left, 0) + 1
+    for e, triple in jp.items():
+        te, j = h_r[e], sigma[e]
+        (left, ts, tt, slot), partner = plan[te], old[j]
+        if slot is not None:
+            ends[CONTEXT] = partner[slot]
+        if not (j in je and h_l.get(j) == left and (slot is None or ends[CONTEXT] in cv)
+                and new.get(e) == triple == (ends[ts], partner[1], ends[tt])):
             return False
-        for e in new_edges:
-            j = cert.sigma[e]
-            if cert.j_prime.label(e) != patch.label(j):
-                return False
-            if not (context_of(e, cert.h_r, cert.j_prime, t_r)
-                    <= context_of(j, redex.h_l, patch, rule.lhs.ptype)):
-                return False
-    return True
+        pairs.add((te, j))
+    rest, gone = dict(new), je | d._me
+    for e in itertools.chain(jp, m_e):
+        del rest[e]
+    if not (h_r.keys() == sigma.keys() == jp.keys()
+            and len(pairs) == len(jp) == sum(map(per_left.get, h_l.values(), itertools.repeat(0)))
+            and all(new[e] == triple for e, triple in m_e.items())
+            and cert.j_prime.vertices == {x for s, _, t in jp.values() for x in (s, t)}
+            and cv.isdisjoint(m_v) and result.vertices == cv | m_v
+            and je.issuperset(patch_edges(host, d._mv, d._me)) and rest.keys().isdisjoint(gone)):
+        return False
+    rest.update((e, old[e]) for e in gone if e in old)
+    return rest == old
 
 
 def brute_force_step_oracle(host: Graph, redex: Redex) -> list[Graph]:
-    """The result the step conditions allow, derived from them alone.
+    """The result the step conditions allow, derived from them alone: ``[]``
+    or its canonical form.
 
-    The left half of ``verify_step`` checks the redex first; a failing one
-    yields ``[]``.  The conditions then fix the new patch up to the
-    numbering of its edges: per right type edge, sigma pairs one new edge
-    with each old edge of its trace image, and the new edge keeps that
-    edge's label, takes the copies of the type edge's pattern ends, and, at
-    CONTEXT, must touch the context vertex its old edge touches.  So one
-    candidate is built, its new edges numbered after the right-pattern
-    instance, and the right half of ``verify_step`` composes and decides it
-    at once: the result is ``[]`` or its canonical form.  No other context
-    end or pairing can pass ``_sigma_ok``, and a candidate that passes with
-    another label arrangement is this one with its new edges renumbered.
+    A redex that fails the left half of ``verify_step`` yields ``[]``.  The
+    conditions fix the new patch up to the numbering of its edges: per right
+    type edge, sigma pairs one new edge with each old edge of its trace
+    image, and the new edge keeps that edge's label, takes the copies of the
+    type edge's pattern ends and, at CONTEXT, the context vertex its old
+    edge touches.  So one candidate is built, its new edges numbered after
+    the right-pattern instance, composed with ``patch_compose`` (an
+    ``InvalidPatch`` yields ``[]``) and decided by the right half.  Another
+    pairing or label arrangement gives it up to the numbering of new edges.
     """
     if not _redex_ok(host, redex):
         return []
-    rule, d = redex.rule, redex.decomposition
+    rule, d, h_l = redex.rule, redex.decomposition, redex.h_l
     counter = itertools.count(max(host.max_id(), rule.rhs.pattern.max_id()) + 1)
-    inst = _instantiate_rhs(rule, counter)
-
-    by_left: dict[int, list[int]] = {}
-    for j in sorted(d.patch.edges):
-        by_left.setdefault(redex.h_l[j], []).append(j)
-    jp_edges, h_r, sigma = {}, {}, {}
+    inst, jp_edges, h_r, sigma = _instantiate_rhs(rule, counter), {}, {}, {}
     for t, type_ends in sorted(rule.rhs.ptype.edges.items()):
-        for j in by_left.get(rule.trace[t], []):
-            ctx = context_of(j, redex.h_l, d.patch, rule.lhs.ptype)
+        for j in sorted(j for j, left in h_l.items() if left == rule.trace[t]):
+            ctx = context_of(j, h_l, d.patch, rule.lhs.ptype)
             s, t2 = (min(ctx) if x == CONTEXT else inst.vmap[x] for x in type_ends)
             e = next(counter)
             jp_edges[e], h_r[e], sigma[e] = (s, d.patch.label(j), t2), t, j
-
     j_prime = Graph({x for s, _, t2 in jp_edges.values() for x in (s, t2)}, jp_edges)
-    candidate = _rewritten(StepCertificate(redex, inst, j_prime, h_r, sigma))
-    return [] if candidate is False else [canonical_form(candidate)]
+    try:
+        candidate = patch_compose(d.context, j_prime, rename_graph(rule.rhs.pattern, inst))
+    except InvalidPatch:
+        return []
+    cert = StepCertificate(redex, inst, j_prime, h_r, sigma)
+    return [canonical_form(candidate)] if _result_ok(host, candidate, cert) else []
 
 
 def successors(host: Graph, system: dict[str, QuasiRule],

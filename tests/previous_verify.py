@@ -1,12 +1,14 @@
-"""The certificate checks as they were before each became one pass over
-the parts it reads: ``validate_patch`` with a scan per condition,
-``patch_compose`` through the checked ``Graph(...)``, ``adherence_ok`` on
-key sets, and ``_sigma_ok`` rescanning both maps per right type
-edge.  ``previous_checks()`` runs ``verify_step`` and its two halves on
-them, so each verdict can be compared with today's.  ``previous_oracle``
-is the oracle as it was before it built each new patch edge from the old
-edge it pairs with: it tries every arrangement of the old labels, every
-choice of context ends and, per candidate, every pairing.
+"""The certificate checks as they were before each became a check on the
+step's parts: ``_redex_ok``, which composed C, J and M back into the host,
+and ``_rewritten``, which composed C, J' and M' into the result, on
+``validate_patch`` with a scan per condition, ``patch_compose`` through the
+checked ``Graph(...)``, ``adherence_ok`` on key sets, and ``_sigma_ok``
+rescanning both maps per right type edge.  ``previous_checks()`` swaps both
+halves into ``rewrite``, so ``verify_step`` and each half give their old
+verdicts there.  ``previous_oracle`` is the oracle as it was before it built
+each new patch edge from the old edge it pairs with: it tries every
+arrangement of the old labels, every choice of context ends and, per
+candidate, every pairing.
 """
 
 import contextlib
@@ -89,12 +91,43 @@ def _sigma_ok(cert: StepCertificate) -> bool:
     return True
 
 
+@_false_on_error
+def _redex_ok(host: Graph, redex: Redex) -> bool:
+    """The left half: the decomposition composes to the host, its match is
+    the image of the left pattern, and the left map adheres."""
+    rule, d = redex.rule, redex.decomposition
+    return (patch_compose(d.context, d.patch, d.match) == host
+            and rename_graph(rule.lhs.pattern, redex.embedding) == d.match
+            and adherence_ok(d.patch, rule.lhs.ptype,
+                             match_positions(rule.lhs.pattern, redex.embedding),
+                             redex.h_l))
+
+
+@_false_on_error
+def _rewritten(cert: StepCertificate) -> Graph | bool:
+    """The right half: the result that the old context, the new patch and
+    the new match compose to, if the right map adheres and sigma, defined
+    on exactly the new patch edges, passes ``_sigma_ok``; else False."""
+    rule = cert.redex.rule
+    result = patch_compose(cert.redex.decomposition.context, cert.j_prime,
+                           rename_graph(rule.rhs.pattern, cert.rhs_instance))
+    return (adherence_ok(cert.j_prime, rule.rhs.ptype,
+                         match_positions(rule.rhs.pattern, cert.rhs_instance), cert.h_r)
+            and set(cert.sigma) == set(cert.j_prime.edges)
+            and _sigma_ok(cert) and result)  # a Graph is always true
+
+
+def _result_ok(host: Graph, result: Graph, cert: StepCertificate) -> bool:
+    """The right half as a verdict; it reads the host through the
+    decomposition, as the composition did."""
+    return _rewritten(cert) == result
+
+
 @contextlib.contextmanager
 def previous_checks():
-    """Within the block, ``rewrite`` checks certificates with the functions
-    above."""
-    names = {"patch_compose": patch_compose, "adherence_ok": adherence_ok,
-             "_sigma_ok": _sigma_ok}
+    """Within the block, ``rewrite`` checks certificates with the halves
+    above, and the oracle composes with the ``patch_compose`` above."""
+    names = {"_redex_ok": _redex_ok, "_result_ok": _result_ok, "patch_compose": patch_compose}
     saved = {name: getattr(rewrite, name) for name in names}
     try:
         for name, fn in names.items():
@@ -127,9 +160,9 @@ def previous_oracle(host: Graph, redex: Redex, size_bound: int = 12) -> list[Gra
     labels in every distinct arrangement and every choice of context ends;
     each candidate goes once through ``_candidate_ok`` and then through
     ``_sigma_ok`` with every per-type-edge bijection until one passes.
-    Its new patch edges are numbered from the fresh base plus 1000.  Run it
-    within ``previous_checks()`` to check the redex as it was checked too."""
-    if not rewrite._redex_ok(host, redex):
+    Its new patch edges are numbered from the fresh base plus 1000; the
+    redex is checked by the old left half."""
+    if not _redex_ok(host, redex):
         return []
     rule = redex.rule
     d = redex.decomposition

@@ -1,6 +1,7 @@
 """Rewrite engine: step construction, verification, oracle, normalization."""
 
 import copy
+import dataclasses
 import itertools
 import random
 
@@ -589,9 +590,24 @@ class TestVerifyStep:
         assert not verify_step(host, result, cert)
         assert brute_force_step_oracle(host, short) == []
 
+    @pytest.mark.parametrize("bad", ["x", [1], None])
+    def test_malformed_map_values_are_failures(self, bad):
+        # A value of the wrong type in sigma, h_r or h_l fails the check; it
+        # must not raise, even where a check sorts or hashes the values.
+        host = parallel_edge_host(3)
+        redex = find_redexes(host, parallel_drop_rule())[0][0]
+        result, cert = apply_at(host, redex)
+        e, j = min(cert.sigma), min(redex.h_l)
+        left = tampered_left(redex, h_l={**redex.h_l, j: bad})
+        for tampered in (dataclasses.replace(cert, sigma={**cert.sigma, e: bad}),
+                         dataclasses.replace(cert, h_r={**cert.h_r, e: bad}),
+                         dataclasses.replace(cert, redex=left)):
+            assert verify_step(host, result, tampered) is False
+        assert brute_force_step_oracle(host, left) == []
+
     def test_parallel_drop_steps_build_no_checked_graph(self, monkeypatch):
-        # Counted: verification composes C, J' and M' from graphs it has
-        # validated, so it builds no graph through the checked constructor.
+        # Counted: verification composes no graph, so it builds none
+        # through the checked constructor.
         steps = []
         for n in range(1, 7):
             host = parallel_edge_host(n)
@@ -699,13 +715,13 @@ class TestBruteForceOracle:
         senders = sender_host(n)
         steps.append((senders, only_redex(senders, redirect_rule())))
         calls = []
-        check = rewrite._rewritten
+        check = rewrite._result_ok
 
         def counted(*args):
             calls.append(args)
             return check(*args)
 
-        monkeypatch.setattr(rewrite, "_rewritten", counted)
+        monkeypatch.setattr(rewrite, "_result_ok", counted)
         for host, redex in steps:
             calls.clear()
             assert brute_force_step_oracle(host, redex) == \

@@ -2,9 +2,12 @@
 the verdicts of ``verify_step`` and its two halves on genuine and tampered
 certificates, the oracle's outputs on their redexes (against
 ``previous_oracle``), and the messages of ``validate_patch`` and
-``patch_compose`` on parts that break each condition in turn."""
+``patch_compose`` on parts that break each condition in turn.  Also that
+``verify_step`` derives no part of a decomposition, on those steps and on
+a large ring."""
 
 import random
+from dataclasses import replace
 
 import previous_verify as previous
 from previous_verify import previous_checks
@@ -20,17 +23,17 @@ from fixtures import (
     sample_documents,
     sender_host,
 )
+from pgr import rewrite
 from pgr.exceptions import InvalidPatch, PgrError
-from pgr.graph import Graph, PatchDecomposition, decompose_at, patch_compose, validate_patch
+from pgr.graph import (Graph, PatchDecomposition, Renaming, decompose_at, patch_compose,
+                       validate_patch)
 from pgr.matching import Redex, find_redexes
 from pgr.rewrite import (
-    StepCertificate,
-    _redex_ok,
-    _rewritten,
     apply_at,
     brute_force_step_oracle,
     verify_step,
 )
+from pgr.rules import CONTEXT, build_rule
 
 VARIANTS = 3  # tampered certificates of each kind per genuine one
 
@@ -66,8 +69,8 @@ def with_left(redex, h_l):
 
 def tampered_redexes(redex):
     """The redex itself, then its left map with one entry re-pointed to
-    another left type edge, and with one entry dropped, and its patch ids
-    and left map both without that entry."""
+    another left type edge, and with one entry dropped, its patch ids and
+    left map both without that entry, and its patch ids alone without it."""
     yield redex
     types = sorted(redex.rule.lhs.ptype.edges)
     repointed = [with_left(redex, {**redex.h_l, j: other})
@@ -81,22 +84,22 @@ def tampered_redexes(redex):
         missed = PatchDecomposition(d._host, d.match.vertices, frozenset(d.match.edges),
                                     sorted(short))
         yield Redex(redex.rule, redex.embedding, missed, short)
+        yield Redex(redex.rule, redex.embedding, missed, redex.h_l)
 
 
 def tampered_certificates(host, result, cert):
     """(host, result, certificate) triples: the genuine one, each redex of
-    ``tampered_redexes`` (the one that misses a patch id also with the step
-    ``apply_at`` takes there, which leaves that edge dangling), re-pointed
-    right map entries, swapped sigma values, an extra sigma key, and a wrong
-    host."""
+    ``tampered_redexes`` (those whose left map is total on their patch ids
+    also with the step ``apply_at`` takes there, which may leave an edge
+    dangling or put a new edge's context end on the match), re-pointed
+    right map entries, swapped sigma values, an extra sigma key, a wrong
+    host, and ``tampered_parts``."""
     def with_cert(**parts):
-        fields = dict(redex=cert.redex, rhs_instance=cert.rhs_instance,
-                      j_prime=cert.j_prime, h_r=cert.h_r, sigma=cert.sigma)
-        return host, result, StepCertificate(**{**fields, **parts})
+        return host, result, replace(cert, **parts)
 
     for redex in tampered_redexes(cert.redex):
         yield with_cert(redex=redex)
-        if redex.decomposition is not cert.redex.decomposition:
+        if redex is not cert.redex and redex.h_l.keys() == set(redex.decomposition._je):
             yield host, *apply_at(host, redex)
     types = sorted(cert.redex.rule.rhs.ptype.edges)
     repointed = [{**cert.h_r, e: other}
@@ -112,11 +115,72 @@ def tampered_certificates(host, result, cert):
     extra = host.max_id() + 1
     yield Graph(host.vertices | {extra}, host.edges), result, cert
     yield result, host, cert
+    yield from tampered_parts(host, result, cert)
+
+
+def tampered_parts(host, result, cert):
+    """Tamperings that a check on the step's parts must look for itself: an
+    extra vertex in the result, and one in J'; an old patch edge kept
+    in the result; a context edge dropped or relabelled; a new match edge
+    relabelled; a new patch edge re-ended at another context vertex in J'
+    and the result alike; a new match vertex moved onto a context vertex
+    everywhere; and patch ids that repeat one id."""
+    d = cert.redex.decomposition
+    extra = result.max_id() + 1
+    yield host, Graph._trusted(result.vertices | {extra}, result.edges), cert
+    yield host, result, replace(cert, j_prime=Graph._trusted(cert.j_prime.vertices | {extra},
+                                                             cert.j_prime.edges))
+    if d._je:
+        yield host, Graph._trusted(result.vertices, {**result.edges,
+                                                     d._je[0]: host.edges[d._je[0]]}), cert
+    context = sorted(e for e in host.edges if e not in d._me and e not in d._je)
+    if context:
+        e = context[0]
+        s, lab, t = result.edges[e]
+        for edges in ({k: v for k, v in result.edges.items() if k != e},
+                      {**result.edges, e: (s, lab + "'", t)}):
+            yield host, Graph._trusted(result.vertices, edges), cert
+    if cert.redex.rule.rhs.pattern.edges:
+        e = cert.rhs_instance.emap[min(cert.redex.rule.rhs.pattern.edges)]
+        s, lab, t = result.edges[e]
+        yield host, Graph._trusted(result.vertices, {**result.edges, e: (s, lab + "'", t)}), cert
+    others = sorted(host.vertices - d._mv)
+    t_r = cert.redex.rule.rhs.ptype.edges
+    for e, (s, lab, t) in sorted(cert.j_prime.edges.items()):
+        ts, tt = t_r[cert.h_r[e]]
+        moved = [v for v in others if v != (s if ts == CONTEXT else t)]
+        if CONTEXT in (ts, tt) and moved:
+            triple = (moved[0], lab, t) if ts == CONTEXT else (s, lab, moved[0])
+            yield (host, Graph._trusted(result.vertices, {**result.edges, e: triple}),
+                   replace(cert, j_prime=patch_graph({**cert.j_prime.edges, e: triple})))
+            break
+    inst = cert.rhs_instance
+    if others and inst.vmap:
+        p = min(inst.vmap)
+        v, c = inst.vmap[p], others[0]
+
+        def move(edges):
+            return {e: (c if a == v else a, lab, c if b == v else b)
+                    for e, (a, lab, b) in edges.items()}
+        yield (host, Graph._trusted((result.vertices - {v}) | {c}, move(result.edges)),
+               replace(cert, rhs_instance=Renaming({**inst.vmap, p: c}, inst.emap),
+                       j_prime=patch_graph(move(cert.j_prime.edges))))
+    if d._je:
+        repeated = PatchDecomposition(d._host, d._mv, d._me, [*d._je, d._je[0]])
+        yield host, result, replace(cert, redex=replace(cert.redex, decomposition=repeated))
+
+
+def patch_graph(edges):
+    """A patch graph: the given edges and their ends."""
+    return Graph._trusted(frozenset(x for s, _, t in edges.values() for x in (s, t)), edges)
 
 
 def verdicts(host, result, cert):
-    return (verify_step(host, result, cert), _redex_ok(host, cert.redex),
-            _rewritten(cert) == result)
+    """Each half is looked up on ``rewrite`` at the call, so that
+    ``previous_checks()`` swaps it; the right half reads the host that the
+    decomposition splits, which the left half checks is ``host``."""
+    return (verify_step(host, result, cert), rewrite._redex_ok(host, cert.redex),
+            rewrite._result_ok(cert.redex.decomposition._host, result, cert))
 
 
 def oracle(host, redex, run=brute_force_step_oracle):
@@ -148,6 +212,40 @@ def test_oracle_outputs_equal_the_previous_checks():
                 assert got == oracle(host, tampered, previous.previous_oracle)
             outputs.add(got == [])
     assert outputs == {True, False}
+
+
+def ring_step(n):
+    """The ring of ``perfbench/scaling.py``: n vertices with an a-loop each,
+    joined in a ring by b-edges (ids n to 2n-1, i -b-> i+1), and the rule
+    that drops an a-loop and keeps the vertex's other edges; the step at
+    vertex n // 2."""
+    host = Graph.from_triples(range(n), [(i, "a", i) for i in range(n)]
+                              + [(i, "b", (i + 1) % n) for i in range(n)])
+    rule = build_rule(Graph([0], [(0, 0, "a", 0)]), {"in": (CONTEXT, 0), "out": (0, CONTEXT)},
+                      Graph([10]), [(CONTEXT, 10, "in"), (10, CONTEXT, "out")])
+    return host, *apply_at(host, find_redexes(host, rule)[0][n // 2])
+
+
+def test_verify_step_derives_no_part(monkeypatch):
+    # Both halves read the host and the certificate; neither derives the
+    # decomposition's C, J or M, so the check costs the step, not the host.
+    steps = [(host, *apply_at(host, redex)) for host, redex in step_sources()]
+    steps.append(ring_step(3200))
+
+    def derived(self):
+        raise AssertionError("verify_step derived a part of the decomposition")
+
+    for part in ("context", "patch", "match"):
+        monkeypatch.setattr(PatchDecomposition, part, property(derived))
+    assert all(verify_step(*step) for step in steps)
+
+
+def test_ring_result_missing_a_far_context_edge_is_rejected():
+    n = 3200
+    host, result, cert = ring_step(n)
+    for far in (0, n):  # the a-loop at 0 and the b-edge 0 -> 1, far from n // 2
+        edges = {e: triple for e, triple in result.edges.items() if e != far}
+        assert not verify_step(host, Graph._trusted(result.vertices, edges), cert)
 
 
 def broken_parts(rng, kind):
