@@ -386,7 +386,7 @@ def decompose_at(g: Graph, match_vertices: Iterable[int], match_edges: Iterable[
 
 
 def _refine(adj, lab, pos, cell, end, splitters) -> None:
-    """Split cells in place until the partition is equitable.
+    """Split cells in place until the partition is equitable; stop once it is discrete.
 
     Splitting by a cell W gives each vertex the multiset of keys of its
     edges to W (label and direction, loops apart; multiplicity counts).
@@ -397,7 +397,8 @@ def _refine(adj, lab, pos, cell, end, splitters) -> None:
     """
     queue = deque(splitters)
     pending = set(splitters)
-    while queue:
+    n, cells = len(lab), len(set(cell))
+    while queue and cells < n:
         w = queue.popleft()
         pending.discard(w)
         keys = defaultdict(list)
@@ -430,6 +431,7 @@ def _refine(adj, lab, pos, cell, end, splitters) -> None:
                 cell[y] = starts[-1]
             for s, b in zip(starts, starts[1:] + [e]):
                 end[s] = b
+            cells += len(starts) - 1
             largest = c if c in pending else max(starts, key=lambda s: end[s] - s)
             fresh = [s for s in starts if s != largest]
             pending.update(fresh)

@@ -47,7 +47,8 @@ def _embedding_key(r: Renaming):
 
 class _Matcher:
     """What a search needs of a pattern and its left patch type, if any;
-    built once per left scheme (``PatchType._matcher``), else per call.
+    built once per left scheme (``PatchType._matcher``), else per call;
+    ``labels`` are the pattern's, all of which a host with a match has.
     ``needs[v]``: ``(key, n, op)``, the image of v has ``op`` (eq or ge) n
     edges counted by ``Graph.edge_counts`` under key: at least the pattern's
     count per side and label, and with a type exactly the pattern's on each
@@ -55,6 +56,7 @@ class _Matcher:
 
     def __init__(self, pattern: Graph, ptype: PatchType | None):
         self.pattern, self.vertices, self.plans = pattern, sorted(pattern.vertices), {}
+        self.labels = pattern.labels()
         self.groups = sorted(Counter(pattern.edges.values()).items())  # per triple
         self.edges = sorted(pattern.edges, key=lambda e: (pattern.edges[e], e))  # in that order
         shapes = ptype.by_shape() if ptype is not None else {}
@@ -151,7 +153,8 @@ def find_pattern_embeddings(host: Graph, pattern: Graph, ptype: PatchType | None
     roots a search at each pattern vertex whose needs it meets, and tried
     anchors stay out of the image: only embeddings that meet ``anchors``
     are listed, each once.  The empty pattern has one (empty) embedding,
-    which meets no anchor.  Results come in a canonical order:
+    which meets no anchor.  A pattern label that the host's label index
+    lacks gives ``[]`` before any search.  Results come in a canonical order:
     lexicographic on (sorted image vertices, sorted image edges, then the
     maps themselves); ``ptype`` and ``anchors`` only remove entries.
     """
@@ -168,6 +171,9 @@ def _embeddings(host: Graph, pattern: Graph, ptype: PatchType | None,
     else:
         m = ptype._matcher = ptype._matcher or _Matcher(pattern, ptype)
     _, _, index, host_counts = host._indexes()
+    if not m.labels <= index.keys():
+        return []
+    best = {}  # rarest(v) per pattern vertex, worked out on first ask
 
     def fits(v, w):
         counts = host_counts[w]
@@ -177,13 +183,15 @@ def _embeddings(host: Graph, pattern: Graph, ptype: PatchType | None,
         return True
 
     def rarest(v):
-        return min(((len(index.get(lab, ())), lab, side) for (side, lab), _, _ in m.needs[v]
-                    if lab is not None), default=(len(host.edges) + 1, None, None))
+        if v not in best:
+            best[v] = min(((len(index[lab]), lab, side) for (side, lab), _, _ in m.needs[v]
+                           if lab is not None), default=(len(host.edges) + 1, None, None))
+        return best[v]
 
     def scan(v):
         _, lab, side = rarest(v)
         return (sorted(host.vertices) if lab is None else dict.fromkeys(
-            host.edges[e][0 if side == "out" else 2] for e in index.get(lab, ())))
+            host.edges[e][0 if side == "out" else 2] for e in index[lab]))
 
     if anchors is None:
         root = min(m.vertices, key=lambda v: (rarest(v)[0], v))

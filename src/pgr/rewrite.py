@@ -20,7 +20,7 @@ from .exceptions import DeterminismViolation, InvalidPatch, PgrError, StepLimitR
 from .graph import (Graph, Renaming, canonical_form, find_isomorphism, patch_compose, patch_edges,
                     rename_graph)
 from .matching import Redex, RedexSets, context_of, find_redexes
-from .rules import CONTEXT, QuasiRule, match_positions, patch_shape
+from .rules import CONTEXT, QuasiRule, match_positions, patch_shapes
 
 
 @dataclass
@@ -131,7 +131,7 @@ def _redex_ok(host: Graph, redex: Redex) -> bool:
             and {emb.emap[p]: (vmap[s], lab, vmap[t]) for p, (s, lab, t) in pattern.edges.items()}
             == {e: host.edges[e] for e in d._me}
             and redex.h_l.keys() == set(d._je) == set(patch_edges(host, d._mv, d._me))
-            and all(types.get(te) == patch_shape(host, j, at) for j, te in redex.h_l.items()))
+            and list(map(types.get, redex.h_l.values())) == patch_shapes(host, redex.h_l, at))
 
 
 @_false_on_error
@@ -213,9 +213,9 @@ def successors(host: Graph, system: dict[str, QuasiRule],
                dedup: bool = True) -> tuple[list[tuple[str, Graph]], bool]:
     """All one-step results over all rules of the system, in rule order.
 
-    With ``dedup`` the list keeps one representative per isomorphism class.
-    The flag tells whether some redex list was cut off at the map cap
-    (``PGR_MAX_MAPS``), so results may be missing.
+    With ``dedup`` the list keeps one representative per isomorphism class
+    (see ``_expand``); without it, every redex is applied.  The flag tells
+    whether some redex list was cut off at the map cap (``PGR_MAX_MAPS``).
     """
     out, _, truncated = _expand(host, system, set() if dedup else None)
     return out, truncated
@@ -224,13 +224,21 @@ def successors(host: Graph, system: dict[str, QuasiRule],
 def _expand(host: Graph, system: dict[str, QuasiRule],
             seen: set[Graph] | None) -> tuple[list[tuple[str, Graph]], set[str], bool]:
     """``successors`` and the names of the rules with a redex; with a ``seen``
-    set, a result is kept only if its canonical form is new, and adds it."""
+    set, a result is kept only if its canonical form is new, and adds it.
+    There a deterministic rule steps once per vertex map: its other redexes
+    only swap parallel host edges of equal triples, a host automorphism, so
+    the seen set would drop their results.  A result equal to an earlier one
+    of the call is skipped before it is labelled."""
     out, fired, results, truncated = [], set(), set(), False
     for name, rule in system.items():
         redexes, cut = find_redexes(host, rule)
         truncated = truncated or cut
         if redexes:
             fired.add(name)
+        if seen is not None and rule.deterministic:  # the first redex per vertex map
+            first = {}
+            redexes = [r for r in redexes
+                       if first.setdefault(frozenset(r.embedding.vmap.items()), r) is r]
         for redex in redexes:
             result, _ = apply_at(host, redex)
             if seen is not None:

@@ -137,7 +137,7 @@ class QuasiRule:
         if violations:
             raise InvalidRule(violations)
 
-    @property
+    @functools.cached_property
     def deterministic(self) -> bool:
         return self.lhs.ptype.is_simple()
 
@@ -220,12 +220,12 @@ def match_positions(pattern: Graph, ren: Renaming) -> dict[int, int]:
     return {ren.vmap[p]: p for p in pattern.vertices}
 
 
-def patch_shape(j: Graph, e: int, at: Mapping[int, int]) -> tuple[Endpoint, Endpoint]:
-    """Patch edge ``e`` of ``j`` (the patch or its host) read through ``at``
-    (match vertex to pattern vertex), every endpoint off the match read as
-    CONTEXT: the type edge it must be a copy of to adhere."""
-    s, _, t = j.edges[e]
-    return (at.get(s, CONTEXT), at.get(t, CONTEXT))
+def patch_shapes(j: Graph, es: Iterable[int],
+                 at: Mapping[int, int]) -> list[tuple[Endpoint, Endpoint]]:
+    """Each patch edge of ``es`` in ``j`` (the patch or its host) read
+    through ``at`` (match vertex to pattern vertex), every endpoint off the
+    match read as CONTEXT: the type edge it must be a copy of to adhere."""
+    return [(at.get(s, CONTEXT), at.get(t, CONTEXT)) for s, _, t in map(j.edges.__getitem__, es)]
 
 
 def adherence_maps(g: Graph, patch: list[int], ptype: PatchType, at: Mapping[int, int],
@@ -240,12 +240,9 @@ def adherence_maps(g: Graph, patch: list[int], ptype: PatchType, at: Mapping[int
     read the cap, ``default_map_cap()`` (``PGR_MAX_MAPS``), once per call.
     An empty list means the patch does not adhere at all.
     """
-    candidates, by_shape = [], ptype.by_shape()
-    for e in patch:
-        cands = by_shape.get(patch_shape(g, e, at))
-        if cands is None:
-            return [], False
-        candidates.append(cands)
+    candidates = list(map(ptype.by_shape().get, patch_shapes(g, patch, at)))
+    if None in candidates:
+        return [], False
     maps = [dict(zip(patch, combo))
             for combo in itertools.islice(itertools.product(*candidates), cap)]
     return maps, math.prod(map(len, candidates)) > cap
@@ -262,9 +259,8 @@ def adherence_ok(j: Graph, ptype: PatchType, at: Mapping[int, int],
                  mapping: Mapping[int, int]) -> bool:
     """Check a given map: total on the patch, and every patch edge, read
     through ``at``, has the shape of its type edge."""
-    types = ptype.edges
-    return mapping.keys() == j.edges.keys() and all(
-        types.get(te) == patch_shape(j, e, at) for e, te in mapping.items())
+    return mapping.keys() == j.edges.keys() and \
+        list(map(ptype.edges.get, mapping.values())) == patch_shapes(j, mapping, at)
 
 
 # -- shorthand notation ------------------------------------------------------

@@ -20,7 +20,7 @@ from pgr.exceptions import InvalidPatch, PgrError
 from pgr.graph import Graph, canonical_form, rename_graph
 from pgr.matching import Redex, context_of
 from pgr.rewrite import StepCertificate, _false_on_error, _instantiate_rhs
-from pgr.rules import CONTEXT, PatchType, match_positions, patch_shape
+from pgr.rules import CONTEXT, PatchType, match_positions
 
 
 def validate_patch(c: Graph, j: Graph, m: Graph) -> list[str]:
@@ -65,7 +65,8 @@ def adherence_ok(j: Graph, ptype: PatchType, at: Mapping[int, int],
     through ``at``, has the shape of its type edge."""
     if set(mapping) != set(j.edges):
         return False
-    return all(te in ptype.edges and patch_shape(j, e, at) == ptype.edges[te]
+    return all(te in ptype.edges and
+               (at.get(j.edges[e][0], CONTEXT), at.get(j.edges[e][2], CONTEXT)) == ptype.edges[te]
                for e, te in mapping.items())
 
 

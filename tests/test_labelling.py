@@ -182,6 +182,34 @@ def test_labelling_matches_reference():
     assert cases == 480 + 66 + 4
 
 
+class Adjacency(list):
+    """An adjacency list that counts its reads, and raises past ``limit``."""
+
+    def __init__(self, rows, limit):
+        super().__init__(rows)
+        self.reads, self.limit = 0, limit
+
+    def __getitem__(self, x):
+        self.reads += 1
+        if self.reads > self.limit:
+            raise AssertionError(f"adjacency read {self.reads} times")
+        return super().__getitem__(x)
+
+
+def test_refine_reads_no_adjacency_once_discrete():
+    # A discrete partition has nothing to split, pending splitters or not.
+    n = 4
+    node = list(range(n)), list(range(n)), list(range(n)), list(range(1, n + 1))
+    graph._refine(Adjacency([[]] * n, 0), *node, list(range(n)))
+    assert node == (list(range(n)),) * 3 + (list(range(1, n + 1)),)
+    # An a-path splits into singletons in the first pass, over its one
+    # cell; the fragments it queues are never read.
+    adj = Adjacency([[(0, 1)], [(1, 0), (0, 2)], [(1, 1)]], 3)
+    node = [0, 1, 2], [0, 1, 2], [0, 0, 0], [3, 3, 3]
+    graph._refine(adj, *node, [0])
+    assert adj.reads == 3 and sorted(node[2]) == [0, 1, 2]
+
+
 @pytest.fixture
 def searches(monkeypatch):
     """Count the labelling searches run through ``graph._canonical_labelling``."""

@@ -24,10 +24,10 @@ from fixtures import (
 from previous_search import previous_embeddings
 from test_matching import reference_embeddings
 
-from pgr import matching, rewrite
+from pgr import matching, rewrite, systems
 from pgr.exceptions import StepLimitReached
 from pgr.graph import Graph
-from pgr.matching import find_pattern_embeddings
+from pgr.matching import find_pattern_embeddings, find_redexes
 from pgr.rewrite import normalize
 from pgr.rules import CONTEXT, PatchType
 from pgr.systems import deadlock_rules, detect_deadlock, dijkstra_scholten_system
@@ -54,6 +54,28 @@ def assert_like_previous(rng, host, rule):
         assert find_pattern_embeddings(host, pattern, None, anchors) == [
             e for e in full if anchors is None or not anchors.isdisjoint(e.image_vertices())]
     return listed
+
+
+class TestMissingLabel:
+    def test_no_search_for_a_label_the_host_lacks(self, monkeypatch):
+        # ``snd-b-2`` needs a ``left-2`` loop, which a state with one send
+        # left per process lacks: no vertex map is searched, anchored or not.
+        calls, maps = [0], matching._vertex_maps
+        rule, state = systems._walk_rules(2)["snd-b-2"], ds_states()[0]
+        pattern, ptype = rule.lhs.pattern, rule.lhs.ptype
+
+        def counted(*args):
+            calls[0] += 1
+            return maps(*args)
+
+        monkeypatch.setattr(matching, "_vertex_maps", counted)
+        spent = systems._with_budgets(state, 1)
+        assert "left-2" not in spent.labels()
+        for anchors in (None, set(spent.vertices)):
+            for t in (None, ptype):
+                assert find_pattern_embeddings(spent, pattern, t, anchors) == []
+        assert find_redexes(spent, rule) == ([], False) and calls[0] == 0
+        assert find_redexes(systems._with_budgets(state, 2), rule)[0] and calls[0] == 1
 
 
 class TestAgainstPreviousSearch:

@@ -25,7 +25,7 @@ from fixtures import (
     shallow_recursion,
     strict_delete_rule,
 )
-from pgr import matching, rewrite, rules
+from pgr import matching, rewrite, rules, systems
 from pgr.exceptions import NotASubgraph
 from pgr.graph import (
     EMPTY_GRAPH,
@@ -438,14 +438,23 @@ class TestNoGraphsPerEmbedding:
 
     def test_walk_derives_parts_only_for_applied_redexes(self, monkeypatch):
         # A derived part is cached in the decomposition's instance dict.  The
-        # walk steps through ``successors``, which applies every redex it
-        # lists: a spent sender has no send redex to skip.  A step reads
-        # the patch off the host, so no redex derives J or M.
-        listed, applied = [], []
-        search, step = rewrite.find_redexes, rewrite.apply_at
+        # walk steps through ``_expand``, which applies, in order, every
+        # redex it lists whose rule and vertex map no earlier redex of the
+        # same expansion had: a spent sender has no send redex to skip.  A
+        # step reads the patch off the host, so no redex derives J or M.
+        listed, expected, applied, maps = [], [], [], set()
+        search, step, expand = rewrite.find_redexes, rewrite.apply_at, systems._expand
 
-        def recorded(*args):
-            out = search(*args)
+        def expanding(*args):
+            maps.clear()
+            return expand(*args)
+
+        def recorded(host, rule):
+            out = search(host, rule)
+            for r in out[0]:
+                if (key := (id(rule), frozenset(r.embedding.vmap.items()))) not in maps:
+                    maps.add(key)
+                    expected.append(r)
             listed.extend(out[0])
             return out
 
@@ -453,10 +462,12 @@ class TestNoGraphsPerEmbedding:
             applied.append(redex)
             return step(host, redex, *args)
 
+        monkeypatch.setattr(systems, "_expand", expanding)
         monkeypatch.setattr(rewrite, "find_redexes", recorded)
         monkeypatch.setattr(rewrite, "apply_at", counted)
         ds_explore(ds_initial_network([(0, 1), (1, 2)], 0), 2)
-        assert list(map(id, listed)) == list(map(id, applied))
+        assert list(map(id, expected)) == list(map(id, applied))
+        assert len(applied) < len(listed)
         unique = {id(r.decomposition): r.decomposition for r in listed}.values()
         derived = sum(("patch" in vars(d)) + ("match" in vars(d)) for d in unique)
         assert applied and derived == 0

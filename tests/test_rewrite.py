@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -34,7 +35,7 @@ from fixtures import (
     three_spoke_rule,
     two_fresh_nodes,
 )
-from pgr import rewrite
+from pgr import rewrite, systems
 from pgr.exceptions import InvalidRule, StepLimitReached
 from pgr.graph import (
     EMPTY_GRAPH,
@@ -777,7 +778,73 @@ def successor_sources():
     yield from ((parallel_edge_host(n), {"drop": parallel_drop_rule()}) for n in range(1, 5))
 
 
+def vertex_map_sources():
+    """(host, system, ds) triples for the deterministic rules: the
+    termination-detection rules on the DS states and the walk's rules on
+    those states with two sends left per process (``ds``), then the
+    wait-for grammar on its states up to depth 5, the deadlock rules on the
+    ``deadlock`` workload's nets, the samples' rules on their graphs and
+    seeded deterministic rules on random hosts."""
+    system, walk = dijkstra_scholten_system(), systems._walk_rules(2)
+    for g in ds_states():
+        yield g, system, True
+        yield systems._with_budgets(g, 2), walk, True
+    grammar = waitfor_grammar()
+    yield from ((g, grammar, False) for g in grammar_reachable(5))
+    yield from ((g, deadlock_rules(), False) for g, _, _ in deadlock_workload_nets())
+    docs = sample_documents()
+    rules = {name: r for doc in docs for name, r in doc.rules.items()}
+    yield from ((g, rules, False) for doc in docs for g in doc.graphs.values())
+    rng = random.Random(1414)
+    yield from ((host, {"r": rule}, False) for host, rule, _ in random_instances(rng, 200))
+
+
 class TestSuccessors:
+    def test_redexes_with_one_vertex_map_give_equal_steps(self):
+        # Under a seen set, ``_expand`` steps once per vertex map of a
+        # deterministic rule.  The redexes it skips differ from the one it
+        # applies only in which parallel host edge, of equal triple, a
+        # pattern edge takes, so their results are isomorphic to its result,
+        # whose form the seen set holds.  On the DS inputs they are equal,
+        # edge order included.  Elsewhere a skipped result may number its
+        # new patch edges in another order, when an edge of another label
+        # runs between the same match vertices (wait-for ``grant``).
+        repeats, exact = Counter(), Counter()
+        for host, system, ds in vertex_map_sources():
+            for rule in (r for r in system.values() if r.deterministic):
+                groups = {}
+                for redex in find_redexes(host, rule)[0]:
+                    groups.setdefault(frozenset(redex.embedding.vmap.items()), []).append(redex)
+                for first, *rest in groups.values():
+                    expected, _ = apply_at(host, first)
+                    for redex in rest:
+                        result, _ = apply_at(host, redex)
+                        assert canonical_form(result) == canonical_form(expected)
+                        exact[ds] += (list(result.edges.items()), result.vertices) == \
+                            (list(expected.edges.items()), expected.vertices)
+                        repeats[ds] += 1
+        assert exact[True] == repeats[True] > 1000
+        assert 0 < exact[False] < repeats[False]
+
+    def test_without_dedup_every_listed_redex_is_applied(self, monkeypatch):
+        listed, applied = [0], [0]
+        search, step = rewrite.find_redexes, rewrite.apply_at
+
+        def recorded(*args):
+            out = search(*args)
+            listed[0] += len(out[0])
+            return out
+
+        def counted(*args):
+            applied[0] += 1
+            return step(*args)
+
+        monkeypatch.setattr(rewrite, "find_redexes", recorded)
+        monkeypatch.setattr(rewrite, "apply_at", counted)
+        for host, system in successor_sources():
+            successors(host, system, dedup=False)
+        assert applied[0] == listed[0] > 0
+
     @pytest.mark.parametrize("dedup", [True, False])
     def test_equal_to_previous_successors(self, dedup, monkeypatch):
         # Names, graphs with their edge order, and the flag; a map cap of 2

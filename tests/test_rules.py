@@ -50,7 +50,7 @@ from pgr.rules import (
     import_dpo,
     import_spo,
     match_positions,
-    patch_shape,
+    patch_shapes,
     rules_isomorphic,
     validate_quasi_rule,
 )
@@ -82,13 +82,13 @@ class TestEdgeAdheres:
     def test_loop_never_adheres_to_context_edge(self):
         _, j, m = single_vertex_decomposition()
         t = PatchType(m, {0: (CONTEXT, 5)})
-        assert patch_shape(j, 22, AT) == (5, 5)
+        assert patch_shapes(j, [22], AT) == [(5, 5)]
         assert not adherence_ok(one_edge(j, 22), t, AT, {22: 0})
 
     def test_incoming_context_edge(self):
         _, j, m = single_vertex_decomposition()
         t = PatchType(m, {0: (CONTEXT, 5)})
-        assert patch_shape(j, 20, AT) == (CONTEXT, 5)
+        assert patch_shapes(j, [20], AT) == [(CONTEXT, 5)]
         assert adherence_ok(one_edge(j, 20), t, AT, {20: 0})
         assert not adherence_ok(one_edge(j, 21), t, AT, {21: 0})
 
@@ -102,8 +102,7 @@ class TestEdgeAdheres:
         _, j, _ = single_vertex_decomposition()
         at = match_positions(Graph([0]), Renaming({0: 5, 1: 9}))
         assert at == {5: 0}  # built from the pattern, not the whole map
-        assert patch_shape(j, 20, at) == (CONTEXT, 0)
-        assert patch_shape(j, 22, at) == (0, 0)
+        assert patch_shapes(j, [20, 22], at) == [(CONTEXT, 0), (0, 0)]
         t = PatchType(Graph([0]), {0: (CONTEXT, 0), 1: (0, CONTEXT), 2: (0, 0)})
         assert adherence_ok(j, t, at, {20: 0, 21: 1, 22: 2})
         assert not adherence_ok(j, t, at, {20: 0, 21: 1})
