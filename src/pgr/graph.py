@@ -30,14 +30,11 @@ class Graph:
     its input, derived graphs do not; each builds its own index on first use,
     and a step edits a draft copy of its host (``_replace``)."""
 
-    __slots__ = ("_vertices", "_edges", "_hash", "_index", "_labelling", "_max")
+    __slots__ = ("_vertices", "_edges", "_hash", "_index", "_labelling", "_max", "_ids")
 
     def __init__(self, vertices: Iterable[int] = (), edges=()):
-        """Create a graph.
-
-        ``edges`` is either a mapping ``{edge_id: (src, label, tgt)}`` or an
-        iterable of ``(edge_id, src, label, tgt)`` tuples.
-        """
+        """Create a graph; ``edges`` is a mapping ``{edge_id: (src, label,
+        tgt)}`` or an iterable of ``(edge_id, src, label, tgt)`` tuples."""
         vertices, edge_map = frozenset(vertices), {}
         pairs = edges.items() if isinstance(edges, Mapping) else (
             (eid, (s, lab, t)) for eid, s, lab, t in edges)
@@ -54,7 +51,7 @@ class Graph:
 
     def _set(self, vertices: frozenset[int], edges: dict[int, EdgeTriple]) -> "Graph":
         self._vertices, self._edges = vertices, edges
-        self._hash = self._index = self._labelling = self._max = None
+        self._hash = self._index = self._labelling = self._max = self._ids = None
         return self
 
     @classmethod
@@ -62,11 +59,18 @@ class Graph:
         """A graph from parts known to be valid; it owns ``edges``."""
         return cls.__new__(cls)._set(vertices, edges)
 
-    def _draft(self) -> "Graph":
-        """A copy, with the largest id, that the engine edits in place."""
-        g = Graph._trusted(self._vertices, dict(self._edges))
+    def _draft(self, many: bool = False) -> "Graph":
+        """A copy, with the largest id, that the engine edits in place; for ``many``
+        edits, a mutable vertex set and an id stack (``max_id``) until ``_handout``."""
+        g = Graph._trusted(set(self._vertices) if many else self._vertices, dict(self._edges))
         g._max = self.max_id()
+        g._ids = sorted(itertools.chain(g._vertices, g._edges)) if many else None
         return g
+
+    def _handout(self) -> "Graph":
+        """This draft, done editing: its vertex set frozen, its id stack gone."""
+        self._vertices, self._ids = frozenset(self._vertices), None
+        return self
 
     def _replace(self, d: "PatchDecomposition", patch: "Graph", match_vertices: Iterable[int],
                  match_edges: dict[int, EdgeTriple]) -> None:
@@ -78,7 +82,8 @@ class Graph:
         added = {**patch.edges, **match_edges}
         removed = [(e, self._edges.pop(e)) for e in itertools.chain(d._je, d._me)]
         self._edges.update(added)
-        self._vertices = (self._vertices - mv) | new_v
+        self._vertices -= mv  # in place in a draft for many edits
+        self._vertices |= new_v
         if self._index is not None:
             out, inc, _, counts = self._index
             for v in mv:
@@ -87,6 +92,8 @@ class Graph:
                 out[v], inc[v], counts[v] = [], [], {}
             _index_edges(self._index, removed, -1)
             _index_edges(self._index, sorted(added.items()), 1)
+        if self._ids is not None:
+            self._ids += sorted(itertools.chain(new_v, added))
         top = max(itertools.chain(new_v, added), default=self._max)
         self._max = top if top in self._vertices or top in self._edges else None
         self._hash = self._labelling = None
@@ -145,8 +152,7 @@ class Graph:
         return self._indexes()[3][v]
 
     def incident_edges(self, v: int) -> set[int]:
-        out, inc = self._indexes()[:2]
-        return set(out[v]) | set(inc[v])
+        return set(self.out_edges(v)) | set(self.in_edges(v))
 
     def labels(self) -> set[str]:
         return {lab for _, lab, _ in self._edges.values()}
@@ -154,7 +160,10 @@ class Graph:
     def max_id(self) -> int:
         """Largest id in use (vertex or edge), or -1 for the empty graph."""
         if self._max is None:
-            self._max = max(itertools.chain(self._vertices, self._edges, [-1]))
+            ids, vs, es = self._ids, self._vertices, self._edges
+            while ids and ids[-1] not in vs and ids[-1] not in es:
+                ids.pop()  # a draft's stack drops the ids it no longer uses
+            self._max = ids[-1] if ids else max(itertools.chain(vs, es, [-1]))
         return self._max
 
     def is_empty(self) -> bool:
@@ -216,8 +225,7 @@ class Renaming:
     __slots__ = ("vmap", "emap")
 
     def __init__(self, vmap: Mapping[int, int] = (), emap: Mapping[int, int] = ()):
-        self.vmap = dict(vmap)
-        self.emap = dict(emap)
+        self.vmap, self.emap = dict(vmap), dict(emap)
         if len(set(self.vmap.values())) != len(self.vmap):
             raise ValueError("vertex map is not injective")
         if len(set(self.emap.values())) != len(self.emap):
@@ -262,7 +270,7 @@ class PatchDecomposition:
         edges = {e: triple for e, triple in self._host.edges.items() if e not in skip}
         if touching := [e for e, (s, _, t) in edges.items() if s in mv or t in mv]:
             raise InvalidPatch([f"patch misses edges that touch the match: {sorted(touching)}"])
-        return Graph._trusted(self._host.vertices - mv, edges)
+        return Graph._trusted(frozenset(self._host.vertices) - mv, edges)
 
     @functools.cached_property
     def patch(self) -> Graph:
@@ -283,25 +291,18 @@ class PatchDecomposition:
 
 
 def graph_union(g: Graph, h: Graph) -> Graph:
-    """Componentwise union of two graphs with disjoint edge sets.
-
-    Shared vertices fuse; shared edge ids are an error even when they agree.
-    """
-    clash = set(g.edges) & set(h.edges)
-    if clash:
+    """Componentwise union of two graphs with disjoint edge sets: shared
+    vertices fuse; shared edge ids are an error even when they agree."""
+    if clash := g.edges.keys() & h.edges.keys():
         raise EdgeIdClash(f"edge ids present in both operands: {sorted(clash)}")
-    edges = dict(g.edges)
-    edges.update(h.edges)
-    return Graph(g.vertices | h.vertices, edges)
+    return Graph(g.vertices | h.vertices, {**g.edges, **h.edges})
 
 
 def rename_graph(g: Graph, phi: Renaming) -> Graph:
     """Transport ``g`` along ``phi``; labels are unchanged."""
-    missing_v = g.vertices - phi.vmap.keys()
-    if missing_v:
+    if missing_v := g.vertices - phi.vmap.keys():
         raise DomainGap(f"vertices without image: {sorted(missing_v)}")
-    missing_e = set(g.edges) - phi.emap.keys()
-    if missing_e:
+    if missing_e := g.edges.keys() - phi.emap.keys():
         raise DomainGap(f"edges without image: {sorted(missing_e)}")
     return Graph._trusted(
         frozenset(phi.vmap[v] for v in g.vertices),
@@ -319,8 +320,7 @@ def validate_patch(c: Graph, j: Graph, m: Graph) -> list[str]:
     cv, mv, ce, me, je = c.vertices, m.vertices, c.edges.keys(), m.edges.keys(), j.edges.keys()
     ends, stray = set(), []
     for e, (s, _, t) in j.edges.items():
-        ends.add(s)
-        ends.add(t)
+        ends.update((s, t))
         if not ((t in mv or t in cv) if s in mv else (s in cv and t in mv)):
             stray.append(e)
     out = []
@@ -362,15 +362,13 @@ def decompose_at(g: Graph, match_vertices: Iterable[int], match_edges: Iterable[
     touches a match vertex, and the context keeps all the rest.  C, J and M
     are derived on first use.  ``patch_compose`` of C, J and M inverts this.
     """
-    mv = frozenset(match_vertices)
-    me = frozenset(match_edges)
+    mv, me = frozenset(match_vertices), frozenset(match_edges)
     if not mv <= g.vertices:
         raise NotASubgraph(f"match vertices outside the graph: {sorted(mv - g.vertices)}")
     if not me <= g.edges.keys():
         raise NotASubgraph(f"match edges outside the graph: {sorted(me - g.edges.keys())}")
     for e in me:
-        s, _, t = g.edges[e]
-        if s not in mv or t not in mv:
+        if not mv.issuperset(g.edges[e][::2]):
             raise NotASubgraph(f"match edge {e} has an endpoint outside the match vertices")
     return PatchDecomposition(g, mv, me, patch_edges(g, mv, me))
 
@@ -453,8 +451,7 @@ def _canonical_labelling(g: Graph) -> tuple[list[int], list[EdgeTriple]]:
     ``(pos(src), label, pos(tgt))`` triples.  The certificate is the smallest
     over the leaves of the search tree, so isomorphic graphs share it."""
     verts = sorted(g.vertices)
-    n = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
+    n, index = len(verts), {v: i for i, v in enumerate(verts)}
     label_key = {label: 3 * i for i, label in enumerate(sorted(g.labels()))}
     edges = [(index[s], label, index[t]) for s, label, t in g.edges.values()]
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -560,9 +557,8 @@ def find_isomorphism(g: Graph, h: Graph) -> Renaming | None:
     ``canonical_renaming(g)`` followed by the inverse of
     ``canonical_renaming(h)``.
     """
-    if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
-        return None
-    if canonical_form(g) != canonical_form(h):
+    if (len(g.vertices), len(g.edges)) != (len(h.vertices), len(h.edges)) \
+            or canonical_form(g) != canonical_form(h):
         return None
     to_canon, back = canonical_renaming(g), canonical_renaming(h).inverse()
     return Renaming({v: back.vmap[i] for v, i in to_canon.vmap.items()},

@@ -24,10 +24,9 @@ from .rules import (CONTEXT, PatchType, QuasiRule, adherence_maps, default_map_c
 
 @dataclass
 class Redex:
-    """One way a rule matches a host, including the chosen adherence map;
-    the parts of ``decomposition`` are derived on first use (a step).
-    ``capped`` flags that the maps of this embedding were listed only up to
-    the map cap."""
+    """One way a rule matches a host, including the chosen adherence map; the
+    parts of ``decomposition`` are derived on first use (a step).  ``capped``:
+    the maps of this embedding were listed only up to the map cap."""
 
     rule: QuasiRule
     embedding: Renaming
@@ -153,11 +152,10 @@ def find_pattern_embeddings(host: Graph, pattern: Graph, ptype: PatchType | None
     roots a search at each pattern vertex whose needs it meets, and tried
     anchors stay out of the image: only embeddings that meet ``anchors``
     are listed, each once.  The empty pattern has one (empty) embedding,
-    which meets no anchor.  A pattern label that the host's label index
-    lacks gives ``[]`` before any search.  Results come in a canonical order:
-    lexicographic on (sorted image vertices, sorted image edges, then the
-    maps themselves); ``ptype`` and ``anchors`` only remove entries.
-    """
+    which meets no anchor.  A pattern label missing from the host's label
+    index gives ``[]`` before any search.  Results come in a canonical
+    order: lexicographic on (sorted image vertices, sorted image edges, then
+    the maps themselves); ``ptype`` and ``anchors`` only remove entries."""
     return [r for _, r in _embeddings(host, pattern, ptype, anchors)]
 
 
@@ -220,23 +218,24 @@ class _Entry(NamedTuple):
 def _redex_entries(host: Graph, rule: QuasiRule, anchors: Set[int] | None = None):
     """Each embedding of ``rule`` in ``host`` whose patch adheres, in redex
     order, as an ``_Entry``; the map cap (``default_map_cap()``) is read once."""
-    pattern, ptype, cap = rule.lhs.pattern, rule.lhs.ptype, default_map_cap()
-    for key, emb in _embeddings(host, pattern, ptype, anchors):
-        je = patch_edges(host, emb.image_vertices(), emb.image_edges())
-        maps, cut = adherence_maps(host, je, ptype, match_positions(pattern, emb), cap)
-        if maps:
-            yield _Entry(key, emb, maps, cut)
+    cap = default_map_cap()
+    for key, emb in _embeddings(host, rule.lhs.pattern, rule.lhs.ptype, anchors):
+        if (x := _entry(host, rule, key, emb, cap)).maps:
+            yield x
+
+
+def _entry(host: Graph, rule: QuasiRule, key: tuple, emb: Renaming, cap: int) -> _Entry:
+    pattern, je = rule.lhs.pattern, patch_edges(host, emb.image_vertices(), emb.image_edges())
+    maps, cut = adherence_maps(host, je, rule.lhs.ptype, match_positions(pattern, emb), cap)
+    return _Entry(key, emb, maps, cut)
 
 
 def find_redexes(host: Graph, rule: QuasiRule) -> tuple[list[Redex], bool]:
-    """All redexes of ``rule`` in ``host`` in canonical order.
-
-    Per embedding, one redex per adherence map (deterministic rules admit at
-    most one), sharing one decomposition.  Embeddings whose patch does not
-    adhere, read off the host's edges, are dropped before any decomposition
-    is made.  The second component flags that some enumeration hit the map
-    cap.
-    """
+    """All redexes of ``rule`` in ``host`` in canonical order, and whether
+    some map listing hit the map cap.  Per embedding, one redex per adherence
+    map (a deterministic rule admits at most one), sharing one decomposition;
+    an embedding whose patch, read off the host's edges, does not adhere is
+    dropped before any decomposition is made."""
     redexes, truncated = [], False
     for _, emb, maps, capped in _redex_entries(host, rule):
         d = PatchDecomposition(host, emb.image_vertices(), emb.image_edges(), list(maps[0]))
@@ -249,49 +248,56 @@ class RedexSets:
     """The redexes of each rule of a system in a host that changes by steps.
 
     A step keeps the context of its redex and replaces only the patch J and
-    the match M.  So an embedding whose image avoids M and the context
-    endpoints of J keeps its edges, its patch and its adherence maps, and
-    every other redex of the result meets a vertex the step created or
-    whose edges it changed.  Per rule, the embeddings that have maps are
-    kept as entries sorted by ``_embedding_key`` and indexed by image
-    vertex.  A rule is searched in full when first asked for; ``advance``
-    then only collects the vertices each step touched, and the next ask
-    drops the entries at them, searches anew, through ``_redex_entries``, from
-    those still in the host, if any, as ``anchors``, and merges the new
-    entries in by bisection.
+    the match M.  So an embedding whose image avoids M and the context ends
+    of J keeps its edges, patch and maps.  At a context end whose edges in J
+    all have a type edge the rule carries (``QuasiRule.carried``), only
+    those edges' ids change: an embedding there that avoids M keeps its
+    place, and only its patch ids and maps are read again.  Every other
+    redex of the result meets a vertex the step created or otherwise
+    changed the edges of.  Per rule, the embeddings that have maps are
+    entries sorted by ``_embedding_key`` and indexed by image vertex.  A
+    rule is searched in full when first asked for; the next ask after
+    ``advance`` drops the entries at the touched vertices, re-reads those at
+    the carried ones, searches (``_redex_entries``) anchored at the touched
+    ones still in the host, if any, and merges the new entries in by bisection.
     """
 
     def __init__(self, host: Graph, system: dict[str, QuasiRule]):
-        self.host = host
-        self.system = system
+        self.host, self.system = host, system
         self._entries: dict[str, list[_Entry]] = {}
         self._at: dict[str, dict[int, set[tuple]]] = {}  # image vertex -> entry keys
         self._capped: dict[str, int] = {}  # entries whose maps were capped
-        self._touched: dict[str, set[int]] = {}
+        self._pending: dict[str, tuple[set[int], set[int]]] = {}  # touched, carried
 
     def entries(self, name: str) -> tuple[list[_Entry], bool]:
         """The entries of rule ``name`` in the current host, in redex order,
         and whether the map listing of any of them was capped."""
-        found = []
+        found, rule = [], self.system[name]
         if name not in self._entries:
             self._entries[name], self._at[name], self._capped[name] = [], {}, 0
-            found = _redex_entries(self.host, self.system[name])
-        elif touched := self._touched[name]:
-            entries, at = self._entries[name], self._at[name]
+            self._pending[name] = set(), set()
+            found = _redex_entries(self.host, rule)
+        entries, at, (touched, carried) = self._entries[name], self._at[name], self._pending[name]
+        if touched or carried:
             for key in set().union(*(at.pop(v, ()) for v in touched)):
                 x = entries.pop(bisect_left(entries, key, key=itemgetter(0)))
                 self._capped[name] -= x.capped
                 for v in x.embedding.vmap.values():
                     at.get(v, set()).discard(key)
+            keys = set().union(*(at.get(v, ()) for v in carried))
+            cap = keys and default_map_cap()  # an environment read: only for a re-read
+            for key in keys:
+                i = bisect_left(entries, key, key=itemgetter(0))  # the key, so the place, stays
+                x, entries[i] = entries[i], _entry(self.host, rule, key, entries[i].embedding, cap)
+                self._capped[name] += entries[i].capped - x.capped
             if anchors := touched & self.host.vertices:
-                found = _redex_entries(self.host, self.system[name], anchors)
-        entries, at = self._entries[name], self._at[name]
+                found = _redex_entries(self.host, rule, anchors)
+            self._pending[name] = set(), set()
         for x in found:
             insort(entries, x, key=itemgetter(0))
             self._capped[name] += x.capped
             for v in x.embedding.vmap.values():
                 at.setdefault(v, set()).add(x.key)
-        self._touched[name] = set()
         return entries, self._capped[name] > 0
 
     def redex(self, name: str, entry: _Entry, h_l: dict[int, int]) -> Redex:
@@ -302,22 +308,20 @@ class RedexSets:
         d = PatchDecomposition(self.host, emb.image_vertices(), emb.image_edges(), list(h_l))
         return Redex(self.system[name], emb, d, h_l, entry.capped)
 
-    def advance(self, touched: set[int]) -> None:
-        """Note one step on the host, which it edits in place; ``touched``
-        holds every vertex the step removed, created or changed the edges
-        of."""
-        for pending in self._touched.values():
-            pending |= touched
+    def advance(self, touched: set[int], carried: set[int]) -> None:
+        """Note one step, which edits the host in place: ``touched`` holds the
+        vertices it removed or created and the context ends of J's uncarried
+        edges, ``carried`` the other context ends of J (whose edges got new ids)."""
+        for pending_touched, pending_carried in self._pending.values():
+            pending_touched |= touched
+            pending_carried |= carried
 
 
 def context_of(e: int, h: dict[int, int], patch: Graph,
                ptype: PatchType) -> frozenset[int]:
     """The context vertex that edge ``e`` of ``patch``, assigned by ``h`` to
-    a type edge of ``ptype``, touches, if any.
-
-    Returns ``{src}`` when the assigned type edge starts at CONTEXT,
-    ``{tgt}`` when it ends there, and the empty set otherwise.
-    """
+    a type edge of ``ptype``, touches: ``{src}`` when that type edge starts
+    at CONTEXT, ``{tgt}`` when it ends there, and the empty set otherwise."""
     ts, tt = ptype.edges[h[e]]
     s, _, t = patch.edges[e]
     return frozenset({s} if ts == CONTEXT else {t} if tt == CONTEXT else ())

@@ -271,8 +271,13 @@ def normalize(host: Graph, system: dict[str, QuasiRule], strategy: str = "first"
     (rule, redex) pairs with the given seed.  The redex lists are those of
     ``find_redexes``, kept across steps in a ``RedexSets``: after a step,
     only the embeddings that meet a vertex it touched are searched again,
-    from those vertices.  The steps are those of ``apply_at``, but all edit
-    one draft copy of ``host``, handed out at the end.  A step's
+    from those vertices.  A step touches its match, the vertices it creates
+    and each context end of J with an edge whose type edge the rule does not
+    carry (``QuasiRule.carried``); at a context end whose edges are all
+    carried, the embeddings keep their place and only their patch ids and
+    maps are read again.  The steps are those of ``apply_at``, but all edit
+    one draft copy of ``host``, with a mutable vertex set and a stack of its
+    ids, handed out, frozen, at the end.  A step's
     record is ``truncated`` when a redex list it read was capped by the map
     cap (``PGR_MAX_MAPS``), so it chose from an incomplete list.  Raises
     StepLimitReached (carrying the partial trace) if no normal form is found
@@ -282,8 +287,8 @@ def normalize(host: Graph, system: dict[str, QuasiRule], strategy: str = "first"
     if strategy not in ("first", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = random_module.Random(seed)
-    g = host._draft()
-    sets = RedexSets(g, system)
+    g = host._draft(many=True)
+    sets, edges = RedexSets(g, system), g.edges
     trace: list[StepRecord] = []
     for _ in range(max_steps):
         pool, truncated = [], False
@@ -295,18 +300,20 @@ def normalize(host: Graph, system: dict[str, QuasiRule], strategy: str = "first"
                 break
             pool += [(name, x, h_l) for x in entries for h_l in x.maps]
         if not pool:
-            return g, trace
+            return g._handout(), trace
         name, entry, h_l = pool[0] if strategy == "first" else pool[rng.randrange(len(pool))]
-        redex = sets.redex(name, entry, h_l)
-        touched = {x for j in h_l for x in g.edges[j][::2]} | redex.embedding.image_vertices()
+        redex, carries = sets.redex(name, entry, h_l), system[name].carried
+        touched, carried = set(redex.embedding.vmap.values()), set()
+        for j, left in h_l.items():  # the ends of J, read before the edit
+            (carried if left in carries else touched).update(edges[j][::2])
         cert = _step(g, redex, None)
-        sets.advance(touched | cert.rhs_instance.image_vertices())
+        sets.advance(touched | cert.rhs_instance.image_vertices(), carried - touched)
         mv, me = redex.match_summary()
         trace.append(StepRecord(name, mv, me, truncated))
     # One more look: the limit only matters if a redex is still there.
     if any(sets.entries(name)[0] for name in system):
-        raise StepLimitReached(g, trace)
-    return g, trace
+        raise StepLimitReached(g._handout(), trace)
+    return g._handout(), trace
 
 
 def check_rule_determinism(rule: QuasiRule, hosts: list[Graph]) -> dict[str, int]:

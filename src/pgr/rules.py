@@ -153,6 +153,20 @@ class QuasiRule:
              2 * t_l[self.trace[t]].index(CONTEXT) if CONTEXT in (ts, tt) else None)
             for t, (ts, tt) in self.rhs.ptype.sorted_edges()]
 
+    @functools.cached_property
+    def carried(self) -> frozenset[int]:
+        """The left type edges whose patch edges a step carries: at a context
+        end, each becomes one new edge with the same label on the same side,
+        so only its id changes.  Such a type edge has no CONTEXT end (its
+        edges touch no context vertex), or exactly one right type edge traced
+        to it has a CONTEXT end, and at the same index."""
+        images = {}  # left type edge -> the CONTEXT index of each right image
+        for t, ends in self.rhs.ptype.edges.items():
+            if CONTEXT in ends:
+                images.setdefault(self.trace[t], []).append(ends.index(CONTEXT))
+        return frozenset(e for e, ends in self.lhs.ptype.edges.items()
+                         if CONTEXT not in ends or images.get(e) == [ends.index(CONTEXT)])
+
 
 def validate_quasi_rule(rule: QuasiRule) -> list[str]:
     """Structural check report for a rule; empty means valid."""

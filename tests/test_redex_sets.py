@@ -7,21 +7,28 @@ runs the real ``normalize`` and compares each redex list it reads with a
 fresh ``find_redexes`` of the current host.
 """
 
+import itertools
 import random
+from collections import Counter
 
 from previous_search import previous_embeddings
 
 from fixtures import (
+    aloop_pattern,
     anchored_redexes,
     deadlock_workload_nets,
+    delete_rule,
+    duplicate_rule,
+    invert_pull_rule,
     perfbench_module,
     random_deterministic_rule,
     random_graph,
     random_quasi_rule,
+    redirect_rule,
     reference_apply_at,
     set_map_cap,
 )
-from pgr import graph, matching, rules
+from pgr import graph, matching, rewrite, rules
 from pgr.exceptions import StepLimitReached
 from pgr.graph import EMPTY_GRAPH, Graph
 from pgr.matching import RedexSets, find_pattern_embeddings, find_redexes
@@ -29,6 +36,7 @@ from pgr.rewrite import StepRecord, normalize
 from pgr.rules import CONTEXT, build_rule
 from pgr.systems import (
     deadlock_rules,
+    detect_deadlock,
     dijkstra_scholten_system,
     ds_initial_network,
     waitfor_system,
@@ -127,15 +135,53 @@ class TestAgainstFreshSearch:
             assert g.is_empty()
 
     def test_deadlock_workload_nets(self, monkeypatch):
+        # Counted as well: ``grant`` carries all four of its type edges, so
+        # after a grant step the anchored grant searches (only ``RedexSets``
+        # anchors one) before the next step start only at the vertices that
+        # the step created, or none is run.
+        system = deadlock_rules()
+        events, step, search = [], rewrite._step, matching._redex_entries
+
+        def counted_step(g, redex, fresh_base):
+            cert = step(g, redex, fresh_base)
+            events.append(("step", redex.rule, cert.rhs_instance.image_vertices()))
+            return cert
+
+        def counted_search(host, rule, anchors=None):
+            events.append(("search", rule, anchors))
+            return search(host, rule, anchors)
+
+        monkeypatch.setattr(rewrite, "_step", counted_step)
+        monkeypatch.setattr(matching, "_redex_entries", counted_search)
         nets = deadlock_workload_nets()
         for i, (g, deadlocked, left) in enumerate(nets[::9]):
-            _, nf, _ = assert_like_reference(monkeypatch, g, deadlock_rules())
+            _, nf, _ = assert_like_reference(monkeypatch, g, system)
             assert (not nf.is_empty(), len(nf.vertices)) == (deadlocked, left)
-            assert_like_reference(monkeypatch, g, deadlock_rules(), strategy="random", seed=i)
+            assert_like_reference(monkeypatch, g, system, strategy="random", seed=i)
+        grants = searches = 0
+        for i, (kind, rule, created) in enumerate(events):
+            if kind == "step" and rule is system["grant"]:
+                grants += 1
+                for _, searched, anchors in itertools.takewhile(lambda ev: ev[0] == "search",
+                                                                events[i + 1:]):
+                    if anchors is not None and searched is system["grant"]:
+                        assert anchors <= created
+                        searches += 1
+        assert grants > 100 and searches > 100
 
     def test_random_hosts_and_rules(self, monkeypatch):
+        # Counted: steps with a patch edge at a context end whose type edge
+        # the rule carries, and steps with one whose type edge it does not.
         rng = random.Random(7)
-        limits = 0
+        limits, step, kinds = 0, rewrite._step, Counter()
+
+        def counted_step(g, redex, fresh_base):
+            types, carried = redex.rule.lhs.ptype.edges, redex.rule.carried
+            kinds.update({left in carried for left in redex.h_l.values()
+                          if CONTEXT in types[left]})
+            return step(g, redex, fresh_base)
+
+        monkeypatch.setattr(rewrite, "_step", counted_step)
         for i in range(150):
             host = random_graph(rng, list(range(rng.randint(1, 6))), 9)
             system = {f"r{k}": random_deterministic_rule(rng) if rng.random() < 0.5
@@ -146,6 +192,7 @@ class TestAgainstFreshSearch:
             assert_like_reference(monkeypatch, host, system, strategy="random", seed=i,
                                   max_steps=12)
         assert limits > 10
+        assert kinds[True] > 50 and kinds[False] > 300
 
     def test_capped_steps(self, monkeypatch):
         # Two parallel placeholders and three patch edges: eight maps, cut
@@ -160,6 +207,32 @@ class TestAgainstFreshSearch:
             _, _, trace = assert_like_reference(monkeypatch, host, {"q": quasi},
                                                 strategy=strategy, seed=1)
             assert [r.truncated for r in trace] == [True, False]
+
+    def test_carried_and_uncarried_context_ends(self, monkeypatch):
+        # Rules that drop, duplicate or flip a placeholder, and one that
+        # carries two parallel ones (a quasi rule), each beside a rule that
+        # matches only without out-edges.  Vertex 1 has an in- and an
+        # out-edge at 0 (under the flip rule one is carried and one is not),
+        # vertex 2 only an in-edge from 0; a step at 0 flips the out-edge of
+        # 5 or keeps it.
+        parallel = build_rule(aloop_pattern(), {"p": (CONTEXT, 0), "q": (CONTEXT, 0),
+                                                "out": (0, CONTEXT)},
+                              Graph([10]), [(CONTEXT, 10, "p"), (CONTEXT, 10, "q"),
+                                            (10, CONTEXT, "out")])
+        in_only = build_rule(aloop_pattern(), {"in": (CONTEXT, 0)}, Graph([10]),
+                             [(CONTEXT, 10, "in")])
+        host = Graph.from_triples(range(6), [(0, "a", 0), (1, "a", 1), (2, "a", 2), (1, "b", 0),
+                                             (0, "b", 1), (0, "c", 2), (3, "c", 0), (3, "b", 2),
+                                             (4, "b", 2), (2, "c", 4), (4, "a", 4), (1, "c", 4),
+                                             (5, "a", 5), (5, "b", 0)])
+        for rule in (delete_rule(), duplicate_rule(), invert_pull_rule(), redirect_rule(),
+                     parallel):
+            for cap, seed in itertools.product((None, 2), range(3)):
+                set_map_cap(monkeypatch, cap)
+                system = {"r": rule, "in-only": in_only}
+                assert_like_reference(monkeypatch, host, system, max_steps=8)
+                assert_like_reference(monkeypatch, host, system, strategy="random", seed=seed,
+                                      max_steps=8)
 
     def test_waitfor_system_step_limit(self, monkeypatch):
         # ``create`` has the empty left pattern: its one embedding touches no
@@ -307,6 +380,29 @@ def test_ring_steps_build_no_checked_graph(monkeypatch):
         assert len(trace) == n
         per_size[n] = len(counts) / n
     assert per_size[50] == per_size[200] == 0
+
+
+def test_chain_steps_never_rescan_the_ids(monkeypatch):
+    # Counted: ``normalize``'s draft keeps its ids on a stack, so a step that
+    # removes the largest id costs no scan of every id, and the result is
+    # handed out with a frozen vertex set.
+    draft, drafts, max_id, lost, rescans = Graph._draft, [], Graph.max_id, [], []
+
+    def counted_draft(self, many=False):
+        drafts.append(g := draft(self, many))
+        return g
+
+    def counted_max_id(self):
+        if self._max is None and any(self is g for g in drafts):
+            (lost if self._ids is not None else rescans).append(self)
+        return max_id(self)
+
+    monkeypatch.setattr(Graph, "_draft", counted_draft)
+    monkeypatch.setattr(Graph, "max_id", counted_max_id)
+    report = detect_deadlock(perfbench_module("scaling").chain(graph, 80))
+    assert report.normal_form.is_empty() and len(drafts) == 1
+    assert len(lost) == 79 and rescans == []
+    assert isinstance(report.normal_form.vertices, frozenset)
 
 
 def test_ring_normalize_builds_its_index_once(monkeypatch):

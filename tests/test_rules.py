@@ -9,6 +9,7 @@ import pytest
 
 from fixtures import (
     copy_vertex_rule,
+    delete_rule,
     duplicate_rule,
     invert_pull_rule,
     parallel_drop_rule,
@@ -18,6 +19,7 @@ from fixtures import (
     redirect_rule,
     renamed_rule_copy,
     shallow_recursion,
+    three_spoke_rule,
 )
 from pgr.exceptions import (
     BadArity,
@@ -54,7 +56,7 @@ from pgr.rules import (
     rules_isomorphic,
     validate_quasi_rule,
 )
-from pgr.systems import elementary_rules
+from pgr.systems import dijkstra_scholten_system, elementary_rules, waitfor_system
 
 
 def single_vertex_decomposition():
@@ -164,6 +166,41 @@ class TestEnumerateAdherenceMaps:
             d.patch, rule.lhs.ptype, match_positions(rule.lhs.pattern, emb))
         assert len(maps) == 3
         assert truncated
+
+
+def uncarried(rule):
+    """The end pairs of the left type edges that ``rule`` does not carry."""
+    return sorted(map(str, (rule.lhs.ptype.edges[e]
+                            for e in rule.lhs.ptype.edges.keys() - rule.carried)))
+
+
+class TestCarried:
+    def test_bundled_rules(self):
+        wait_for = waitfor_system()
+        assert len(wait_for["grant"].carried) == 4 and uncarried(wait_for["grant"]) == []
+        assert wait_for["resolve"].carried == frozenset()
+        assert uncarried(wait_for["resolve"]) == ["('ctx', 0)", "(0, 'ctx')"]
+        # The clone rules keep every placeholder in place or move it to the
+        # clone; only clone-2's request out-edges are duplicated, to the copy.
+        assert len(wait_for["clone-1"].carried) == 16 and uncarried(wait_for["clone-1"]) == []
+        assert uncarried(wait_for["clone-2"]) == ["(4, 'ctx')"]
+        for name, rule in dijkstra_scholten_system().items():
+            assert rule.carried and uncarried(rule) == [], name
+
+    def test_hand_made_rules(self):
+        # Dropped (no right image), duplicated (two CONTEXT images), flipped
+        # ((CTX, x) to (y, CTX)) or moved inside the pattern: not carried.
+        # Kept at the same index, on another vertex or beside an image
+        # inside the pattern, or within the pattern: carried.
+        assert uncarried(delete_rule()) == ["('ctx', 0)", "(0, 'ctx')"]
+        assert uncarried(duplicate_rule()) == ["('ctx', 0)", "(0, 'ctx')"]
+        assert uncarried(invert_pull_rule()) == ["('ctx', 0)"]
+        assert uncarried(copy_vertex_rule()) == ["('ctx', 0)", "(0, 'ctx')"]
+        assert uncarried(redirect_rule()) == [] and len(redirect_rule().carried) == 2
+        assert uncarried(three_spoke_rule()) == ["('ctx', 1)", "('ctx', 4)", "(4, 'ctx')"]
+        flip_out = build_rule(Graph([0]), {"out": (0, CONTEXT)}, Graph([10]),
+                              [(CONTEXT, 10, "out")])
+        assert flip_out.carried == frozenset()
 
 
 class TestValidateQuasiRule:
