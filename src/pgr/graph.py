@@ -376,15 +376,16 @@ def decompose_at(g: Graph, match_vertices: Iterable[int], match_edges: Iterable[
 # -- canonical labelling ----------------------------------------------------
 #
 # One engine serves canonical forms and isomorphism: individualization-
-# refinement with automorphism pruning (McKay & Piperno, "Practical graph
-# isomorphism, II", J. Symbolic Computation 2014).  Vertices are indexed
-# 0..n-1.  An ordered partition is four lists: ``lab`` holds the vertices in
-# cell order, ``pos`` is its inverse, ``cell`` maps a vertex to the start of
-# its cell and ``end`` maps a cell start to one past the cell's last position.
+# refinement with automorphism pruning and twin cells split without branching
+# (McKay & Piperno, "Practical graph isomorphism, II", J. Symbolic Computation
+# 2014).  Vertices are indexed 0..n-1.  An ordered partition is four lists:
+# ``lab`` holds the vertices in cell order, ``pos`` is its inverse, ``cell``
+# maps a vertex to the start of its cell and ``end`` maps a cell start to one
+# past the cell's last position.
 
 
-def _refine(adj, lab, pos, cell, end, splitters) -> None:
-    """Split cells in place until the partition is equitable; stop once it is discrete.
+def _refine(adj, lab, pos, cell, end, splitters) -> int:
+    """Split cells in place until the partition is equitable or discrete; return the cell count.
 
     Splitting by a cell W gives each vertex the multiset of keys of its
     edges to W (label and direction, loops apart; multiplicity counts).
@@ -434,22 +435,45 @@ def _refine(adj, lab, pos, cell, end, splitters) -> None:
             fresh = [s for s in starts if s != largest]
             pending.update(fresh)
             queue.extend(fresh)
+    return cells
 
 
-def _target_cell(end, n) -> int | None:
-    """Start of the first smallest non-singleton cell, or None if discrete."""
+def _twins(adj, cell, end) -> dict[int, int]:
+    """Each vertex with a twin, mapped to the smallest of its class.  Twins
+    share a cell and sorted adjacency entries (a loop's end read as -1), so
+    they are never adjacent and any permutation of a class is an automorphism."""
+    classes = defaultdict(list)
+    for x, c in enumerate(cell):
+        if end[c] - c > 1:
+            classes[c, tuple(sorted((k, -1 if y == x else y) for k, y in adj[x]))].append(x)
+    return {x: xs[0] for xs in classes.values() if len(xs) > 1 for x in xs}
+
+
+def _target_cell(lab, cell, end, n, twin) -> int | None:
+    """Start of the first smallest non-singleton cell, or None if discrete.
+
+    A cell of one twin class is split into singletons on the way, in place
+    and in ``lab`` order.  Its orders are all an automorphism apart, so it
+    needs no branching.  Each other vertex has the same edges to each twin,
+    and twins have none among themselves, so no refinement is needed."""
     starts, c = [], 0
     while c < n:
-        if end[c] - c > 1:
-            starts.append(c)
-        c = end[c]
+        e = end[c]
+        if e - c > 1:
+            if twin and len({twin.get(x, ~x) for x in lab[c:e]}) == 1:
+                for i in range(c, e):
+                    cell[lab[i]], end[i] = i, i + 1
+            else:
+                starts.append(c)
+        c = e
     return min(starts, key=lambda c: end[c] - c, default=None)
 
 
-def _canonical_labelling(g: Graph) -> tuple[list[int], list[EdgeTriple]]:
-    """A vertex order of ``g`` and its certificate: the edges as sorted
-    ``(pos(src), label, pos(tgt))`` triples.  The certificate is the smallest
-    over the leaves of the search tree, so isomorphic graphs share it."""
+def _canonical_labelling(g: Graph) -> tuple[list[int], list[EdgeTriple], dict[int, int] | None]:
+    """A vertex order of ``g``, its certificate and its twins (``_twins`` in
+    ``g``'s ids, or None).  The certificate is the edges as sorted ``(pos(src),
+    label, pos(tgt))`` triples, the smallest over the leaves of the search
+    tree, so isomorphic graphs share it."""
     verts = sorted(g.vertices)
     n, index = len(verts), {v: i for i, v in enumerate(verts)}
     label_key = {label: 3 * i for i, label in enumerate(sorted(g.labels()))}
@@ -471,7 +495,7 @@ def _canonical_labelling(g: Graph) -> tuple[list[int], list[EdgeTriple]]:
         return x
 
     node = (list(range(n)), list(range(n)), [0] * n, [n] * n)
-    _refine(adj, *node, [0] if n else [])
+    twin = _twins(adj, node[2], node[3]) if _refine(adj, *node, [0] if n else []) < n else {}
     on_first, first, best = True, None, None
     # A frame: a node's partition, its target cell, the cell's untried and
     # tried vertices, and whether the node lies on the path to the first leaf.
@@ -479,7 +503,7 @@ def _canonical_labelling(g: Graph) -> tuple[list[int], list[EdgeTriple]]:
     while node is not None or stack:
         if node is not None:
             lab, pos, cell, end = node
-            node, c = None, _target_cell(end, n)
+            node, c = None, _target_cell(lab, cell, end, n, twin)
             if c is not None:
                 stack.append(((lab, pos, cell, end), c, lab[c:end[c]][::-1], [], on_first))
                 continue
@@ -516,14 +540,17 @@ def _canonical_labelling(g: Graph) -> tuple[list[int], list[EdgeTriple]]:
         for u in lab[c + 1:e]:
             cell[u] = c + 1
         _refine(adj, *node, [c])
-    return [verts[i] for i in best[1]], best[0]
+    twins = {verts[x]: verts[r] for x, r in twin.items()} or None
+    return [verts[i] for i in best[1]], best[0], twins
 
 
-def _labelling(g: Graph) -> tuple[list[int], Graph]:
-    """``g``'s canonical order and canonical form, searched once per graph."""
+def _labelling(g: Graph) -> tuple[list[int], Graph, dict[int, int] | None]:
+    """``g``'s canonical order, canonical form and twin classes, searched
+    once per graph."""
     if g._labelling is None:
-        order, cert = _canonical_labelling(g)
-        g._labelling = order, Graph._trusted(frozenset(range(len(order))), dict(enumerate(cert)))
+        order, cert, twins = _canonical_labelling(g)
+        form = Graph._trusted(frozenset(range(len(order))), dict(enumerate(cert)))
+        g._labelling = order, form, twins
     return g._labelling
 
 

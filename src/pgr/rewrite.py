@@ -17,8 +17,8 @@ import random as random_module
 from dataclasses import dataclass
 
 from .exceptions import DeterminismViolation, InvalidPatch, PgrError, StepLimitReached
-from .graph import (Graph, Renaming, canonical_form, find_isomorphism, patch_compose, patch_edges,
-                    rename_graph)
+from .graph import (Graph, Renaming, _labelling, canonical_form, find_isomorphism, patch_compose,
+                    patch_edges, rename_graph)
 from .matching import Redex, RedexSets, context_of, find_redexes
 from .rules import CONTEXT, QuasiRule, match_positions, patch_shapes
 
@@ -225,20 +225,23 @@ def _expand(host: Graph, system: dict[str, QuasiRule],
             seen: set[Graph] | None) -> tuple[list[tuple[str, Graph]], set[str], bool]:
     """``successors`` and the names of the rules with a redex; with a ``seen``
     set, a result is kept only if its canonical form is new, and adds it.
-    There a deterministic rule steps once per vertex map: its other redexes
-    only swap parallel host edges of equal triples, a host automorphism, so
-    the seen set would drop their results.  A result equal to an earlier one
-    of the call is skipped before it is labelled."""
+    There a deterministic rule steps once per vertex map up to the host's
+    twins: its other redexes differ by a host automorphism (twins permuted,
+    parallel edges of equal triples swapped), so the seen set would drop
+    their results.  A repeat of an earlier result is skipped unlabelled."""
     out, fired, results, truncated = [], set(), set(), False
     for name, rule in system.items():
         redexes, cut = find_redexes(host, rule)
         truncated = truncated or cut
         if redexes:
             fired.add(name)
-        if seen is not None and rule.deterministic:  # the first redex per vertex map
-            first = {}
-            redexes = [r for r in redexes
-                       if first.setdefault(frozenset(r.embedding.vmap.items()), r) is r]
+        if seen is not None and rule.deterministic and len(redexes) > 1:
+            twins, first = _labelling(host)[2], {}
+            for r in redexes:  # the first redex per vertex map up to twins
+                vmap = r.embedding.vmap
+                first.setdefault(frozenset((v, twins.get(w, w)) for v, w in vmap.items())
+                                 if twins else frozenset(vmap.items()), r)
+            redexes = first.values()
         for redex in redexes:
             result, _ = apply_at(host, redex)
             if seen is not None:

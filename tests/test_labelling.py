@@ -6,19 +6,23 @@ are ``graph._refine``, ``graph._target_cell`` and
 ``graph._canonical_labelling`` as they were before singleton cells were
 skipped during refinement and before the labelling was cached on the graph;
 only their names changed.  The current engine must give the same vertex
-order and certificate on every graph.
+order and certificate on every graph, though it splits a cell of twins
+without branching; the twins it reports must be automorphic.
 """
 
+import functools
+import itertools
 import random
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 
 import pytest
 
-from fixtures import hub_host
+from fixtures import ds_states, hub_host
 from pgr import graph, rewrite
 from pgr.graph import (
     EdgeTriple,
     Graph,
+    Renaming,
     canonical_form,
     canonical_renaming,
     find_isomorphism,
@@ -177,7 +181,7 @@ def reference_cases():
 def test_labelling_matches_reference():
     cases = 0
     for g in reference_cases():
-        assert graph._canonical_labelling(g) == reference_labelling(g), g
+        assert graph._canonical_labelling(g)[:2] == reference_labelling(g), g
         cases += 1
     assert cases == 480 + 66 + 4
 
@@ -238,23 +242,35 @@ def test_one_search_per_graph(searches):
 
 def test_one_search_per_successors_result(searches, monkeypatch):
     # Per host, the results that differ as graphs; an exact repeat of an
-    # earlier result of the same ``successors`` call is not labelled.
+    # earlier result of the same ``successors`` call is not labelled.  A
+    # redex whose vertex map is another's up to the host's twin classes is
+    # not applied at all, so to depth 6 no result repeats.
     results: dict[int, list[Graph]] = {}
-    apply_at = rewrite.apply_at
+    maps = set()  # (host, rule, vertex map) of every listed redex
+    search, apply_at = rewrite.find_redexes, rewrite.apply_at
+
+    def listed(host, rule):
+        out = search(host, rule)
+        maps.update((id(host), id(rule), frozenset(r.embedding.vmap.items())) for r in out[0])
+        return out
 
     def counted(host, redex):
         result = apply_at(host, redex)
         results.setdefault(id(host), []).append(result[0])
         return result
 
+    monkeypatch.setattr(rewrite, "find_redexes", listed)
     monkeypatch.setattr(rewrite, "apply_at", counted)
     # A fresh empty graph, so no earlier test has labelled the start.
     kept = grammar_reachable(6, start=Graph())
     assert len(kept) == 29
     total = sum(map(len, results.values()))
     distinct = sum(len(set(rs)) for rs in results.values())
-    assert total > 50 and distinct < total
+    assert total == distinct > 50
     assert searches[0] == distinct + 1
+    # Every grammar rule is deterministic, so each vertex map not applied
+    # was skipped by twin class.
+    assert len(maps) - total == 46
 
 
 def test_equal_graph_built_anew_is_searched_again(searches):
@@ -304,3 +320,85 @@ def test_cycle_unions_of_one_size_stay_apart(lengths, other):
         g, h = disjoint_cycles(lengths, rng), disjoint_cycles(other, rng)
         assert canonical_form(g) != canonical_form(h)
         assert find_isomorphism(g, h) is None
+
+
+def paley(q):
+    """The Paley graph of a prime ``q`` = 1 mod 4: one ``a`` edge from i to
+    j > i when j - i is a nonzero square mod ``q``.  It is strongly regular,
+    so refinement splits nothing, and no two vertices are twins."""
+    squares = {x * x % q for x in range(1, q)}
+    return Graph.from_triples(range(q), [(i, "a", j) for i, j in itertools.combinations(range(q), 2)
+                                         if (j - i) % q in squares])
+
+
+@functools.cache
+def twin_cases():
+    """The grammar states to depth 7, and the other graphs: DS states, Paley
+    graphs, the random multigraphs and shuffled cycle unions."""
+    cycles = [disjoint_cycles(lengths, random.Random(i))
+              for i, lengths in enumerate([[3, 6], [3, 3, 6], [4, 4, 8], [3, 4, 5], [6, 6]])]
+    pairs = [g for pair in random_multigraph_pairs() for g in pair]
+    return grammar_reachable(7), ds_states() + [paley(q) for q in (13, 17, 29)] + pairs + cycles
+
+
+def twin_classes(g):
+    classes = defaultdict(list)
+    for x, first in (graph._labelling(g)[2] or {}).items():
+        classes[first].append(x)
+    return list(classes.values())
+
+
+def test_reported_twins_are_automorphic():
+    # Swapping two twins, with every edge id kept, gives back the graph's
+    # triples: the graph up to edge ids.
+    pairs = 0
+    for g in itertools.chain(*twin_cases()):
+        for xs in twin_classes(g):
+            assert len(xs) > 1
+            for x, y in itertools.combinations(xs, 2):
+                swap = Renaming({v: {x: y, y: x}.get(v, v) for v in g.vertices}, {e: e for e in g.edges})
+                assert Counter(rename_graph(g, swap).edges.values()) == Counter(g.edges.values())
+                pairs += 1
+    assert pairs > 700
+
+
+def test_canonical_classes_equal_the_references():
+    # Class for class; ``test_labelling_matches_reference`` compares the
+    # grammar states leaf for leaf.
+    def partition(key):
+        classes = defaultdict(set)
+        for i, g in enumerate(twin_cases()[1]):
+            classes[key(g)].add(i)
+        return {frozenset(c) for c in classes.values()}
+
+    assert partition(canonical_form) == \
+        partition(lambda g: (len(g.vertices), tuple(reference_labelling(g)[1])))
+
+
+def test_twins_of_isolated_vertices_star_leaves_and_equal_processes():
+    assert twin_classes(Graph(range(5))) == [[0, 1, 2, 3, 4]]
+    star = Graph.from_triples(range(6), [(0, "a", i) for i in range(1, 6)])
+    assert twin_classes(star) == [[1, 2, 3, 4, 5]]
+    # Processes 5 and 14 are both targets of request 15 (a grammar state).
+    g = Graph.from_triples([5, 13, 14, 15], [(13, "_", 15), (15, "_", 5), (15, "_", 14),
+                                             (15, "s", 15), (15, "z", 15)])
+    assert canonical_form(g) in {canonical_form(s) for s in twin_cases()[0]}
+    assert twin_classes(g) == [[5, 14]]
+    assert twin_classes(paley(13)) == []
+
+
+@pytest.mark.parametrize("g", [Graph(range(256)),
+                               Graph.from_triples(range(257), [(0, "a", i) for i in range(1, 257)])],
+                         ids=["isolated", "star"])
+def test_a_twin_cell_is_split_without_branching(g, monkeypatch):
+    # The root refinement, then the twins are split into singletons: the
+    # partition stays equitable, so no further refinement runs.
+    calls, refine = [0], graph._refine
+
+    def counted(*args):
+        calls[0] += 1
+        return refine(*args)
+
+    monkeypatch.setattr(graph, "_refine", counted)
+    canonical_form(g)
+    assert calls[0] == 1

@@ -35,7 +35,7 @@ from fixtures import (
     three_spoke_rule,
     two_fresh_nodes,
 )
-from pgr import rewrite, systems
+from pgr import graph, rewrite, systems
 from pgr.exceptions import InvalidRule, StepLimitReached
 from pgr.graph import (
     EMPTY_GRAPH,
@@ -827,6 +827,8 @@ class TestSuccessors:
         assert 0 < exact[False] < repeats[False]
 
     def test_without_dedup_every_listed_redex_is_applied(self, monkeypatch):
+        # The sources are built first: their grammar walk runs with dedup.
+        sources = list(successor_sources())
         listed, applied = [0], [0]
         search, step = rewrite.find_redexes, rewrite.apply_at
 
@@ -841,7 +843,7 @@ class TestSuccessors:
 
         monkeypatch.setattr(rewrite, "find_redexes", recorded)
         monkeypatch.setattr(rewrite, "apply_at", counted)
-        for host, system in successor_sources():
+        for host, system in sources:
             successors(host, system, dedup=False)
         assert applied[0] == listed[0] > 0
 
@@ -859,6 +861,21 @@ class TestSuccessors:
             assert truncated == flag
             flags.add(flag)
         assert flags == {True, False}
+
+    def test_equal_to_previous_successors_on_deeper_grammar_states(self):
+        # Most grammar states with twins lie past depth 5.  Every other
+        # host is a fresh copy, so ``successors`` labels it for its twins.
+        grammar, twins = waitfor_grammar(), 0
+        for i, host in enumerate(grammar_reachable(7)):
+            if i % 2:
+                host = Graph(host.vertices, host.edges)
+            got, truncated = successors(host, grammar)
+            expected, flag = previous_successors(host, grammar)
+            assert [(n, list(g.edges.items()), g.vertices) for n, g in got] == \
+                [(n, list(g.edges.items()), g.vertices) for n, g in expected]
+            assert truncated == flag is False
+            twins += graph._labelling(host)[2] is not None
+        assert twins > 20
 
     def test_single_rule_single_successor(self):
         host = hub_host()
