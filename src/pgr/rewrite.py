@@ -236,11 +236,10 @@ def _expand(host: Graph, system: dict[str, QuasiRule],
         if redexes:
             fired.add(name)
         if seen is not None and rule.deterministic and len(redexes) > 1:
-            twins, first = _labelling(host)[2], {}
+            twins, first = _labelling(host)[2] or {}, {}
             for r in redexes:  # the first redex per vertex map up to twins
-                vmap = r.embedding.vmap
-                first.setdefault(frozenset((v, twins.get(w, w)) for v, w in vmap.items())
-                                 if twins else frozenset(vmap.items()), r)
+                first.setdefault(frozenset((v, twins.get(w, w))
+                                           for v, w in r.embedding.vmap.items()), r)
             redexes = first.values()
         for redex in redexes:
             result, _ = apply_at(host, redex)
