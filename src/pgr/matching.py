@@ -215,10 +215,9 @@ class _Entry(NamedTuple):
     capped: bool
 
 
-def _redex_entries(host: Graph, rule: QuasiRule, anchors: Set[int] | None = None):
+def _redex_entries(host: Graph, rule: QuasiRule, cap: int, anchors: Set[int] | None = None):
     """Each embedding of ``rule`` in ``host`` whose patch adheres, in redex
-    order, as an ``_Entry``; the map cap (``default_map_cap()``) is read once."""
-    cap = default_map_cap()
+    order, as an ``_Entry`` with its maps listed up to ``cap``."""
     for key, emb in _embeddings(host, rule.lhs.pattern, rule.lhs.ptype, anchors):
         if (x := _entry(host, rule, key, emb, cap)).maps:
             yield x
@@ -235,9 +234,9 @@ def find_redexes(host: Graph, rule: QuasiRule) -> tuple[list[Redex], bool]:
     some map listing hit the map cap.  Per embedding, one redex per adherence
     map (a deterministic rule admits at most one), sharing one decomposition;
     an embedding whose patch, read off the host's edges, does not adhere is
-    dropped before any decomposition is made."""
+    dropped before any decomposition is made.  It reads the map cap once."""
     redexes, truncated = [], False
-    for _, emb, maps, capped in _redex_entries(host, rule):
+    for _, emb, maps, capped in _redex_entries(host, rule, default_map_cap()):
         d = PatchDecomposition(host, emb.image_vertices(), emb.image_edges(), list(maps[0]))
         truncated = truncated or capped
         redexes += [Redex(rule, emb, d, h_l, capped) for h_l in maps]
@@ -263,7 +262,7 @@ class RedexSets:
     """
 
     def __init__(self, host: Graph, system: dict[str, QuasiRule]):
-        self.host, self.system = host, system
+        self.host, self.system, self.cap = host, system, default_map_cap()  # read once
         self._entries: dict[str, list[_Entry]] = {}
         self._at: dict[str, dict[int, set[tuple]]] = {}  # image vertex -> entry keys
         self._capped: dict[str, int] = {}  # entries whose maps were capped
@@ -276,7 +275,7 @@ class RedexSets:
         if name not in self._entries:
             self._entries[name], self._at[name], self._capped[name] = [], {}, 0
             self._pending[name] = set(), set()
-            found = _redex_entries(self.host, rule)
+            found = _redex_entries(self.host, rule, self.cap)
         entries, at, (touched, carried) = self._entries[name], self._at[name], self._pending[name]
         if touched or carried:
             for key in set().union(*(at.pop(v, ()) for v in touched)):
@@ -284,14 +283,13 @@ class RedexSets:
                 self._capped[name] -= x.capped
                 for v in x.embedding.vmap.values():
                     at.get(v, set()).discard(key)
-            keys = set().union(*(at.get(v, ()) for v in carried))
-            cap = keys and default_map_cap()  # an environment read: only for a re-read
-            for key in keys:
+            for key in set().union(*(at.get(v, ()) for v in carried)):
                 i = bisect_left(entries, key, key=itemgetter(0))  # the key, so the place, stays
-                x, entries[i] = entries[i], _entry(self.host, rule, key, entries[i].embedding, cap)
+                x, entries[i] = entries[i], _entry(self.host, rule, key, entries[i].embedding,
+                                                   self.cap)
                 self._capped[name] += entries[i].capped - x.capped
             if anchors := touched & self.host.vertices:
-                found = _redex_entries(self.host, rule, anchors)
+                found = _redex_entries(self.host, rule, self.cap, anchors)
             self._pending[name] = set(), set()
         for x in found:
             insort(entries, x, key=itemgetter(0))

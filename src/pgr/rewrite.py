@@ -16,10 +16,9 @@ import itertools
 import random as random_module
 from dataclasses import dataclass
 
-from .exceptions import DeterminismViolation, InvalidPatch, PgrError, StepLimitReached
-from .graph import (Graph, Renaming, _labelling, canonical_form, find_isomorphism, patch_compose,
-                    patch_edges, rename_graph)
-from .matching import Redex, RedexSets, context_of, find_redexes
+from .exceptions import DeterminismViolation, PgrError, StepLimitReached
+from .graph import Graph, Renaming, _labelling, canonical_form, find_isomorphism, patch_edges
+from .matching import Redex, RedexSets, find_redexes
 from .rules import CONTEXT, QuasiRule, match_positions, patch_shapes
 
 
@@ -102,9 +101,9 @@ def _step(g: Graph, redex: Redex, fresh_base: int | None) -> StepCertificate:
 
 def verify_step(host: Graph, result: Graph, cert: StepCertificate) -> bool:
     """Re-check a certificate against the step conditions, on the step's
-    parts: ``_redex_ok`` reads the redex off the host, ``_result_ok`` makes
-    one pass over J' and one over M'; neither composes a graph or derives C,
-    J or M.  A malformed certificate is a failure, not an exception."""
+    parts: ``_redex_ok`` reads the redex off the host, ``_result_ok``
+    compares the result with ``_derived``'s; neither derives C, J or M.  A
+    malformed certificate is a failure, not an exception."""
     return _redex_ok(host, cert.redex) and _result_ok(host, result, cert)
 
 
@@ -134,79 +133,75 @@ def _redex_ok(host: Graph, redex: Redex) -> bool:
             and list(map(types.get, redex.h_l.values())) == patch_shapes(host, redex.h_l, at))
 
 
-@_false_on_error
-def _result_ok(host: Graph, result: Graph, cert: StepCertificate) -> bool:
-    """The right half: one pass over J' and one over M', each edge in the
-    result with its triple.  A new edge is the one fixed by its right type
-    edge and its sigma partner, an old patch edge in the trace image: the
-    type edge's pattern ends copied, the partner's label and, at CONTEXT,
-    the partner's context end, a context vertex.  Then sigma is onto per
-    right type edge, the old patch holds every edge at the match, and the
-    rest of the result is the host outside the old patch and match."""
-    rule, d, h_l = cert.redex.rule, cert.redex.decomposition, cert.redex.h_l
-    jp, h_r, sigma, old, new = cert.j_prime.edges, cert.h_r, cert.sigma, host.edges, result.edges
-    pattern, inst, je, cv = rule.rhs.pattern, cert.rhs_instance, set(d._je), host.vertices - d._mv
+def _derived(host: Graph, redex: Redex, inst: Renaming, h_r: dict[int, int],
+             sigma: dict[int, int]) -> tuple[frozenset[int], dict[int, tuple]] | None:
+    """The result's vertices and edges that the step conditions fix for the
+    instance and pairing, or None if the pairing breaks them.  The context
+    stays; the match becomes ``inst``'s copy of the right pattern, off the
+    context; a new patch edge takes its right type edge's pattern ends and
+    its sigma partner's label and, at CONTEXT, context end, a context vertex.
+    The partners are the old patch edges of the trace images, each once per
+    right type edge.  A new id may reuse an id of the old patch or match."""
+    rule, d, h_l, old = redex.rule, redex.decomposition, redex.h_l, host.edges
+    je, cv, pattern, edges = set(d._je), host.vertices - d._mv, rule.rhs.pattern, dict(old)
     ends = dict(inst.vmap)  # and CONTEXT, per new edge, to its partner's context end
-    m_v = {ends[p] for p in pattern.vertices}
-    m_e = {inst.emap[p]: (ends[s], lab, ends[t]) for p, (s, lab, t) in pattern.edges.items()}
-    plan, per_left, pairs = {}, {}, set()  # per_left: right type edges per trace image
+    m_v = frozenset(ends[p] for p in pattern.vertices)
+    plan, per_left = {}, {}  # per_left: right type edges per trace image
     for t, left, ts, tt, slot in rule._step_plan[2]:
         plan[t], per_left[left] = (left, ts, tt, slot), per_left.get(left, 0) + 1
-    for e, triple in jp.items():
-        te, j = h_r[e], sigma[e]
-        (left, ts, tt, slot), partner = plan[te], old[j]
+    for e in itertools.chain(je, d._me):
+        edges.pop(e, None)
+    kept, pairs = len(edges), set()
+    for e, te in h_r.items():
+        (left, ts, tt, slot), partner = plan[te], old[j := sigma[e]]
         if slot is not None:
             ends[CONTEXT] = partner[slot]
-        if not (j in je and h_l.get(j) == left and (slot is None or ends[CONTEXT] in cv)
-                and new.get(e) == triple == (ends[ts], partner[1], ends[tt])):
-            return False
+        if not (j in je and h_l.get(j) == left and (slot is None or ends[CONTEXT] in cv)):
+            return None
+        edges[e] = (ends[ts], partner[1], ends[tt])
         pairs.add((te, j))
-    rest, gone = dict(new), je | d._me
-    for e in itertools.chain(jp, m_e):
-        del rest[e]
-    if not (h_r.keys() == sigma.keys() == jp.keys()
-            and len(pairs) == len(jp) == sum(map(per_left.get, h_l.values(), itertools.repeat(0)))
-            and all(new[e] == triple for e, triple in m_e.items())
-            and cert.j_prime.vertices == {x for s, _, t in jp.values() for x in (s, t)}
-            and cv.isdisjoint(m_v) and result.vertices == cv | m_v
-            and je.issuperset(patch_edges(host, d._mv, d._me)) and rest.keys().isdisjoint(gone)):
-        return False
-    rest.update((e, old[e]) for e in gone if e in old)
-    return rest == old
+    edges.update((inst.emap[p], (ends[s], lab, ends[t]))
+                 for p, (s, lab, t) in pattern.edges.items())
+    if not (h_r.keys() == sigma.keys() and len(edges) == kept + len(h_r) + len(pattern.edges)
+            and len(pairs) == len(h_r) == sum(map(per_left.get, h_l.values(), itertools.repeat(0)))
+            and cv.isdisjoint(m_v)):
+        return None
+    return cv | m_v, edges
+
+
+@_false_on_error
+def _result_ok(host: Graph, result: Graph, cert: StepCertificate) -> bool:
+    """The right half: the result is ``_derived``'s for the certificate's
+    instance and pairing (one dict comparison, no Python loop over the
+    host's edges), J' is its part at sigma's keys, and the old patch holds
+    every edge at the match."""
+    d, jp = cert.redex.decomposition, cert.j_prime
+    return (_derived(host, cert.redex, cert.rhs_instance, cert.h_r, cert.sigma)
+            == (result.vertices, result.edges)
+            and jp.edges == {e: result.edges[e] for e in cert.sigma}
+            and jp.vertices == {x for s, _, t in jp.edges.values() for x in (s, t)}
+            and set(d._je).issuperset(patch_edges(host, d._mv, d._me)))
 
 
 def brute_force_step_oracle(host: Graph, redex: Redex) -> list[Graph]:
-    """The result the step conditions allow, derived from them alone: ``[]``
-    or its canonical form.
-
-    A redex that fails the left half of ``verify_step`` yields ``[]``.  The
-    conditions fix the new patch up to the numbering of its edges: per right
-    type edge, sigma pairs one new edge with each old edge of its trace
-    image, and the new edge keeps that edge's label, takes the copies of the
-    type edge's pattern ends and, at CONTEXT, the context vertex its old
-    edge touches.  So one candidate is built, its new edges numbered after
-    the right-pattern instance, composed with ``patch_compose`` (an
-    ``InvalidPatch`` yields ``[]``) and decided by the right half.  Another
-    pairing or label arrangement gives it up to the numbering of new edges.
-    """
+    """The result the step conditions allow, from them alone: ``[]`` or its
+    canonical form; ``[]`` for a redex that fails the left half of
+    ``verify_step``.  The conditions fix the result up to the numbering of
+    its new edges, so only the pairing they force is built: per right type
+    edge in id order, a new edge for each old patch edge of its trace image
+    in id order, numbered after the right-pattern instance.  ``_derived``
+    gives the result for it."""
     if not _redex_ok(host, redex):
         return []
-    rule, d, h_l = redex.rule, redex.decomposition, redex.h_l
+    rule, h_l = redex.rule, redex.h_l
     counter = itertools.count(max(host.max_id(), rule.rhs.pattern.max_id()) + 1)
-    inst, jp_edges, h_r, sigma = _instantiate_rhs(rule, counter), {}, {}, {}
-    for t, type_ends in sorted(rule.rhs.ptype.edges.items()):
+    inst, h_r, sigma = _instantiate_rhs(rule, counter), {}, {}
+    for t in sorted(rule.rhs.ptype.edges):
         for j in sorted(j for j, left in h_l.items() if left == rule.trace[t]):
-            ctx = context_of(j, h_l, d.patch, rule.lhs.ptype)
-            s, t2 = (min(ctx) if x == CONTEXT else inst.vmap[x] for x in type_ends)
             e = next(counter)
-            jp_edges[e], h_r[e], sigma[e] = (s, d.patch.label(j), t2), t, j
-    j_prime = Graph({x for s, _, t2 in jp_edges.values() for x in (s, t2)}, jp_edges)
-    try:
-        candidate = patch_compose(d.context, j_prime, rename_graph(rule.rhs.pattern, inst))
-    except InvalidPatch:
-        return []
-    cert = StepCertificate(redex, inst, j_prime, h_r, sigma)
-    return [canonical_form(candidate)] if _result_ok(host, candidate, cert) else []
+            h_r[e], sigma[e] = t, j
+    derived = _derived(host, redex, inst, h_r, sigma)
+    return [] if derived is None else [canonical_form(Graph._trusted(*derived))]
 
 
 def successors(host: Graph, system: dict[str, QuasiRule],
@@ -228,8 +223,8 @@ def _expand(host: Graph, system: dict[str, QuasiRule],
     There a deterministic rule steps once per vertex map up to the host's
     twins: its other redexes differ by a host automorphism (twins permuted,
     parallel edges of equal triples swapped), so the seen set would drop
-    their results.  A repeat of an earlier result is skipped unlabelled."""
-    out, fired, results, truncated = [], set(), set(), False
+    their results."""
+    out, fired, truncated = [], set(), False
     for name, rule in system.items():
         redexes, cut = find_redexes(host, rule)
         truncated = truncated or cut
@@ -244,9 +239,6 @@ def _expand(host: Graph, system: dict[str, QuasiRule],
         for redex in redexes:
             result, _ = apply_at(host, redex)
             if seen is not None:
-                if result in results:  # an exact repeat needs no labelling
-                    continue
-                results.add(result)
                 if (key := canonical_form(result)) in seen:
                     continue
                 seen.add(key)

@@ -109,7 +109,8 @@ def anchored_redexes(host, rule, anchors):
     ``matching._redex_entries`` from ``anchors``, built as ``find_redexes``
     builds its own, with the cap flag."""
     redexes, truncated = [], False
-    for _, emb, maps, capped in matching._redex_entries(host, rule, anchors):
+    cap = rules.default_map_cap()
+    for _, emb, maps, capped in matching._redex_entries(host, rule, cap, anchors):
         d = graph.PatchDecomposition(host, emb.image_vertices(), emb.image_edges(), list(maps[0]))
         truncated = truncated or capped
         redexes += [matching.Redex(rule, emb, d, h_l, capped) for h_l in maps]

@@ -126,9 +126,9 @@ def _result_ok(host: Graph, result: Graph, cert: StepCertificate) -> bool:
 
 @contextlib.contextmanager
 def previous_checks():
-    """Within the block, ``rewrite`` checks certificates with the halves
-    above, and the oracle composes with the ``patch_compose`` above."""
-    names = {"_redex_ok": _redex_ok, "_result_ok": _result_ok, "patch_compose": patch_compose}
+    """Within the block, ``rewrite`` checks certificates with the two halves
+    above; the oracle composes no graph, so there is nothing else to swap."""
+    names = {"_redex_ok": _redex_ok, "_result_ok": _result_ok}
     saved = {name: getattr(rewrite, name) for name in names}
     try:
         for name, fn in names.items():

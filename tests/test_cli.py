@@ -114,6 +114,13 @@ def test_bad_map_cap_is_input_error(workdir, capsys, monkeypatch, value):
         f"error: PGR_MAX_MAPS must be a positive integer, got {value!r}\n"
 
 
+def test_bad_map_cap_is_input_error_for_deadlock(workdir, capsys, monkeypatch):
+    monkeypatch.setenv("PGR_MAX_MAPS", "0")
+    code = main(["deadlock", str(workdir / "cycle.pgr")])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: PGR_MAX_MAPS must be a positive integer, got '0'\n")
+
+
 def test_match_none_is_negative_verdict(workdir, capsys):
     code = main(["match", str(workdir / "host.pgr"), str(workdir / "rules.pgr"),
                  "--rule", "strict"])

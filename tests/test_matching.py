@@ -657,6 +657,22 @@ class TestFindRedexes:
                 assert len(reads) == len(listed)
         assert max(listed) > 1
 
+    def test_map_cap_is_read_once_per_normalize_call(self, monkeypatch):
+        # Counted: ``RedexSets`` reads the cap once, when built, and hands
+        # it to every search and re-read of the maps for the whole run.
+        cap, reads = matching.default_map_cap, []
+
+        def counted():
+            reads.append(1)
+            return cap()
+
+        monkeypatch.setattr(matching, "default_map_cap", counted)
+        steps = 0
+        for calls, (g, _, _) in enumerate(deadlock_workload_nets()[::4], 1):
+            steps += len(rewrite.normalize(g, deadlock_rules())[1])
+            assert len(reads) == calls
+        assert steps > 10 * calls
+
 
 class TestContextOf:
     def test_cases(self):

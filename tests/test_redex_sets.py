@@ -147,9 +147,9 @@ class TestAgainstFreshSearch:
             events.append(("step", redex.rule, cert.rhs_instance.image_vertices()))
             return cert
 
-        def counted_search(host, rule, anchors=None):
+        def counted_search(host, rule, cap, anchors=None):
             events.append(("search", rule, anchors))
-            return search(host, rule, anchors)
+            return search(host, rule, cap, anchors)
 
         monkeypatch.setattr(rewrite, "_step", counted_step)
         monkeypatch.setattr(matching, "_redex_entries", counted_search)
@@ -326,9 +326,9 @@ def test_no_search_when_no_touched_vertex_is_left(monkeypatch):
     assert result == outcome(reference_normalize, net, deadlock_rules())
     search, calls = matching._redex_entries, []
 
-    def counted(host, rule, anchors=None):
+    def counted(host, rule, cap, anchors=None):
         calls.append(anchors)
-        return search(host, rule, anchors)
+        return search(host, rule, cap, anchors)
 
     monkeypatch.setattr(matching, "_redex_entries", counted)
     assert outcome(normalize, net, deadlock_rules()) == result

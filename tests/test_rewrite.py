@@ -35,7 +35,7 @@ from fixtures import (
     three_spoke_rule,
     two_fresh_nodes,
 )
-from pgr import graph, rewrite, systems
+from pgr import graph, matching, rewrite, systems
 from pgr.exceptions import InvalidRule, StepLimitReached
 from pgr.graph import (
     EMPTY_GRAPH,
@@ -356,7 +356,7 @@ class TestStepPlan:
         def refused(*args):
             raise AssertionError("context_of called on the step path")
 
-        monkeypatch.setattr(rewrite, "context_of", refused)
+        monkeypatch.setattr(matching, "context_of", refused)
         rules = deadlock_rules()
         for g, _, _ in deadlock_workload_nets()[::5]:
             normalize(g, rules)
@@ -702,9 +702,9 @@ class TestBruteForceOracle:
     @pytest.mark.parametrize("n", range(6, 13))
     def test_parallel_edges_give_one_candidate(self, n, monkeypatch):
         # Each new edge is built from the old edge it pairs with, so the n
-        # kept parallel edges give one candidate and one check, not n! label
-        # arrangements and n! pairings; and the edges in from n senders
-        # give one, not n^n choices of context ends.
+        # kept parallel edges give one pairing and one derivation, not n!
+        # label arrangements and n! pairings; and the edges in from n
+        # senders give one, not n^n choices of context ends.
         host = parallel_edge_host(n)
         rule = parallel_drop_rule()
         first = find_redexes(host, rule)[0][0]
@@ -716,13 +716,13 @@ class TestBruteForceOracle:
         senders = sender_host(n)
         steps.append((senders, only_redex(senders, redirect_rule())))
         calls = []
-        check = rewrite._result_ok
+        derive = rewrite._derived
 
         def counted(*args):
             calls.append(args)
-            return check(*args)
+            return derive(*args)
 
-        monkeypatch.setattr(rewrite, "_result_ok", counted)
+        monkeypatch.setattr(rewrite, "_derived", counted)
         for host, redex in steps:
             calls.clear()
             assert brute_force_step_oracle(host, redex) == \

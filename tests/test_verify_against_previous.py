@@ -3,8 +3,9 @@ the verdicts of ``verify_step`` and its two halves on genuine and tampered
 certificates, the oracle's outputs on their redexes (against
 ``previous_oracle``), and the messages of ``validate_patch`` and
 ``patch_compose`` on parts that break each condition in turn.  Also that
-``verify_step`` derives no part of a decomposition, on those steps and on
-a large ring."""
+neither ``verify_step`` nor the oracle derives a part of a decomposition,
+on those steps and on a large ring, and that the oracle's pairing gives
+``apply_at``'s result through ``_derived``."""
 
 import random
 from dataclasses import replace
@@ -124,7 +125,8 @@ def tampered_parts(host, result, cert):
     in the result; a context edge dropped or relabelled; a new match edge
     relabelled; a new patch edge re-ended at another context vertex in J'
     and the result alike; a new match vertex moved onto a context vertex
-    everywhere; and patch ids that repeat one id."""
+    everywhere; patch ids that repeat one id; and the ``reused_ids``
+    tamperings."""
     d = cert.redex.decomposition
     extra = result.max_id() + 1
     yield host, Graph._trusted(result.vertices | {extra}, result.edges), cert
@@ -168,6 +170,29 @@ def tampered_parts(host, result, cert):
     if d._je:
         repeated = PatchDecomposition(d._host, d._mv, d._me, [*d._je, d._je[0]])
         yield host, result, replace(cert, redex=replace(cert.redex, decomposition=repeated))
+    yield from (triple for _, triple in reused_ids(host, result, cert))
+
+
+def reused_ids(host, result, cert):
+    """(kind, (host, result, certificate)) pairs: the smallest new patch edge
+    renamed, in the result, J', h_r and sigma alike, onto the smallest id of
+    each kind that there is: a context edge, a new match edge (both taken),
+    a removed patch edge and a removed match edge (both free again)."""
+    if not cert.j_prime.edges:
+        return
+    d, e = cert.redex.decomposition, min(cert.j_prime.edges)
+    kinds = {"context": [x for x in host.edges if x not in d._me and x not in d._je],
+             "new match": list(cert.rhs_instance.emap.values()),
+             "removed patch": d._je, "removed match": d._me}
+    for kind, ids in kinds.items():
+        if ids:
+            x = min(ids)
+
+            def renamed(edges):
+                return {x if k == e else k: v for k, v in edges.items()}
+            yield kind, (host, Graph._trusted(result.vertices, renamed(result.edges)),
+                         replace(cert, j_prime=patch_graph(renamed(cert.j_prime.edges)),
+                                 h_r=renamed(cert.h_r), sigma=renamed(cert.sigma)))
 
 
 def patch_graph(edges):
@@ -214,6 +239,36 @@ def test_oracle_outputs_equal_the_previous_checks():
     assert outputs == {True, False}
 
 
+def test_new_ids_reuse_only_removed_ids():
+    # A new id may take the id of a removed patch or match edge, but not
+    # that of a context edge or of another new edge.
+    verdicts_by_kind = {}
+    for host, redex in step_sources():
+        for kind, triple in reused_ids(host, *apply_at(host, redex)):
+            verdicts_by_kind.setdefault(kind, set()).add(verify_step(*triple))
+    assert verdicts_by_kind == {"context": {False}, "new match": {False},
+                                "removed patch": {True}, "removed match": {True}}
+
+
+def test_oracle_derives_the_step_result(monkeypatch):
+    # The pairing the oracle builds gives, through ``_derived``, the result
+    # of ``apply_at`` id for id, edge order included.
+    derived, derive = [], rewrite._derived
+
+    def kept(*args):
+        derived.append(derive(*args))
+        return derived[-1]
+
+    monkeypatch.setattr(rewrite, "_derived", kept)
+    for host, redex in step_sources():
+        derived.clear()
+        brute_force_step_oracle(host, redex)
+        vertices, edges = derived.pop()
+        result = apply_at(host, redex)[0]
+        assert vertices == result.vertices
+        assert list(edges.items()) == list(result.edges.items())
+
+
 def ring_step(n):
     """The ring of ``perfbench/scaling.py``: n vertices with an a-loop each,
     joined in a ring by b-edges (ids n to 2n-1, i -b-> i+1), and the rule
@@ -229,15 +284,17 @@ def ring_step(n):
 def test_verify_step_derives_no_part(monkeypatch):
     # Both halves read the host and the certificate; neither derives the
     # decomposition's C, J or M, so the check costs the step, not the host.
+    # Nor does the oracle, which derives its result by ``_derived`` too.
     steps = [(host, *apply_at(host, redex)) for host, redex in step_sources()]
     steps.append(ring_step(3200))
 
     def derived(self):
-        raise AssertionError("verify_step derived a part of the decomposition")
+        raise AssertionError("a check derived a part of the decomposition")
 
     for part in ("context", "patch", "match"):
         monkeypatch.setattr(PatchDecomposition, part, property(derived))
     assert all(verify_step(*step) for step in steps)
+    assert all(brute_force_step_oracle(host, cert.redex) for host, _, cert in steps)
 
 
 def test_ring_result_missing_a_far_context_edge_is_rejected():
