@@ -232,6 +232,13 @@ class Renaming:
             raise ValueError("edge map is not injective")
 
     @classmethod
+    def _trusted(cls, vmap: dict[int, int], emap: dict[int, int]) -> "Renaming":
+        """A renaming of maps known to be injective; it owns them."""
+        r = cls.__new__(cls)
+        r.vmap, r.emap = vmap, emap
+        return r
+
+    @classmethod
     def identity(cls, g: Graph) -> "Renaming":
         return cls({v: v for v in g.vertices}, {e: e for e in g.edges})
 

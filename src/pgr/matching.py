@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import eq, ge, itemgetter
 from typing import NamedTuple
 
-from .graph import Graph, PatchDecomposition, Renaming, patch_edges
+from .graph import Graph, PatchDecomposition, Renaming, _labelling, patch_edges
 from .rules import (CONTEXT, PatchType, QuasiRule, adherence_maps, default_map_cap,
                     match_positions)
 
@@ -160,7 +160,7 @@ def find_pattern_embeddings(host: Graph, pattern: Graph, ptype: PatchType | None
 
 
 def _embeddings(host: Graph, pattern: Graph, ptype: PatchType | None,
-                anchors: Set[int] | None) -> list[tuple[tuple, Renaming]]:
+                anchors: Set[int] | None, first: bool = False) -> list[tuple[tuple, Renaming]]:
     """``find_pattern_embeddings``, each paired with its ``_embedding_key``."""
     if not pattern.vertices:
         return [(_embedding_key(Renaming()), Renaming())] if anchors is None else []
@@ -201,9 +201,10 @@ def _embeddings(host: Graph, pattern: Graph, ptype: PatchType | None,
                 if fits(p, a):
                     vmaps += _vertex_maps(host, m.plan(p), (a,), scan, fits, tried)
             tried.add(a)
-    # Per vertex map, each group of pattern edges onto its host edges.
-    results = [Renaming(vm, dict(zip(m.edges, itertools.chain(*choice)))) for vm in vmaps
-               for choice in itertools.product(*[itertools.permutations(
+    # Per vertex map, each group of pattern edges onto its host edges (``first``: only the first n).
+    pick = (lambda es, n: (es[:n],)) if first else itertools.permutations
+    results = [Renaming._trusted(dict(vm), dict(zip(m.edges, itertools.chain(*choice))))
+               for vm in vmaps for choice in itertools.product(*[pick(
                    _between(host, vm[s], lab, vm[t]), n) for (s, lab, t), n in m.groups])]
     return sorted(((_embedding_key(r), r) for r in results), key=itemgetter(0))
 
@@ -227,6 +228,19 @@ def _entry(host: Graph, rule: QuasiRule, key: tuple, emb: Renaming, cap: int) ->
     pattern, je = rule.lhs.pattern, patch_edges(host, emb.image_vertices(), emb.image_edges())
     maps, cut = adherence_maps(host, je, rule.lhs.ptype, match_positions(pattern, emb), cap)
     return _Entry(key, emb, maps, cut)
+
+
+def _twin_redexes(host: Graph, rule: QuasiRule, cap: int) -> list[Redex]:
+    """The redexes of deterministic ``rule``, the first per vertex map up to the host's twins."""
+    embs, first = _embeddings(host, rule.lhs.pattern, rule.lhs.ptype, None, True), {}
+    if host._labelling is None:  # not labelled yet: labelled only if two maps adhere
+        embs = [(key, emb) for key, emb in embs if _entry(host, rule, key, emb, cap).maps]
+    twins = len(embs) > 1 and _labelling(host)[2] or {}
+    for key, emb in embs:
+        first.setdefault(frozenset((v, twins.get(w, w)) for v, w in emb.vmap.items()), (key, emb))
+    return [Redex(rule, emb, PatchDecomposition(host, emb.image_vertices(), emb.image_edges(),
+                                                list(x.maps[0])), x.maps[0])
+            for key, emb in first.values() if (x := _entry(host, rule, key, emb, cap)).maps]
 
 
 def find_redexes(host: Graph, rule: QuasiRule) -> tuple[list[Redex], bool]:

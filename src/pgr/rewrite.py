@@ -17,9 +17,9 @@ import random as random_module
 from dataclasses import dataclass
 
 from .exceptions import DeterminismViolation, PgrError, StepLimitReached
-from .graph import Graph, Renaming, _labelling, canonical_form, find_isomorphism, patch_edges
-from .matching import Redex, RedexSets, find_redexes
-from .rules import CONTEXT, QuasiRule, match_positions, patch_shapes
+from .graph import Graph, Renaming, canonical_form, find_isomorphism, patch_edges
+from .matching import Redex, RedexSets, _twin_redexes, find_redexes
+from .rules import CONTEXT, QuasiRule, default_map_cap, match_positions, patch_shapes
 
 
 @dataclass
@@ -35,7 +35,7 @@ class StepCertificate:
 
 def _instantiate_rhs(rule: QuasiRule, counter) -> Renaming:
     vertices, edges, _ = rule._step_plan
-    return Renaming(dict(zip(vertices, counter)), dict(zip(edges, counter)))
+    return Renaming._trusted(dict(zip(vertices, counter)), dict(zip(edges, counter)))
 
 
 def construct_rhs_patch(redex: Redex, fresh_base: int):
@@ -209,8 +209,8 @@ def successors(host: Graph, system: dict[str, QuasiRule],
     """All one-step results over all rules of the system, in rule order.
 
     With ``dedup`` the list keeps one representative per isomorphism class
-    (see ``_expand``); without it, every redex is applied.  The flag tells
-    whether some redex list was cut off at the map cap (``PGR_MAX_MAPS``).
+    and builds no redex it skips (``_expand``); without it, every redex is
+    applied.  The flag: a redex list was cut at the map cap (``PGR_MAX_MAPS``).
     """
     out, _, truncated = _expand(host, system, set() if dedup else None)
     return out, truncated
@@ -218,24 +218,19 @@ def successors(host: Graph, system: dict[str, QuasiRule],
 
 def _expand(host: Graph, system: dict[str, QuasiRule],
             seen: set[Graph] | None) -> tuple[list[tuple[str, Graph]], set[str], bool]:
-    """``successors`` and the names of the rules with a redex; with a ``seen``
-    set, a result is kept only if its canonical form is new, and adds it.
-    There a deterministic rule steps once per vertex map up to the host's
-    twins: its other redexes differ by a host automorphism (twins permuted,
-    parallel edges of equal triples swapped), so the seen set would drop
-    their results."""
-    out, fired, truncated = [], set(), False
+    """``successors`` and the names of the rules with a redex, with the map cap
+    read once; with a ``seen`` set, a result is kept only if its canonical form
+    is new, and adds it.  There a deterministic rule steps only at its
+    ``_twin_redexes``: the others differ by a host automorphism (twins permuted,
+    parallel edges of equal triples swapped), which carries adherence over, and
+    the seen set would drop their results, so they get no patch, maps or redex."""
+    out, fired, truncated, cap = [], set(), False, default_map_cap()
     for name, rule in system.items():
-        redexes, cut = find_redexes(host, rule)
+        redexes, cut = ((_twin_redexes(host, rule, cap), False) if seen is not None
+                        and rule.deterministic else find_redexes(host, rule))
         truncated = truncated or cut
         if redexes:
             fired.add(name)
-        if seen is not None and rule.deterministic and len(redexes) > 1:
-            twins, first = _labelling(host)[2] or {}, {}
-            for r in redexes:  # the first redex per vertex map up to twins
-                first.setdefault(frozenset((v, twins.get(w, w))
-                                           for v, w in r.embedding.vmap.items()), r)
-            redexes = first.values()
         for redex in redexes:
             result, _ = apply_at(host, redex)
             if seen is not None:

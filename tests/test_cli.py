@@ -121,6 +121,15 @@ def test_bad_map_cap_is_input_error_for_deadlock(workdir, capsys, monkeypatch):
     assert capsys.readouterr() == ("", "error: PGR_MAX_MAPS must be a positive integer, got '0'\n")
 
 
+def test_bad_map_cap_is_input_error_for_ds_explore(workdir, capsys, monkeypatch):
+    # The walk's rules are deterministic and never reach the cap, but the
+    # expansion still reads it, so a bad value is an input error here too.
+    monkeypatch.setenv("PGR_MAX_MAPS", "0")
+    code = main(["ds-explore", str(workdir / "line3.topo"), "--max-sends", "1"])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: PGR_MAX_MAPS must be a positive integer, got '0'\n")
+
+
 def test_match_none_is_negative_verdict(workdir, capsys):
     code = main(["match", str(workdir / "host.pgr"), str(workdir / "rules.pgr"),
                  "--rule", "strict"])

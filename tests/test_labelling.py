@@ -28,6 +28,7 @@ from pgr.graph import (
     find_isomorphism,
     rename_graph,
 )
+from pgr.rules import build_rule
 from test_graph import random_multigraph_pairs
 from test_systems import grammar_reachable
 
@@ -241,25 +242,25 @@ def test_one_search_per_graph(searches):
 
 
 def test_one_search_per_successors_result(searches, monkeypatch):
-    # Per host, the results that differ as graphs; an exact repeat of an
-    # earlier result of the same ``successors`` call is not labelled.  A
-    # redex whose vertex map is another's up to the host's twin classes is
-    # not applied at all, so to depth 6 no result repeats.
+    # Per host, the results that differ as graphs.  ``_expand`` labels every
+    # result it applies, an exact repeat of an earlier result of the same
+    # call included.  A redex whose vertex map is another's up to the host's
+    # twin classes is not built at all, so to depth 6 no result repeats.
     results: dict[int, list[Graph]] = {}
-    maps = set()  # (host, rule, vertex map) of every listed redex
-    search, apply_at = rewrite.find_redexes, rewrite.apply_at
+    maps = set()  # (host, rule, vertex map) of every redex of a full listing
+    build, apply_at = rewrite._twin_redexes, rewrite.apply_at
 
-    def listed(host, rule):
-        out = search(host, rule)
-        maps.update((id(host), id(rule), frozenset(r.embedding.vmap.items())) for r in out[0])
-        return out
+    def listed(host, rule, cap):
+        maps.update((id(host), id(rule), frozenset(r.embedding.vmap.items()))
+                    for r in rewrite.find_redexes(host, rule)[0])
+        return build(host, rule, cap)
 
     def counted(host, redex):
         result = apply_at(host, redex)
         results.setdefault(id(host), []).append(result[0])
         return result
 
-    monkeypatch.setattr(rewrite, "find_redexes", listed)
+    monkeypatch.setattr(rewrite, "_twin_redexes", listed)
     monkeypatch.setattr(rewrite, "apply_at", counted)
     # A fresh empty graph, so no earlier test has labelled the start.
     kept = grammar_reachable(6, start=Graph())
@@ -268,9 +269,22 @@ def test_one_search_per_successors_result(searches, monkeypatch):
     distinct = sum(len(set(rs)) for rs in results.values())
     assert total == distinct > 50
     assert searches[0] == distinct + 1
-    # Every grammar rule is deterministic, so each vertex map not applied
-    # was skipped by twin class.
+    # Every grammar rule is deterministic, so each vertex map of the full
+    # listing that was not applied was skipped by twin class.
     assert len(maps) - total == 46
+
+
+def test_fresh_host_is_labelled_for_twins_only_if_two_maps_adhere(searches):
+    # The twin classes matter only between two redexes.  The image of 2 -a-> 3
+    # has a patch edge out of pattern vertex 0 to the context, which no type
+    # edge admits, so it does not adhere: only the one result is labelled.
+    rule = build_rule(Graph([0, 1], [(0, 0, "a", 1)]), {"rest": (0, 1)},
+                      Graph([10, 11], [(20, 10, "b", 11)]), [(10, 11, "rest")])
+    host = Graph([0, 1, 2, 3, 4], [(0, 0, "a", 1), (1, 2, "a", 3), (2, 2, "b", 4)])
+    assert len(rewrite.successors(host, {"r": rule})[0]) == 1 and searches[0] == 1
+    # Without that edge both maps adhere: the host and both results.
+    host = Graph([0, 1, 2, 3], [(0, 0, "a", 1), (1, 2, "a", 3)])
+    assert len(rewrite.successors(host, {"r": rule})[0]) == 1 and searches[0] == 1 + 3
 
 
 def test_equal_graph_built_anew_is_searched_again(searches):

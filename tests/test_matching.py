@@ -25,7 +25,7 @@ from fixtures import (
     shallow_recursion,
     strict_delete_rule,
 )
-from pgr import matching, rewrite, rules, systems
+from pgr import matching, rewrite, rules
 from pgr.exceptions import NotASubgraph
 from pgr.graph import (
     EMPTY_GRAPH,
@@ -439,36 +439,33 @@ class TestNoGraphsPerEmbedding:
     def test_walk_derives_parts_only_for_applied_redexes(self, monkeypatch):
         # A derived part is cached in the decomposition's instance dict.  The
         # walk steps through ``_expand``, which applies, in order, every
-        # redex it lists whose rule and vertex map no earlier redex of the
-        # same expansion had: a spent sender has no send redex to skip.  A
-        # step reads the patch off the host, so no redex derives J or M.
-        listed, expected, applied, maps = [], [], [], set()
-        search, step, expand = rewrite.find_redexes, rewrite.apply_at, systems._expand
+        # redex it builds.  Those are, per rule, the first redex per vertex
+        # map of a full ``find_redexes`` listing: a spent sender has no send
+        # redex to skip.  A step reads the patch off the host, so no redex
+        # derives J or M.
+        built, expected, applied, listed = [], [], [], [0]
+        build, step = rewrite._twin_redexes, rewrite.apply_at
 
-        def expanding(*args):
-            maps.clear()
-            return expand(*args)
-
-        def recorded(host, rule):
-            out = search(host, rule)
-            for r in out[0]:
-                if (key := (id(rule), frozenset(r.embedding.vmap.items()))) not in maps:
-                    maps.add(key)
-                    expected.append(r)
-            listed.extend(out[0])
+        def recorded(host, rule, cap):
+            out, first = build(host, rule, cap), {}
+            for r in find_redexes(host, rule)[0]:
+                first.setdefault(frozenset(r.embedding.vmap.items()), r)
+                listed[0] += 1
+            expected.extend(first.values())
+            built.extend(out)
             return out
 
         def counted(host, redex, *args):
             applied.append(redex)
             return step(host, redex, *args)
 
-        monkeypatch.setattr(systems, "_expand", expanding)
-        monkeypatch.setattr(rewrite, "find_redexes", recorded)
+        monkeypatch.setattr(rewrite, "_twin_redexes", recorded)
         monkeypatch.setattr(rewrite, "apply_at", counted)
         ds_explore(ds_initial_network([(0, 1), (1, 2)], 0), 2)
-        assert list(map(id, expected)) == list(map(id, applied))
-        assert len(applied) < len(listed)
-        unique = {id(r.decomposition): r.decomposition for r in listed}.values()
+        assert list(map(id, built)) == list(map(id, applied))
+        assert [r.embedding for r in applied] == [r.embedding for r in expected]
+        assert len(applied) < listed[0]
+        unique = {id(r.decomposition): r.decomposition for r in built}.values()
         derived = sum(("patch" in vars(d)) + ("match" in vars(d)) for d in unique)
         assert applied and derived == 0
 

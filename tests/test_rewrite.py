@@ -35,6 +35,7 @@ from fixtures import (
     three_spoke_rule,
     two_fresh_nodes,
 )
+import pgr
 from pgr import graph, matching, rewrite, systems
 from pgr.exceptions import InvalidRule, StepLimitReached
 from pgr.graph import (
@@ -353,10 +354,14 @@ class TestStepPlan:
         assert [left for _, left, _, _, _ in types] == [rule.trace[t] for t, *_ in types]
 
     def test_steps_work_the_plan_out_once_and_call_no_context_of(self, monkeypatch):
+        # The function's code is replaced, so a call through any name raises.
         def refused(*args):
             raise AssertionError("context_of called on the step path")
 
-        monkeypatch.setattr(matching, "context_of", refused)
+        monkeypatch.setattr(matching.context_of, "__code__", refused.__code__)
+        with pytest.raises(AssertionError, match="step path"):  # else frozenset({5})
+            pgr.context_of(9, {9: 1}, Graph([5, 0], [(9, 5, "a", 0)]),
+                           PatchType(Graph([0]), {1: (CONTEXT, 0)}))
         rules = deadlock_rules()
         for g, _, _ in deadlock_workload_nets()[::5]:
             normalize(g, rules)
@@ -799,7 +804,52 @@ def vertex_map_sources():
     yield from ((host, {"r": rule}, False) for host, rule, _ in random_instances(rng, 200))
 
 
+def previous_twin_redexes(host, redexes):
+    """The redexes that ``_expand`` stepped before it built only those: of
+    all of ``find_redexes``'s, if there are two, the first per vertex map up
+    to the host's twin classes."""
+    if len(redexes) > 1:
+        twins, first = graph._labelling(host)[2] or {}, {}
+        for r in redexes:
+            first.setdefault(frozenset((v, twins.get(w, w))
+                                       for v, w in r.embedding.vmap.items()), r)
+        redexes = list(first.values())
+    return redexes
+
+
+def redex_parts(redexes):
+    """Embedding maps, ``h_l`` and the decomposition's ids, per redex."""
+    return [(r.embedding.vmap, r.embedding.emap, r.h_l, r.decomposition._mv,
+             r.decomposition._me, r.decomposition._je) for r in redexes]
+
+
 class TestSuccessors:
+    def test_twin_redexes_equal_the_previous_filter(self):
+        # ``_twin_redexes`` builds exactly the redexes that the filter it
+        # replaced kept of the full listing, in order, and fires when the
+        # full listing is not empty.  Every other grammar state to depth 7
+        # is a fresh copy, which ``_twin_redexes`` labels for its twins
+        # before the reference does.  On n parallel edges, a rule whose
+        # pattern has k of them builds one of the n!/(n-k)! embeddings, on
+        # the first edges.  ``vertex_map_sources`` are compared below.
+        one, pair = (build_rule(Graph([0, 1], [(e, 0, "a", 1) for e in range(k)]),
+                                {"rest": (0, 1)}, Graph([10, 11], [(20, 10, "b", 11)]),
+                                [(10, 11, "rest")]) for k in (1, 2))
+        grammar, cap, skipped = waitfor_grammar(), matching.default_map_cap(), Counter()
+        sources = [(Graph(g.vertices, g.edges) if i % 2 else g, grammar)
+                   for i, g in enumerate(grammar_reachable(7))]
+        parallel = {"one": one, "pair": pair}
+        sources += [(parallel_edge_host(n), parallel) for n in range(1, 7)]
+        for host, system in sources:
+            for rule in (r for r in system.values() if r.deterministic):
+                got, full = matching._twin_redexes(host, rule, cap), find_redexes(host, rule)[0]
+                assert redex_parts(got) == redex_parts(previous_twin_redexes(host, full))
+                assert bool(got) == bool(full)
+                skipped[system is parallel] += len(full) - len(got)
+        first = matching._twin_redexes(parallel_edge_host(6), pair, cap)
+        assert [r.embedding.emap for r in first] == [{0: 0, 1: 1}]
+        assert skipped[False] > 100 and skipped[True] == 15 + 65  # n - 1, n(n - 1) - 1
+
     def test_redexes_with_one_vertex_map_give_equal_steps(self):
         # Under a seen set, ``_expand`` steps once per vertex map of a
         # deterministic rule.  The redexes it skips differ from the one it
@@ -809,11 +859,16 @@ class TestSuccessors:
         # edge order included.  Elsewhere a skipped result may number its
         # new patch edges in another order, when an edge of another label
         # runs between the same match vertices (wait-for ``grant``).
-        repeats, exact = Counter(), Counter()
+        # ``_twin_redexes`` lists the first of them up to twins, as the
+        # filter it replaced did; the test above has the other inputs.
+        repeats, exact, cap = Counter(), Counter(), matching.default_map_cap()
         for host, system, ds in vertex_map_sources():
             for rule in (r for r in system.values() if r.deterministic):
-                groups = {}
-                for redex in find_redexes(host, rule)[0]:
+                groups, listed = {}, matching._twin_redexes(host, rule, cap)
+                full = find_redexes(host, rule)[0]
+                assert redex_parts(listed) == redex_parts(previous_twin_redexes(host, full))
+                assert bool(listed) == bool(full)
+                for redex in full:
                     groups.setdefault(frozenset(redex.embedding.vmap.items()), []).append(redex)
                 for first, *rest in groups.values():
                     expected, _ = apply_at(host, first)

@@ -475,18 +475,18 @@ class TestSendBudgetInTheGraph:
         assert calls[0] == searches[0] > 689
 
     def test_walk_work_is_counted(self, monkeypatch):
-        # Counted, not timed, on the line3 walk at two sends: one step per
-        # distinct (state, rule, vertex map), a search reaches the vertex
-        # maps only if the host has every label of the pattern, and no
-        # splitter refines a discrete partition.
+        # Counted, not timed, on the line3 walk at two sends: the walk builds
+        # only the redexes it steps, one per distinct (state, rule, vertex
+        # map), a search reaches the vertex maps only if the host has every
+        # label of the pattern, and no splitter refines a discrete partition.
         listed, triples, applied, searches, discrete = [0], set(), [0], [0], [0]
-        search, step, maps, refine = (rewrite.find_redexes, rewrite.apply_at,
-                                      matching._vertex_maps, graph._refine)
+        build, step, maps, refine = (rewrite._twin_redexes, rewrite.apply_at,
+                                     matching._vertex_maps, graph._refine)
 
-        def recorded(host, rule):
-            out = search(host, rule)
-            listed[0] += len(out[0])
-            triples.update((host, id(rule), frozenset(r.embedding.vmap.items())) for r in out[0])
+        def recorded(host, rule, cap):
+            out = build(host, rule, cap)
+            listed[0] += len(out)
+            triples.update((host, id(rule), frozenset(r.embedding.vmap.items())) for r in out)
             return out
 
         def counted(count, fn):
@@ -505,13 +505,13 @@ class TestSendBudgetInTheGraph:
             adj.cell = cell
             return refine(adj, lab, pos, cell, end, splitters)
 
-        monkeypatch.setattr(rewrite, "find_redexes", recorded)
+        monkeypatch.setattr(rewrite, "_twin_redexes", recorded)
         monkeypatch.setattr(rewrite, "apply_at", counted(applied, step))
         monkeypatch.setattr(matching, "_vertex_maps", counted(searches, maps))
         monkeypatch.setattr(graph, "_refine", watched)
         got = ds_explore(ds_initial_network(TOPOLOGIES["line3"], 0), 2)
         assert (len(got.states), len(got.announce_states)) == self.PINNED["line3"]
-        assert (listed[0], applied[0], searches[0], discrete[0]) == (1728, 1284, 2157, 0)
+        assert (listed[0], applied[0], searches[0], discrete[0]) == (1284, 1284, 2157, 0)
         assert applied[0] == len(triples)
 
     def test_states_carry_no_budget(self):
