@@ -388,7 +388,9 @@ def decompose_at(g: Graph, match_vertices: Iterable[int], match_edges: Iterable[
 # 2014).  Vertices are indexed 0..n-1.  An ordered partition is four lists:
 # ``lab`` holds the vertices in cell order, ``pos`` is its inverse, ``cell``
 # maps a vertex to the start of its cell and ``end`` maps a cell start to one
-# past the cell's last position.
+# past the cell's last position.  The root is refined in rounds of one sort
+# (Berkholz, Bonsma & Grohe, ESA 2013) and, once a round fails to halve
+# n - cells, by the splitter queue ``_refine``, which refines every later node.
 
 
 def _refine(adj, lab, pos, cell, end, splitters) -> int:
@@ -401,8 +403,7 @@ def _refine(adj, lab, pos, cell, end, splitters) -> int:
     the cells not yet split by; a split cell that is not pending queues all
     fragments but its first largest one, which the others determine.
     """
-    queue = deque(splitters)
-    pending = set(splitters)
+    queue, pending = deque(splitters), set(splitters)
     n, cells = len(lab), len(set(cell))
     while queue and cells < n:
         w = queue.popleft()
@@ -443,6 +444,23 @@ def _refine(adj, lab, pos, cell, end, splitters) -> int:
             pending.update(fresh)
             queue.extend(fresh)
     return cells
+
+
+def _colour_rounds(adj) -> tuple[tuple, int]:
+    """The root partition, ordered by invariant data, and its cell count."""
+    n, cell, cells = len(adj), [0] * len(adj), min(len(adj), 1)
+    while True:
+        keys = [(cell[x], sorted([k * n + cell[y] for k, y in adj[x]])) for x in range(n)]
+        lab = sorted(range(n), key=keys.__getitem__)
+        pos, cell, end, was = [0] * n, [0] * n, [n] * n, cells
+        for i, x in enumerate(lab):
+            c = cell[lab[i - 1]] if i and keys[x] == keys[lab[i - 1]] else i
+            pos[x], cell[x], end[c] = i, c, i + 1
+        if (cells := len(set(cell))) in (n, was):  # discrete, or stable: equitable
+            return (lab, pos, cell, end), cells
+        if 2 * (n - cells) > n - was:  # no split by the largest: the old cells and the rest imply it
+            big = max(set(cell), key=lambda s: (end[s] - s, -s))
+            return (lab, pos, cell, end), _refine(adj, lab, pos, cell, end, sorted(set(cell) - {big}))
 
 
 def _twins(adj, cell, end) -> dict[int, int]:
@@ -493,6 +511,10 @@ def _canonical_labelling(g: Graph) -> tuple[list[int], list[EdgeTriple], dict[in
         else:
             adj[s].append((k, t))
             adj[t].append((k + 1, s))
+    (lab, pos, cell, end), cells = _colour_rounds(adj)
+    if cells == n:
+        return [verts[i] for i in lab], sorted([(pos[s], label, pos[t]) for s, label, t in edges]), None
+    node, twin = (lab, pos, cell, end), _twins(adj, cell, end)
     orbit = list(range(n))  # union-find over the automorphisms found so far
 
     def find(x):
@@ -501,8 +523,6 @@ def _canonical_labelling(g: Graph) -> tuple[list[int], list[EdgeTriple], dict[in
             x = orbit[x]
         return x
 
-    node = (list(range(n)), list(range(n)), [0] * n, [n] * n)
-    twin = _twins(adj, node[2], node[3]) if _refine(adj, *node, [0] if n else []) < n else {}
     on_first, first, best = True, None, None
     # A frame: a node's partition, its target cell, the cell's untried and
     # tried vertices, and whether the node lies on the path to the first leaf.

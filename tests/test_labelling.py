@@ -5,13 +5,17 @@ labelling searches the public functions run.
 are ``graph._refine``, ``graph._target_cell`` and
 ``graph._canonical_labelling`` as they were before singleton cells were
 skipped during refinement and before the labelling was cached on the graph;
-only their names changed.  The current engine must give the same vertex
-order and certificate on every graph, though it splits a cell of twins
-without branching; the twins it reports must be automorphic.
+only their names changed.  The current engine refines its root in rounds,
+which order the cells differently, so its certificates differ from the
+reference's; it must give the same isomorphism classes, a certificate that
+no renaming of ids changes, an order that carries the graph onto its
+certificate, and the twins ``reference_twins`` finds, which must be
+automorphic.
 """
 
 import functools
 import itertools
+import math
 import random
 from collections import Counter, defaultdict, deque
 
@@ -29,7 +33,7 @@ from pgr.graph import (
     rename_graph,
 )
 from pgr.rules import build_rule
-from test_graph import random_multigraph_pairs
+from test_graph import random_multigraph_pairs, shuffled
 from test_systems import grammar_reachable
 
 
@@ -179,12 +183,86 @@ def reference_cases():
     yield Graph.from_triples(range(50), [(i, "a", i + 1) for i in range(49)])
 
 
+def classes(graphs, key):
+    """The partition of ``graphs``' indexes by ``key``."""
+    found = defaultdict(set)
+    for i, g in enumerate(graphs):
+        found[key(g)].add(i)
+    return {frozenset(c) for c in found.values()}
+
+
+def certificate(labelling):
+    return lambda g: (len(g.vertices), tuple(labelling(g)[1]))
+
+
 def test_labelling_matches_reference():
-    cases = 0
+    # Class for class: the root rounds order the cells differently from the
+    # reference's splitter queue, so the certificates themselves differ.
+    cases = list(reference_cases())
+    assert len(cases) == 480 + 66 + 4
+    assert classes(cases, certificate(graph._canonical_labelling)) == \
+        classes(cases, certificate(reference_labelling))
+
+
+def test_root_cells_equal_the_references(monkeypatch):
+    # The rounds and their hand-off end at the coarsest equitable partition:
+    # the reference's root refinement, cell for cell, in another order.
+    cases, roots, rounds = list(reference_cases()), [], graph._colour_rounds
+
+    def kept(adj):
+        node, cells = rounds(adj)
+        roots.append((adj, list(node[2]), cells))
+        return node, cells
+
+    monkeypatch.setattr(graph, "_colour_rounds", kept)
+    for g in cases:
+        graph._canonical_labelling(g)
+    assert len(roots) == 550
+    for adj, cell, cells in roots:
+        n = len(adj)
+        node = list(range(n)), list(range(n)), [0] * n, [n] * n
+        reference_refine(adj, *node, [0] if n else [])
+        got, want = classes(range(n), cell.__getitem__), classes(range(n), node[2].__getitem__)
+        assert got == want and cells == len(want)
+
+
+def test_labelling_is_canonical():
+    # Three renamings per case give the same certificate, and each order
+    # carries its graph onto that certificate.
+    rng = random.Random(26)
     for g in reference_cases():
-        assert graph._canonical_labelling(g)[:2] == reference_labelling(g), g
-        cases += 1
-    assert cases == 480 + 66 + 4
+        cert = graph._canonical_labelling(g)[1]
+        for h in [g] + [shuffled(rng, g) for _ in range(3)]:
+            order, got, _ = graph._canonical_labelling(h)
+            pos = {v: i for i, v in enumerate(order)}
+            assert got == cert and len(pos) == len(h.vertices) == len(order), h
+            assert sorted((pos[s], lab, pos[t]) for s, lab, t in h.edges.values()) == cert, h
+
+
+def reference_twins(g):
+    """Each vertex whose adjacency entries (label, side and far end, a loop's
+    end read as -1) another vertex shares, mapped to the smallest of them, or
+    None.  Such vertices are automorphic, so they share a cell of the
+    coarsest equitable partition: this is the map ``_twins`` gave on the
+    splitter queue's root partition before the rounds."""
+    entries = {v: [] for v in g.vertices}
+    for s, lab, t in g.edges.values():
+        if s == t:
+            entries[s].append((lab, "loop", -1))
+        else:
+            entries[s].append((lab, "out", t))
+            entries[t].append((lab, "in", s))
+    found = defaultdict(list)
+    for v in sorted(g.vertices):
+        found[tuple(sorted(entries[v]))].append(v)
+    return {v: vs[0] for vs in found.values() if len(vs) > 1 for v in vs} or None
+
+
+def test_twins_equal_the_reference():
+    states = twin_cases()[0] + ds_states()
+    assert len(states) == 66 + 689
+    for g in states:
+        assert graph._labelling(g)[2] == reference_twins(g), g
 
 
 class Adjacency(list):
@@ -378,7 +456,7 @@ def test_reported_twins_are_automorphic():
 
 def test_canonical_classes_equal_the_references():
     # Class for class; ``test_labelling_matches_reference`` compares the
-    # grammar states leaf for leaf.
+    # grammar states the same way.
     def partition(key):
         classes = defaultdict(set)
         for i, g in enumerate(twin_cases()[1]):
@@ -401,18 +479,56 @@ def test_twins_of_isolated_vertices_star_leaves_and_equal_processes():
     assert twin_classes(paley(13)) == []
 
 
-@pytest.mark.parametrize("g", [Graph(range(256)),
-                               Graph.from_triples(range(257), [(0, "a", i) for i in range(1, 257)])],
-                         ids=["isolated", "star"])
-def test_a_twin_cell_is_split_without_branching(g, monkeypatch):
-    # The root refinement, then the twins are split into singletons: the
-    # partition stays equitable, so no further refinement runs.
-    calls, refine = [0], graph._refine
+@pytest.fixture
+def refines(monkeypatch):
+    """Per labelling, the number of root rounds (adjacency reads over n), the
+    cell count they end with, and per ``_refine`` call whether the root made
+    it, with its splitter count."""
+    log, rounds, refine = [], graph._colour_rounds, graph._refine
 
-    def counted(*args):
-        calls[0] += 1
-        return refine(*args)
+    def counted_rounds(adj):
+        counted = Adjacency(adj, math.inf)
+        log.append({"refines": []})
+        node, cells = rounds(counted)
+        log[-1].update(rounds=counted.reads / len(adj), cells=cells)
+        return node, cells
 
-    monkeypatch.setattr(graph, "_refine", counted)
+    def counted_refine(adj, *node):
+        log[-1]["refines"].append((isinstance(adj, Adjacency), len(node[-1])))
+        return refine(list(adj), *node)  # reads the rounds do not count
+
+    monkeypatch.setattr(graph, "_colour_rounds", counted_rounds)
+    monkeypatch.setattr(graph, "_refine", counted_refine)
+    return log
+
+
+def test_root_rounds_hand_a_path_to_the_splitter_queue(refines):
+    # A path gains two cells a round, so its first round, with 3 cells of 50,
+    # does not halve the 49 vertices left to tell apart: the splitter queue
+    # takes over with the two ends pending, not the largest cell, and makes
+    # the path discrete.
+    path = Graph.from_triples(range(50), [(i, "a", i + 1) for i in range(49)])
+    graph._canonical_labelling(path)
+    assert refines == [{"rounds": 1, "cells": 50, "refines": [(True, 2)]}]
+    # A cycle is stable after one round: no hand-off, and the search
+    # refines two individualized nodes below the root.
+    cycle = Graph.from_triples(range(60), [(i, "a", (i + 1) % 60) for i in range(60)])
+    graph._canonical_labelling(cycle)
+    assert refines[1] == {"rounds": 1, "cells": 1, "refines": [(False, 1), (False, 1)]}
+    # A DS state whose rounds end discrete is labelled with no refinement.
+    state = ds_states()[0]
+    graph._canonical_labelling(state)
+    assert refines[2] == {"rounds": 1, "cells": len(state.vertices), "refines": []}
+
+
+@pytest.mark.parametrize("g, cells, root", [
+    (Graph(range(256)), 1, []),
+    (Graph.from_triples(range(257), [(0, "a", i) for i in range(1, 257)]), 2, [(True, 1)])],
+    ids=["isolated", "star"])
+def test_a_twin_cell_is_split_without_branching(g, cells, root, refines):
+    # The root rounds (the star's first one tells its centre apart from the
+    # leaves, which does not halve the 256 left, so it hands over), then the
+    # twins are split into singletons: the partition stays equitable, so no
+    # node below the root is refined.
     canonical_form(g)
-    assert calls[0] == 1
+    assert refines == [{"rounds": 1, "cells": cells, "refines": root}]
