@@ -30,7 +30,8 @@ class Graph:
     its input, derived graphs do not; each builds its own index on first use,
     and a step edits a draft copy of its host (``_replace``)."""
 
-    __slots__ = ("_vertices", "_edges", "_hash", "_index", "_labelling", "_max", "_ids")
+    __slots__ = ("_vertices", "_edges", "_hash", "_index", "_labelling", "_max", "_ids",
+                 "_matchers")
 
     def __init__(self, vertices: Iterable[int] = (), edges=()):
         """Create a graph; ``edges`` is a mapping ``{edge_id: (src, label,
@@ -52,6 +53,7 @@ class Graph:
     def _set(self, vertices: frozenset[int], edges: dict[int, EdgeTriple]) -> "Graph":
         self._vertices, self._edges = vertices, edges
         self._hash = self._index = self._labelling = self._max = self._ids = None
+        self._matchers = None  # see ``matching._embeddings``
         return self
 
     @classmethod

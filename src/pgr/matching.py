@@ -9,17 +9,20 @@ edge incident to it (but outside it) adheres to some left type edge.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_left, insort
 from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass
-from operator import eq, ge, itemgetter
+from operator import countOf, eq, ge, itemgetter
 from typing import NamedTuple
 
 from .graph import Graph, PatchDecomposition, Renaming, _labelling, patch_edges
 from .rules import (CONTEXT, PatchType, QuasiRule, adherence_maps, default_map_cap,
                     match_positions)
+
+_NESTED = 16  # loops per generated function; CPython allows 20 nested blocks
 
 
 @dataclass
@@ -45,117 +48,133 @@ def _embedding_key(r: Renaming):
 
 
 class _Matcher:
-    """What a search needs of a pattern and its left patch type, if any;
-    built once per left scheme (``PatchType._matcher``), else per call;
-    ``labels`` are the pattern's, all of which a host with a match has.
-    ``needs[v]``: ``(key, n, op)``, the image of v has ``op`` (eq or ge) n
-    edges counted by ``Graph.edge_counts`` under key: at least the pattern's
-    count per side and label, and with a type exactly the pattern's on each
-    side (or the loops) that no type edge opens at v, 0 included."""
+    """What a search needs of a pattern and its left type, if any; kept per
+    scheme (``PatchType._matcher``), else per pattern (``Graph._matchers``).
+    ``needs[v]``: ``(key, n, op)``, v's image has ``op`` (eq, ge) n edges
+    counted by ``Graph.edge_counts`` under key: at least the pattern's per side
+    and label, and with a type exactly the pattern's, 0 included, on each side
+    (or the loops) that no type edge opens at v; ``options[v]``: (label, side)
+    pairs to root v; ``admits(counts)``: the vertices whose needs those meet."""
 
     def __init__(self, pattern: Graph, ptype: PatchType | None):
-        self.pattern, self.vertices, self.plans = pattern, sorted(pattern.vertices), {}
-        self.labels = pattern.labels()
+        self.pattern, self.vertices = pattern, sorted(pattern.vertices)
         self.groups = sorted(Counter(pattern.edges.values()).items())  # per triple
+        self.sizes = [n for _, n in self.groups]
         self.edges = sorted(pattern.edges, key=lambda e: (pattern.edges[e], e))  # in that order
         shapes = ptype.by_shape() if ptype is not None else {}
-        opened = {("out", s) for s, _ in shapes} | {("in", t) for _, t in shapes} | \
-            {("loop", s) for s, t in shapes if s == t}
-        self.needs = {}
+        opened = {x for s, t in shapes for x in [("out", s), ("in", t)] + [("loop", s)] * (s == t)}
+        self.needs, self.options, self.plans, self.labels = {}, {}, {}, pattern.labels()
+        fails, bound = {}, {}
+        c = lambda x: bound.setdefault(x, f"C{len(bound)}")  # noqa: E731
         for v in self.vertices:
             counts = pattern.edge_counts(v)
-            self.needs[v] = [((side, None), counts.get((side, None), 0), eq)
-                             for side in ("out", "in", "loop")
-                             if ptype is not None and (side, v) not in opened]
+            self.needs[v] = [((side, None), counts.get((side, None), 0), eq) for side in (
+                "out", "in", "loop") if ptype is not None and (side, v) not in opened]
             self.needs[v] += [(k, n, ge) for k, n in counts.items() if k[1] is not None]
+            self.options[v] = tuple((lab, side) for (side, lab), _, _ in self.needs[v] if lab)
+            fails[v] = [f"c.get({c(key)}, 0) {'!=' if op is eq else '<'} {n}"
+                        for key, n, op in self.needs[v]]  # true if the need fails
+        tests = "".join(f"({c(v)}, {' or '.join(fails[v]) or 0}), " for v in self.vertices)
+        body = f" return lambda c: [v for v, bad in ({tests}) if not bad]"
+        self.admits = _made(len(bound), body)(tuple(bound))
 
     def plan(self, root: int):
-        """Breadth-first order from ``root``, then from each other component's
-        first vertex; ``via[v]``: the placed neighbour, label and direction of
-        the edge that reached v (None at a root); ``checks[v]``: multiplicities
-        of edges to earlier vertices, except loops (needs) and lone tree edges."""
+        """``search(host, first, used)``, compiled on first use, lists each
+        injective vertex map rooted in ``first`` that meets the needs and
+        multiplicities and avoids ``used``: the map, in breadth-first order from
+        ``root``, and the host edges per triple of ``groups``.  Each vertex is a
+        nested ``for`` over ``first``, ``_scan`` or a neighbour's triples, tested
+        inline; labels, keys and ids come only as a bound tuple.  A function nests
+        20 blocks at most: each ``_NESTED`` vertices yield partial maps to a stack."""
         if root in self.plans:
             return self.plans[root]
-        pattern, order, via, reached = self.pattern, [], {}, set()
-        for r in (root, *self.vertices):
-            if r not in via:
-                via[r] = None
-                queue = [r]
-                for v in queue:
-                    for e in sorted(pattern.incident_edges(v)):
-                        s, lab, t = pattern.edges[e]
-                        if (w := t if s == v else s) not in via:
-                            via[w] = (v, lab, s == v)
-                            reached.add((s, lab, t))
-                            queue.append(w)
-                order += queue
+        pattern, order, via, reached, bound = self.pattern, [], {}, set(), {}
+        for queue in ([r] for r in (root, *self.vertices) if r not in via):
+            via[queue[0]] = None
+            for v in queue:
+                for e in sorted(pattern.incident_edges(v)):
+                    s, lab, t = pattern.edges[e]
+                    if (w := t if s == v else s) not in via:
+                        via[w] = (v, lab, s == v)
+                        reached.add((s, lab, t))
+                        queue.append(w)
+            order += queue
         checks: dict[int, list] = {v: [] for v in order}
         for (s, lab, t), n in self.groups:
             if s != t and (n > 1 or (s, lab, t) not in reached):
                 checks[max(s, t, key=order.index)].append((s, lab, t, n))
-        self.plans[root] = order, via, checks
-        return self.plans[root]
+        c = lambda x: bound.setdefault(x, f"C{len(bound)}")  # noqa: E731
+        chunks = [order[i:i + _NESTED] for i in range(0, len(order), _NESTED)]
+        call, multi = "(P, first, used, host, out, inc, counts, E, found)", len(chunks) > 1
+        code = [" def search(host, first, used):", "  out, inc, _, counts = host._indexes()",
+                "  E, found = host.edges.__getitem__, []"] + [
+            f"  step, P = ({''.join(f's{k}, ' for k in range(len(chunks)))}), {{}}",
+            f"  stack = [s0{call}]\n  while stack:\n   P = next(stack[-1], None)",
+            f"   if P is None: stack.pop()\n   elif len(stack) + 1 < len(step):",
+            f"    stack.append(step[len(stack)]{call})\n   else: step[-1]{call}\n  return found",
+        ] * multi
+        for k, chunk in enumerate(chunks):
+            w = {x: f"w{i}" if x in chunk else f"P[{c(x)}]" for i, x in enumerate(order)}
+            code += [f" def s{k}{call}:"] * multi
+            for i, v in enumerate(chunk):
+                pad, test = " " * (i + 2), [f"{w[v]} == {w[x]}" for x in chunk[:i]]
+                if via[v] is None:
+                    it = "first" if v == root else f"scan(host, {c(self.options[v])})"
+                    code.append(f"{pad}for {w[v]} in {it}:")
+                else:
+                    u, lab, out = via[v]
+                    code.append(f"{pad}for {f'_, l, {w[v]}' if out else f'{w[v]}, l, _'} in "
+                                f"fromkeys(map(E, {'out' if out else 'inc'}[{w[u]}])):")
+                    test.insert(0, f"l != {c(lab)}")
+                fails = [f"c.get({c(key)}, 0) {'!=' if op is eq else '<'} {n}"
+                         for key, n, op in self.needs[v]] + [
+                    f"countOf(map(E, out[{w[s]}]), ({w[s]}, {c(lab)}, {w[t]})) < {n}"
+                    for s, lab, t, n in checks[v]]
+                code += [f"{pad} if {' or '.join(test + [w[v] + ' in used'])}: continue",
+                         f"{pad} c = counts[{w[v]}]\n{pad} if {' or '.join(fails) or 0}: continue"]
+            pad, own = " " * (len(chunk) + 2), "".join(f"{w[v]}, " for v in chunk)
+            images = "{" + "**P, " * (k > 0) + ", ".join(f"{c(v)}: {w[v]}" for v in chunk) + "}"
+            if k + 1 < len(chunks):  # a partial map, its images kept out of the next chunks
+                code += [f"{pad}used.update(({own}))", f"{pad}yield {images}",
+                         f"{pad}used.difference_update(({own}))"]
+        code += [f"{pad}G = ({'[], ' * len(self.groups)})"] + [  # each group's host edges
+            f"{pad}tr = ({w[s]}, {c(lab)}, {w[t]})\n{pad}for e in out[{w[s]}]:\n{pad} if E(e) == "
+            f"tr: G[{g}].append(e)" for g, ((s, lab, t), _) in enumerate(self.groups)]
+        code.append(f"{pad}found.append(({images}, G))")
+        body = "\n".join(code + ["  return found"] * (not multi) + [" return search"])
+        return self.plans.setdefault(root, _made(len(bound), body)(tuple(bound)))
 
 
-def _between(host: Graph, hs: int, lab: str, ht: int) -> list[int]:
-    return [e for e in host.out_edges(hs) if host.edges[e] == (hs, lab, ht)]
+@functools.lru_cache(maxsize=256)
+def _made(n: int, body: str):
+    """``make(C)`` of ``body``, reading ``C`` as ``C0``, ..., ``C<n-1>``: one per text."""
+    namespace = {"fromkeys": dict.fromkeys, "countOf": countOf, "scan": _scan}
+    source = f"def make(C):\n {''.join(f'C{i}, ' for i in range(n))}= C\n{body}"
+    exec(compile(source, "<search plan>", "exec"), namespace)
+    return namespace["make"]
 
 
-def _vertex_maps(host: Graph, plan, first, scan, fits, used: set[int]) -> list[dict[int, int]]:
-    """Injective vertex maps along ``plan`` that pass ``fits``, keep every
-    edge multiplicity and avoid ``used``.  The plan's root takes its
-    candidates from ``first``, any other component root from ``scan(v)``,
-    every later vertex from the edges of the neighbour that reached it.
-    Depth-first, one candidate iterator per level, each choice undone
-    before the next is tried."""
-    order, via, checks = plan
-    edges, used = host.edges, set(used)
-
-    def candidates(v):
-        if via[v] is None:
-            return iter(first if v == order[0] else scan(v))
-        u, lab, out = via[v]
-        es = host.out_edges(vmap[u]) if out else host.in_edges(vmap[u])
-        return iter(dict.fromkeys(edges[e][2 if out else 0] for e in es if edges[e][1] == lab))
-
-    vmaps, vmap = [], {}
-    stack = [candidates(order[0])]
-    while stack:
-        v = order[len(stack) - 1]
-        used.discard(vmap.pop(v, None))
-        for w in stack[-1]:
-            if w not in used and fits(v, w):
-                vmap[v] = w
-                if not checks[v] or all(len(_between(host, vmap[s], lab, vmap[t])) >= n
-                                        for s, lab, t, n in checks[v]):
-                    break
-        else:
-            vmap.pop(v, None)
-            stack.pop()
-            continue
-        used.add(w)
-        if len(stack) == len(order):
-            vmaps.append(dict(vmap))
-        else:
-            stack.append(candidates(order[len(stack)]))
-    return vmaps
+def _scan(host: Graph, options: tuple):
+    """A component root's candidates: the ends of the rarest label's edges on its side."""
+    index = host.label_index()
+    _, lab, side = min([(len(index[lab]), lab, side) for lab, side in options] or [(0,) * 3])
+    return (sorted(host.vertices) if not options else dict.fromkeys(
+        host.edges[e][0 if side == "out" else 2] for e in index[lab]))
 
 
 def find_pattern_embeddings(host: Graph, pattern: Graph, ptype: PatchType | None = None,
                             anchors: Set[int] | None = None) -> list[Renaming]:
     """All vertex- and edge-injective embeddings of ``pattern`` into ``host``.
 
-    Each pattern vertex's needs (see ``_Matcher``) are compared with the
-    edge counts that the host's index keeps per vertex; with ``ptype``, a
-    rule's left patch type, they leave out embeddings that cannot adhere.
-    The search starts at the rarest label and follows edges.  An anchor
-    roots a search at each pattern vertex whose needs it meets, and tried
-    anchors stay out of the image: only embeddings that meet ``anchors``
-    are listed, each once.  The empty pattern has one (empty) embedding,
-    which meets no anchor.  A pattern label missing from the host's label
-    index gives ``[]`` before any search.  Results come in a canonical
-    order: lexicographic on (sorted image vertices, sorted image edges, then
-    the maps themselves); ``ptype`` and ``anchors`` only remove entries."""
+    With ``ptype``, a rule's left patch type, the needs (``_Matcher``) leave
+    out embeddings that cannot adhere.  The search starts at the rarest label
+    and follows edges.  With ``anchors``, only embeddings that meet them are
+    listed, each once: an anchor roots a search at each pattern vertex whose
+    needs it meets, and tried anchors stay out of the image.  The empty
+    pattern has one (empty) embedding, meeting no anchor; a label missing from
+    the host gives ``[]`` at once.  Results come in a canonical order: by sorted
+    image vertices, sorted image edges, then the maps; ``ptype`` and ``anchors``
+    only remove entries."""
     return [r for _, r in _embeddings(host, pattern, ptype, anchors)]
 
 
@@ -164,48 +183,29 @@ def _embeddings(host: Graph, pattern: Graph, ptype: PatchType | None,
     """``find_pattern_embeddings``, each paired with its ``_embedding_key``."""
     if not pattern.vertices:
         return [(_embedding_key(Renaming()), Renaming())] if anchors is None else []
-    if ptype is None or (ptype.pattern is not pattern and ptype.pattern != pattern):
-        m = _Matcher(pattern, ptype)
-    else:
+    if ptype is not None and (ptype.pattern is pattern or ptype.pattern == pattern):
         m = ptype._matcher = ptype._matcher or _Matcher(pattern, ptype)
-    _, _, index, host_counts = host._indexes()
+    else:  # kept on the pattern, per the endpoint pairs of the type's edges
+        shapes = None if ptype is None else frozenset(ptype.by_shape())
+        pattern._matchers = cache = pattern._matchers or {}
+        m = cache.get(shapes) or cache.setdefault(shapes, _Matcher(pattern, ptype))
+    _, _, index, counts = host._indexes()
     if not m.labels <= index.keys():
         return []
-    best = {}  # rarest(v) per pattern vertex, worked out on first ask
-
-    def fits(v, w):
-        counts = host_counts[w]
-        for key, n, op in m.needs[v]:
-            if not op(counts.get(key, 0), n):
-                return False
-        return True
-
-    def rarest(v):
-        if v not in best:
-            best[v] = min(((len(index[lab]), lab, side) for (side, lab), _, _ in m.needs[v]
-                           if lab is not None), default=(len(host.edges) + 1, None, None))
-        return best[v]
-
-    def scan(v):
-        _, lab, side = rarest(v)
-        return (sorted(host.vertices) if lab is None else dict.fromkeys(
-            host.edges[e][0 if side == "out" else 2] for e in index[lab]))
-
     if anchors is None:
-        root = min(m.vertices, key=lambda v: (rarest(v)[0], v))
-        vmaps = _vertex_maps(host, m.plan(root), scan(root), scan, fits, set())
+        root = min(m.vertices, key=lambda v: (min(
+            (len(index[lab]) for lab, _ in m.options[v]), default=len(host.edges) + 1), v))
+        vmaps = m.plan(root)(host, _scan(host, m.options[root]), set())
     else:
         vmaps, tried = [], set()
         for a in sorted(anchors & host.vertices):
-            for p in m.vertices:
-                if fits(p, a):
-                    vmaps += _vertex_maps(host, m.plan(p), (a,), scan, fits, tried)
+            for p in m.admits(counts[a]):
+                vmaps += m.plan(p)(host, (a,), tried)
             tried.add(a)
     # Per vertex map, each group of pattern edges onto its host edges (``first``: only the first n).
     pick = (lambda es, n: (es[:n],)) if first else itertools.permutations
     results = [Renaming._trusted(dict(vm), dict(zip(m.edges, itertools.chain(*choice))))
-               for vm in vmaps for choice in itertools.product(*[pick(
-                   _between(host, vm[s], lab, vm[t]), n) for (s, lab, t), n in m.groups])]
+               for vm, lists in vmaps for choice in itertools.product(*map(pick, lists, m.sizes))]
     return sorted(((_embedding_key(r), r) for r in results), key=itemgetter(0))
 
 

@@ -223,7 +223,10 @@ def _expand(host: Graph, system: dict[str, QuasiRule],
     is new, and adds it.  There a deterministic rule steps only at its
     ``_twin_redexes``: the others differ by a host automorphism (twins permuted,
     parallel edges of equal triples swapped), which carries adherence over, and
-    the seen set would drop their results, so they get no patch, maps or redex."""
+    the seen set would drop their results, so they get no patch, maps or redex.
+    A vertex map is keyed by its image vertices' twin classes, read off the
+    host's cached labelling; a host not labelled yet is labelled only if two
+    of the rule's vertex maps adhere."""
     out, fired, truncated, cap = [], set(), False, default_map_cap()
     for name, rule in system.items():
         redexes, cut = ((_twin_redexes(host, rule, cap), False) if seen is not None

@@ -11,6 +11,7 @@ import importlib
 import sys
 from pathlib import Path
 
+from hypothesis import settings
 from previous_ds_explore import previous_walk
 
 from pgr import graph, matching, rewrite, rules, systems
@@ -21,6 +22,11 @@ from pgr.rules import build_rule
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# The settings of every property-based differential check: the examples
+# follow from a fixed seed and no example database is kept, so each run
+# draws the same inputs.
+PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 

@@ -60,15 +60,15 @@ class TestMissingLabel:
     def test_no_search_for_a_label_the_host_lacks(self, monkeypatch):
         # ``snd-b-2`` needs a ``left-2`` loop, which a state with one send
         # left per process lacks: no vertex map is searched, anchored or not.
-        calls, maps = [0], matching._vertex_maps
+        calls, plan = [0], matching._Matcher.plan
         rule, state = systems._walk_rules(2)["snd-b-2"], ds_states()[0]
         pattern, ptype = rule.lhs.pattern, rule.lhs.ptype
 
         def counted(*args):
             calls[0] += 1
-            return maps(*args)
+            return plan(*args)
 
-        monkeypatch.setattr(matching, "_vertex_maps", counted)
+        monkeypatch.setattr(matching._Matcher, "plan", counted)
         spent = systems._with_budgets(state, 1)
         assert "left-2" not in spent.labels()
         for anchors in (None, set(spent.vertices)):
@@ -163,14 +163,18 @@ def degree_admits(host, pattern, ptype, p, a):
 def test_plans_start_only_where_the_anchor_meets_the_needs(monkeypatch):
     # Counted: one start per (anchor, pattern vertex) pair that passes the
     # degree test, none at the others, and the embeddings stay the same.
-    vertex_maps = matching._vertex_maps
+    plan = matching._Matcher.plan
     starts = []
 
-    def recorded(host, plan, first, *args):
-        starts.append((first[0], plan[0][0]))
-        return vertex_maps(host, plan, first, *args)
+    def recorded(self, root):
+        search = plan(self, root)
 
-    monkeypatch.setattr(matching, "_vertex_maps", recorded)
+        def started(host, first, used):
+            starts.append((first[0], root))
+            return search(host, first, used)
+        return started
+
+    monkeypatch.setattr(matching._Matcher, "plan", recorded)
     pairs = admitted = 0
     for g, _, _ in deadlock_workload_nets()[::8]:
         anchors = set(sorted(g.vertices)[::2])

@@ -309,10 +309,14 @@ class TestAnchoredSearch:
         assert ptype._matcher.plans.keys() == plans.keys()
         assert all(ptype._matcher.plans[root] is plan for root, plan in plans.items())
         assert first == [e for e in everywhere if not anchors.isdisjoint(e.image_vertices())]
-        # A search without the type builds a matcher of its own per call.
-        assert find_pattern_embeddings(host, pattern, anchors=anchors) == previous_embeddings(
-            host, pattern, None, anchors)
+        # A search without the type builds a matcher of its own once per
+        # pattern, kept on the pattern with its plans.
+        for _ in range(3):
+            assert find_pattern_embeddings(host, pattern, anchors=anchors) == previous_embeddings(
+                host, pattern, None, anchors)
+            assert find_pattern_embeddings(host, pattern) == previous_embeddings(host, pattern)
         assert len(built) == 2 and built[1] is not ptype._matcher
+        assert pattern._matchers == {None: built[1]}
 
 
 def test_no_search_when_no_touched_vertex_is_left(monkeypatch):

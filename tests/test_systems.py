@@ -477,11 +477,11 @@ class TestSendBudgetInTheGraph:
     def test_walk_work_is_counted(self, monkeypatch):
         # Counted, not timed, on the line3 walk at two sends: the walk builds
         # only the redexes it steps, one per distinct (state, rule, vertex
-        # map), a search reaches the vertex maps only if the host has every
+        # map), a search runs a compiled plan only if the host has every
         # label of the pattern, and no splitter refines a discrete partition.
         listed, triples, applied, searches, discrete = [0], set(), [0], [0], [0]
-        build, step, maps, refine = (rewrite._twin_redexes, rewrite.apply_at,
-                                     matching._vertex_maps, graph._refine)
+        build, step, plan, refine = (rewrite._twin_redexes, rewrite.apply_at,
+                                     matching._Matcher.plan, graph._refine)
 
         def recorded(host, rule, cap):
             out = build(host, rule, cap)
@@ -507,7 +507,7 @@ class TestSendBudgetInTheGraph:
 
         monkeypatch.setattr(rewrite, "_twin_redexes", recorded)
         monkeypatch.setattr(rewrite, "apply_at", counted(applied, step))
-        monkeypatch.setattr(matching, "_vertex_maps", counted(searches, maps))
+        monkeypatch.setattr(matching._Matcher, "plan", counted(searches, plan))
         monkeypatch.setattr(graph, "_refine", watched)
         got = ds_explore(ds_initial_network(TOPOLOGIES["line3"], 0), 2)
         assert (len(got.states), len(got.announce_states)) == self.PINNED["line3"]
