@@ -92,8 +92,8 @@ class Graph:
                 del out[v], inc[v], counts[v]
             for v in new_v:
                 out[v], inc[v], counts[v] = [], [], {}
-            _index_edges(self._index, removed, -1)
-            _index_edges(self._index, sorted(added.items()), 1)
+            _remove_edges(self._index, removed)
+            _add_edges(self._index, sorted(added.items()))
         if self._ids is not None:
             self._ids += sorted(itertools.chain(new_v, added))
         top = max(itertools.chain(new_v, added), default=self._max)
@@ -132,7 +132,7 @@ class Graph:
         if self._index is None:
             vs = self._vertices
             index = {v: [] for v in vs}, {v: [] for v in vs}, {}, {v: {} for v in vs}
-            _index_edges(index, sorted(self._edges.items()), 1)
+            _add_edges(index, sorted(self._edges.items()))
             self._index = index
         return self._index
 
@@ -189,22 +189,37 @@ class Graph:
 EMPTY_GRAPH = Graph()
 
 
-def _index_edges(index, edges: list[tuple[int, EdgeTriple]], step: int) -> None:
-    """Add (``step`` 1) or remove (-1) ``edges``, in id order, to or from a
-    graph's index, at those of their ends that are in it."""
+def _add_edges(index, edges: list[tuple[int, EdgeTriple]]) -> None:
+    """Append ``edges``, in id order and above its ids, to an index holding their ends."""
     out, inc, by_label, counts = index
     for e, (s, lab, t) in edges:
-        for es in (out.get(s), inc.get(t), by_label.setdefault(lab, [])):
-            if es is not None and step > 0:
-                es.append(e)
-            elif es is not None:
-                del es[bisect_left(es, e)]
-        if not by_label[lab]:
+        out[s].append(e)
+        inc[t].append(e)
+        by_label.setdefault(lab, []).append(e)
+        (o, o_lab), (i, i_lab), (lp, lp_lab) = _count_keys(lab)
+        c = counts[s]
+        c[o], c[o_lab] = c.get(o, 0) + 1, c.get(o_lab, 0) + 1
+        c = counts[t]
+        c[i], c[i_lab] = c.get(i, 0) + 1, c.get(i_lab, 0) + 1
+        if s == t:
+            c[lp], c[lp_lab] = c.get(lp, 0) + 1, c.get(lp_lab, 0) + 1
+
+
+def _remove_edges(index, edges: list[tuple[int, EdgeTriple]]) -> None:
+    """Delete ``edges`` from an index, at their ends in it; a label or key left at 0 goes."""
+    out, inc, by_label, counts = index
+    for e, (s, lab, t) in edges:
+        es = by_label[lab]
+        del es[bisect_left(es, e)]
+        if not es:
             del by_label[lab]
-        for v, keys in zip((s, t, s) if s == t else (s, t), _count_keys(lab)):
-            if (c := counts.get(v)) is not None:
+        o, i, lp = _count_keys(lab)
+        for es, v, keys in ((out.get(s), s, o), (inc.get(t), t, i + lp if s == t else i)):
+            if es is not None:
+                del es[bisect_left(es, e)]
+                c = counts[v]
                 for key in keys:
-                    if n := c.get(key, 0) + step:
+                    if n := c[key] - 1:
                         c[key] = n
                     else:
                         del c[key]

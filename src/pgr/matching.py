@@ -233,14 +233,14 @@ def _entry(host: Graph, rule: QuasiRule, key: tuple, emb: Renaming, cap: int) ->
 def _twin_redexes(host: Graph, rule: QuasiRule, cap: int) -> list[Redex]:
     """The redexes of deterministic ``rule``, the first per vertex map up to the host's twins."""
     embs, first = _embeddings(host, rule.lhs.pattern, rule.lhs.ptype, None, True), {}
-    if host._labelling is None:  # not labelled yet: labelled only if two maps adhere
-        embs = [(key, emb) for key, emb in embs if _entry(host, rule, key, emb, cap).maps]
+    if read := host._labelling is None:  # labelled only if two maps adhere; each read once
+        embs = [x for key, emb in embs if (x := _entry(host, rule, key, emb, cap)).maps]
     twins = len(embs) > 1 and _labelling(host)[2] or {}
-    for key, emb in embs:
-        first.setdefault(frozenset((v, twins.get(w, w)) for v, w in emb.vmap.items()), (key, emb))
-    return [Redex(rule, emb, PatchDecomposition(host, emb.image_vertices(), emb.image_edges(),
-                                                list(x.maps[0])), x.maps[0])
-            for key, emb in first.values() if (x := _entry(host, rule, key, emb, cap)).maps]
+    for y in embs:  # a (key, embedding) pair, or its entry if read
+        first.setdefault(frozenset((v, twins.get(w, w)) for v, w in y[1].vmap.items()), y)
+    return [Redex(rule, x.embedding, PatchDecomposition(
+        host, x.embedding.image_vertices(), x.embedding.image_edges(), list(x.maps[0])), x.maps[0])
+            for y in first.values() if (x := y if read else _entry(host, rule, *y, cap)).maps]
 
 
 def find_redexes(host: Graph, rule: QuasiRule) -> tuple[list[Redex], bool]:
@@ -268,17 +268,19 @@ class RedexSets:
     place, and only its patch ids and maps are read again.  Every other
     redex of the result meets a vertex the step created or otherwise
     changed the edges of.  Per rule, the embeddings that have maps are
-    entries sorted by ``_embedding_key`` and indexed by image vertex.  A
-    rule is searched in full when first asked for; the next ask after
-    ``advance`` drops the entries at the touched vertices, re-reads those at
-    the carried ones, searches (``_redex_entries``) anchored at the touched
-    ones still in the host, if any, and merges the new entries in by bisection.
+    entries sorted by ``_embedding_key``, and ``_at`` files each one's key
+    under its image vertices by the identity of its embedding, which a
+    re-read keeps, so no key is hashed.  A rule is searched in full when
+    first asked for; the next ask after ``advance`` drops the entries at the
+    touched vertices, re-reads those at the carried ones, searches
+    (``_redex_entries``) anchored at the touched ones still in the host, if
+    any, and merges the new entries in by bisection.
     """
 
     def __init__(self, host: Graph, system: dict[str, QuasiRule]):
         self.host, self.system, self.cap = host, system, default_map_cap()  # read once
         self._entries: dict[str, list[_Entry]] = {}
-        self._at: dict[str, dict[int, set[tuple]]] = {}  # image vertex -> entry keys
+        self._at: dict[str, dict[int, dict[int, tuple]]] = {}  # vertex -> id(embedding) -> key
         self._capped: dict[str, int] = {}  # entries whose maps were capped
         self._pending: dict[str, tuple[set[int], set[int]]] = {}  # touched, carried
 
@@ -292,16 +294,14 @@ class RedexSets:
             found = _redex_entries(self.host, rule, self.cap)
         entries, at, (touched, carried) = self._entries[name], self._at[name], self._pending[name]
         if touched or carried:
-            for key in set().union(*(at.pop(v, ()) for v in touched)):
+            for i, key in {i: key for v in touched for i, key in at.pop(v, {}).items()}.items():
                 x = entries.pop(bisect_left(entries, key, key=itemgetter(0)))
                 self._capped[name] -= x.capped
                 for v in x.embedding.vmap.values():
-                    at.get(v, set()).discard(key)
-            for key in set().union(*(at.get(v, ()) for v in carried)):
-                i = bisect_left(entries, key, key=itemgetter(0))  # the key, so the place, stays
-                x, entries[i] = entries[i], _entry(self.host, rule, key, entries[i].embedding,
-                                                   self.cap)
-                self._capped[name] += entries[i].capped - x.capped
+                    at.get(v, {}).pop(i, None)  # a touched vertex's bucket is gone
+            for key in {i: key for v in carried for i, key in at.get(v, {}).items()}.values():
+                i = bisect_left(entries, key, key=itemgetter(0))  # key, place and map count stay
+                entries[i] = _entry(self.host, rule, key, entries[i].embedding, self.cap)
             if anchors := touched & self.host.vertices:
                 found = _redex_entries(self.host, rule, self.cap, anchors)
             self._pending[name] = set(), set()
@@ -309,7 +309,7 @@ class RedexSets:
             insort(entries, x, key=itemgetter(0))
             self._capped[name] += x.capped
             for v in x.embedding.vmap.values():
-                at.setdefault(v, set()).add(x.key)
+                at.setdefault(v, {})[id(x.embedding)] = x.key
         return entries, self._capped[name] > 0
 
     def redex(self, name: str, entry: _Entry, h_l: dict[int, int]) -> Redex:

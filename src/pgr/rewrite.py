@@ -102,9 +102,11 @@ def _step(g: Graph, redex: Redex, fresh_base: int | None) -> StepCertificate:
 def verify_step(host: Graph, result: Graph, cert: StepCertificate) -> bool:
     """Re-check a certificate against the step conditions, on the step's
     parts: ``_redex_ok`` reads the redex off the host, ``_result_ok``
-    compares the result with ``_derived``'s; neither derives C, J or M.  A
+    compares the result with ``_derived``'s; neither derives C, J or M.
+    Both are given the patch ids at the match, read off the host once.  A
     malformed certificate is a failure, not an exception."""
-    return _redex_ok(host, cert.redex) and _result_ok(host, result, cert)
+    je = _patch_ids(host, cert.redex)
+    return _redex_ok(host, cert.redex, je) and _result_ok(host, result, cert, je)
 
 
 def _false_on_error(check):
@@ -119,17 +121,25 @@ def _false_on_error(check):
 
 
 @_false_on_error
-def _redex_ok(host: Graph, redex: Redex) -> bool:
+def _patch_ids(host: Graph, redex: Redex) -> set[int]:
+    """The ids of the edges outside the redex's match that touch it in
+    ``host``, or False if its decomposition does not fit ``host``."""
+    return set(patch_edges(host, redex.decomposition._mv, redex.decomposition._me))
+
+
+@_false_on_error
+def _redex_ok(host: Graph, redex: Redex, je: set[int]) -> bool:
     """The left half: the decomposition splits ``host``, its match is the
     image of the left pattern, its patch ids are the edges outside the match
-    that touch it, and each patch edge's host triple adheres under ``h_l``."""
+    that touch it, ``je`` (``_patch_ids``), and each patch edge's host
+    triple adheres under ``h_l``."""
     d, emb, pattern, types = (redex.decomposition, redex.embedding, redex.rule.lhs.pattern,
                               redex.rule.lhs.ptype.edges)
     vmap, at = emb.vmap, match_positions(pattern, emb)
     return ((d._host is host or d._host == host) and at.keys() == d._mv
             and {emb.emap[p]: (vmap[s], lab, vmap[t]) for p, (s, lab, t) in pattern.edges.items()}
             == {e: host.edges[e] for e in d._me}
-            and redex.h_l.keys() == set(d._je) == set(patch_edges(host, d._mv, d._me))
+            and redex.h_l.keys() == set(d._je) == je
             and list(map(types.get, redex.h_l.values())) == patch_shapes(host, redex.h_l, at))
 
 
@@ -170,17 +180,17 @@ def _derived(host: Graph, redex: Redex, inst: Renaming, h_r: dict[int, int],
 
 
 @_false_on_error
-def _result_ok(host: Graph, result: Graph, cert: StepCertificate) -> bool:
+def _result_ok(host: Graph, result: Graph, cert: StepCertificate, je: set[int]) -> bool:
     """The right half: the result is ``_derived``'s for the certificate's
     instance and pairing (one dict comparison, no Python loop over the
     host's edges), J' is its part at sigma's keys, and the old patch holds
-    every edge at the match."""
+    every edge at the match, ``je`` (``_patch_ids``)."""
     d, jp = cert.redex.decomposition, cert.j_prime
     return (_derived(host, cert.redex, cert.rhs_instance, cert.h_r, cert.sigma)
             == (result.vertices, result.edges)
             and jp.edges == {e: result.edges[e] for e in cert.sigma}
             and jp.vertices == {x for s, _, t in jp.edges.values() for x in (s, t)}
-            and set(d._je).issuperset(patch_edges(host, d._mv, d._me)))
+            and set(d._je).issuperset(je))
 
 
 def brute_force_step_oracle(host: Graph, redex: Redex) -> list[Graph]:
@@ -191,7 +201,7 @@ def brute_force_step_oracle(host: Graph, redex: Redex) -> list[Graph]:
     edge in id order, a new edge for each old patch edge of its trace image
     in id order, numbered after the right-pattern instance.  ``_derived``
     gives the result for it."""
-    if not _redex_ok(host, redex):
+    if not _redex_ok(host, redex, _patch_ids(host, redex)):
         return []
     rule, h_l = redex.rule, redex.h_l
     counter = itertools.count(max(host.max_id(), rule.rhs.pattern.max_id()) + 1)

@@ -93,9 +93,10 @@ def _sigma_ok(cert: StepCertificate) -> bool:
 
 
 @_false_on_error
-def _redex_ok(host: Graph, redex: Redex) -> bool:
+def _redex_ok(host: Graph, redex: Redex, je=None) -> bool:
     """The left half: the decomposition composes to the host, its match is
-    the image of the left pattern, and the left map adheres."""
+    the image of the left pattern, and the left map adheres.  The patch ids
+    ``je`` that ``verify_step`` reads once are not used: it read its own."""
     rule, d = redex.rule, redex.decomposition
     return (patch_compose(d.context, d.patch, d.match) == host
             and rename_graph(rule.lhs.pattern, redex.embedding) == d.match
@@ -118,9 +119,9 @@ def _rewritten(cert: StepCertificate) -> Graph | bool:
             and _sigma_ok(cert) and result)  # a Graph is always true
 
 
-def _result_ok(host: Graph, result: Graph, cert: StepCertificate) -> bool:
+def _result_ok(host: Graph, result: Graph, cert: StepCertificate, je=None) -> bool:
     """The right half as a verdict; it reads the host through the
-    decomposition, as the composition did."""
+    decomposition, as the composition did, and not ``je``."""
     return _rewritten(cert) == result
 
 

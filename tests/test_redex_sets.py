@@ -11,9 +11,13 @@ import itertools
 import random
 from collections import Counter
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from previous_search import previous_embeddings
 
 from fixtures import (
+    PROPERTY,
     aloop_pattern,
     anchored_redexes,
     deadlock_workload_nets,
@@ -254,6 +258,41 @@ class TestAgainstFreshSearch:
                                       strategy="random", seed=seed, max_steps=20)
             assert_like_reference(monkeypatch, host, dijkstra_scholten_system(),
                                   max_steps=20)
+
+
+def test_kept_sets_equal_a_fresh_search_after_drawn_steps():
+    # The property: on drawn hosts and systems of deterministic and quasi
+    # rules, under both strategies and map caps of none, 2 and 8, every
+    # entry list that ``normalize`` reads equals a fresh ``find_redexes``.
+    # Six steps at most, as a rule that copies patch edges can double its
+    # host per step.  Counted over the draws: steps with a patch edge at a
+    # context end whose type edge the rule carries, and steps with one
+    # whose type edge it does not.
+    step, kinds = rewrite._step, Counter()
+
+    def counted_step(g, redex, fresh_base):
+        types, carried = redex.rule.lhs.ptype.edges, redex.rule.carried
+        kinds.update({left in carried for left in redex.h_l.values()
+                      if CONTEXT in types[left]})
+        return step(g, redex, fresh_base)
+
+    @PROPERTY
+    @given(st.randoms(use_true_random=True), st.sampled_from((None, 2, 8)), st.integers(0, 9))
+    def kept_sets_equal_a_fresh_search(rng, cap, seed):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            set_map_cap(monkeypatch, cap)
+            monkeypatch.setattr(rewrite, "_step", counted_step)
+            for _ in range(6):
+                host = random_graph(rng, list(range(rng.randint(1, 6))), 9)
+                system = {f"r{k}": random_deterministic_rule(rng) if rng.random() < 0.5
+                          else random_quasi_rule(rng) for k in range(rng.randint(1, 3))}
+                for strategy in ("first", "random"):
+                    _, reads = checked_normalize(monkeypatch, host, system, strategy=strategy,
+                                                 seed=seed, max_steps=6)
+                    assert reads > 0
+
+    kept_sets_equal_a_fresh_search()
+    assert kinds[True] > 20 and kinds[False] > 100
 
 
 class TestAnchoredSearch:

@@ -71,7 +71,8 @@ from pgr.rules import (
     enumerate_adherence_maps,
     validate_quasi_rule,
 )
-from pgr.systems import deadlock_rules, dijkstra_scholten_system, waitfor_grammar
+from pgr.systems import (deadlock_rules, dijkstra_scholten_system, ds_initial_network,
+                         waitfor_grammar)
 from test_systems import grammar_reachable
 
 
@@ -246,6 +247,18 @@ class TestStepAgainstReference:
             host = random_graph(rng, list(range(rng.randint(1, 5))), 8)
             steps += assert_steps_like_reference(host, random_quasi_rule(rng))
         assert steps > 600
+        # Index edge cases: a b-loop and two parallel b-edges at a context
+        # end whose edges the rule carries, and steps that remove the last
+        # edge of a label, whose keys then leave the index and the counts.
+        carried_end = Graph.from_triples([0, 1], [(0, "a", 0), (1, "b", 1), (1, "b", 0),
+                                                  (1, "b", 0)])
+        for host, rule, counts in ((carried_end, redirect_rule(), {"out": 3, "in": 1, "loop": 1}),
+                                   (hub_host(), delete_rule(), {})):
+            assert assert_steps_like_reference(host, rule) == 2
+            result, _ = apply_at(host, find_redexes(host, rule)[0][0])
+            assert "a" not in result.label_index()
+            assert result.edge_counts(1) == {(side, lab): n for side, n in counts.items()
+                                             for lab in (None, "b")}
 
     def test_samples(self):
         docs = sample_documents()
@@ -849,6 +862,36 @@ class TestSuccessors:
         first = matching._twin_redexes(parallel_edge_host(6), pair, cap)
         assert [r.embedding.emap for r in first] == [{0: 0, 1: 1}]
         assert skipped[False] > 100 and skipped[True] == 15 + 65  # n - 1, n(n - 1) - 1
+
+    def test_twin_redexes_read_each_embedding_once(self, monkeypatch):
+        # Counted: on a host not labelled yet, ``_twin_redexes`` reads each
+        # embedding's patch and maps once and builds its redexes from those
+        # reads; on the budgeted triangle, ``snd-b-2`` reads two embeddings
+        # for its two redexes.  The redexes are those of the filter it
+        # replaced, on the DS states with two sends left per process.
+        entry, reads = matching._entry, []
+
+        def counted(host, rule, key, emb, cap):
+            reads.append(emb)
+            return entry(host, rule, key, emb, cap)
+
+        walk, cap, counts = systems._walk_rules(2), matching.default_map_cap(), {}
+        triangle = ds_initial_network([(0, 1), (1, 2), (0, 2)], 0).graph
+        for i, state in enumerate([triangle] + ds_states()[::10]):
+            host = systems._with_budgets(state, 2)
+            for name, rule in ((n, r) for n, r in walk.items() if r.deterministic):
+                embs = matching._embeddings(host, rule.lhs.pattern, rule.lhs.ptype, None, True)
+                with monkeypatch.context() as m:
+                    m.setattr(matching, "_entry", counted)
+                    reads.clear()
+                    got = matching._twin_redexes(Graph(host.vertices, host.edges), rule, cap)
+                assert [id(emb) for emb in reads] == list(dict.fromkeys(map(id, reads)))
+                assert len(reads) == len(embs) >= len(got)
+                assert redex_parts(got) == redex_parts(
+                    previous_twin_redexes(host, find_redexes(host, rule)[0]))
+                counts[i, name] = len(reads), len(got)
+        assert counts[0, "snd-b-2"] == (2, 2)
+        assert sum(n for _, n in counts.values()) > 100
 
     def test_redexes_with_one_vertex_map_give_equal_steps(self):
         # Under a seen set, ``_expand`` steps once per vertex map of a

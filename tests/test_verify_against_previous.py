@@ -203,9 +203,12 @@ def patch_graph(edges):
 def verdicts(host, result, cert):
     """Each half is looked up on ``rewrite`` at the call, so that
     ``previous_checks()`` swaps it; the right half reads the host that the
-    decomposition splits, which the left half checks is ``host``."""
-    return (verify_step(host, result, cert), rewrite._redex_ok(host, cert.redex),
-            rewrite._result_ok(cert.redex.decomposition._host, result, cert))
+    decomposition splits, which the left half checks is ``host``.  Each is
+    given the patch ids of its host, as ``verify_step`` reads them."""
+    split = cert.redex.decomposition._host
+    return (verify_step(host, result, cert),
+            rewrite._redex_ok(host, cert.redex, rewrite._patch_ids(host, cert.redex)),
+            rewrite._result_ok(split, result, cert, rewrite._patch_ids(split, cert.redex)))
 
 
 def oracle(host, redex, run=brute_force_step_oracle):
@@ -295,6 +298,25 @@ def test_verify_step_derives_no_part(monkeypatch):
         monkeypatch.setattr(PatchDecomposition, part, property(derived))
     assert all(verify_step(*step) for step in steps)
     assert all(brute_force_step_oracle(host, cert.redex) for host, _, cert in steps)
+
+
+def test_verify_step_reads_the_patch_ids_once(monkeypatch):
+    # Counted: ``verify_step`` reads the patch ids off the host once and
+    # gives them to both halves, on genuine and tampered certificates.
+    triples = [triple for host, redex in step_sources()
+               for triple in tampered_certificates(host, *apply_at(host, redex))]
+    read, calls, accepted = rewrite.patch_edges, [], 0
+
+    def counted(*args):
+        calls.append(args)
+        return read(*args)
+
+    monkeypatch.setattr(rewrite, "patch_edges", counted)
+    for triple in triples:
+        calls.clear()
+        accepted += verify_step(*triple)
+        assert len(calls) == 1
+    assert len(triples) > 2000 and accepted > 500
 
 
 def test_ring_result_missing_a_far_context_edge_is_rejected():
