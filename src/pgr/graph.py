@@ -28,7 +28,7 @@ EdgeTriple = tuple[int, str, int]
 class Graph:
     """A finite directed multigraph with labeled edges.  ``Graph(...)`` checks
     its input, derived graphs do not; each builds its own index on first use,
-    and a step edits a draft copy of its host (``_replace``)."""
+    and ``normalize`` edits a draft copy of its host (``_replace``)."""
 
     __slots__ = ("_vertices", "_edges", "_hash", "_index", "_labelling", "_max", "_ids",
                  "_matchers")
@@ -61,12 +61,12 @@ class Graph:
         """A graph from parts known to be valid; it owns ``edges``."""
         return cls.__new__(cls)._set(vertices, edges)
 
-    def _draft(self, many: bool = False) -> "Graph":
-        """A copy, with the largest id, that the engine edits in place; for ``many``
-        edits, a mutable vertex set and an id stack (``max_id``) until ``_handout``."""
-        g = Graph._trusted(set(self._vertices) if many else self._vertices, dict(self._edges))
+    def _draft(self) -> "Graph":
+        """A copy, with the largest id, that ``normalize`` edits in place: a
+        mutable vertex set and an id stack (``max_id``) until ``_handout``."""
+        g = Graph._trusted(set(self._vertices), dict(self._edges))
         g._max = self.max_id()
-        g._ids = sorted(itertools.chain(g._vertices, g._edges)) if many else None
+        g._ids = sorted(itertools.chain(g._vertices, g._edges))
         return g
 
     def _handout(self) -> "Graph":
@@ -74,17 +74,16 @@ class Graph:
         self._vertices, self._ids = frozenset(self._vertices), None
         return self
 
-    def _replace(self, d: "PatchDecomposition", patch: "Graph", match_vertices: Iterable[int],
-                 match_edges: dict[int, EdgeTriple]) -> None:
-        """Edit this draft of ``d``'s host into ``patch_compose(d.context,
-        patch, new match)``, edge order included, and its index, if built,
-        into that of a fresh build.  New ids lie above every id of the
-        draft, so appending keeps each index list in id order."""
+    def _replace(self, d: "PatchDecomposition", match_vertices: Iterable[int],
+                 added: dict[int, EdgeTriple]) -> None:
+        """Edit this draft of ``d``'s host into the step's result: J and M
+        leave, the new match's vertices and ``added`` (new patch, then match
+        edges) join, and a built index becomes that of a fresh build.  New
+        ids lie above every id of the draft, so appending keeps id order."""
         mv, new_v = d._mv, frozenset(match_vertices)
-        added = {**patch.edges, **match_edges}
         removed = [(e, self._edges.pop(e)) for e in itertools.chain(d._je, d._me)]
         self._edges.update(added)
-        self._vertices -= mv  # in place in a draft for many edits
+        self._vertices -= mv
         self._vertices |= new_v
         if self._index is not None:
             out, inc, _, counts = self._index
@@ -94,8 +93,7 @@ class Graph:
                 out[v], inc[v], counts[v] = [], [], {}
             _remove_edges(self._index, removed)
             _add_edges(self._index, sorted(added.items()))
-        if self._ids is not None:
-            self._ids += sorted(itertools.chain(new_v, added))
+        self._ids += sorted(itertools.chain(new_v, added))
         top = max(itertools.chain(new_v, added), default=self._max)
         self._max = top if top in self._vertices or top in self._edges else None
         self._hash = self._labelling = None

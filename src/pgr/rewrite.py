@@ -1,12 +1,9 @@
 """Constructing, verifying and chaining rewrite steps.
 
 A step replaces the match by a fresh copy of the right pattern and rebuilds
-the patch around it: for every right type edge, each patch edge assigned to
-its trace image spawns one new edge, whose pattern ends are the copies of
-the type edge's ends and whose context end is the context end of the old
-edge.  The certificate produced alongside each step carries all witnesses,
-and ``verify_step`` re-checks them declaratively, independent of the
-constructive path.
+the patch around it (``_rebuild``).  The certificate ``apply_at`` returns
+carries all witnesses, and ``verify_step`` re-checks them declaratively,
+independent of the constructive path.
 """
 
 from __future__ import annotations
@@ -38,35 +35,44 @@ def _instantiate_rhs(rule: QuasiRule, counter) -> Renaming:
     return Renaming._trusted(dict(zip(vertices, counter)), dict(zip(edges, counter)))
 
 
-def construct_rhs_patch(redex: Redex, fresh_base: int):
-    """Build the replacement patch for a redex.
-
-    Returns ``(rhs_instance, j_prime, h_r, sigma)`` where ``sigma`` pairs
-    every new patch edge with the old patch edge it derives from.  A new
-    edge keeps the label of its old edge; each end is the copy of the right
-    type edge's pattern end or, at CONTEXT, the old edge's end at the slot
-    that the rule's ``_step_plan`` names.  Fresh ids count up from ``fresh_base``.
-    """
+def _rebuild(redex: Redex, fresh_base: int | None, edges: dict, h_r: dict | None = None,
+             sigma: dict | None = None) -> tuple[Renaming, int | None]:
+    """The pairing rule, stated once: add to ``edges`` the new patch edges,
+    per right type edge in id order one per old patch edge of its trace image
+    in id order, then the right pattern's copy, all with ids from
+    ``fresh_base`` up (default: above every id of the host and the rule); a
+    context end is the old edge's end at the slot that ``_step_plan`` names.
+    With ``h_r`` and ``sigma``, each new edge's right type edge and old edge
+    go there.  Returns the copy and the largest new id (None if none)."""
     rule, d, h_l = redex.rule, redex.decomposition, redex.h_l
-    counter = itertools.count(fresh_base)
-    inst = _instantiate_rhs(rule, counter)
-    old = d._host.edges
-
-    by_left: dict[int, list[int]] = {}
+    floor = max(d._host.max_id(), rule.rhs.pattern.max_id()) + 1
+    if fresh_base is not None and fresh_base < floor:
+        raise ValueError(f"fresh base {fresh_base} collides with existing ids "
+                         f"(needs at least {floor})")
+    counter = itertools.count(base := floor if fresh_base is None else fresh_base)
+    inst, old, by_left = _instantiate_rhs(rule, counter), d._host.edges, {}
     for j in sorted(d._je):
         by_left.setdefault(h_l[j], []).append(j)
-
-    jp_edges, h_r, sigma = {}, {}, {}
-    ends = dict(inst.vmap)  # and CONTEXT, per old edge, to its context end
+    ends = dict(vmap := inst.vmap)  # and CONTEXT, per old edge, to its context end
     for t, left, ts, tt, slot in rule._step_plan[2]:
         for j in by_left.get(left, ()):
             triple = old[j]
             if slot is not None:
                 ends[CONTEXT] = triple[slot]
-            eid = next(counter)
-            jp_edges[eid], h_r[eid], sigma[eid] = (ends[ts], triple[1], ends[tt]), t, j
-    vertices = frozenset(x for s, _, t in jp_edges.values() for x in (s, t))
-    return inst, Graph._trusted(vertices, jp_edges), h_r, sigma
+            edges[e := next(counter)] = (ends[ts], triple[1], ends[tt])
+            if h_r is not None:
+                h_r[e], sigma[e] = t, j
+    edges.update({inst.emap[p]: (vmap[s], lab, vmap[t])
+                  for p, (s, lab, t) in rule.rhs.pattern.edges.items()})
+    return inst, (top if (top := next(counter) - 1) >= base else None)
+
+
+def construct_rhs_patch(redex: Redex, fresh_base: int):
+    """The replacement patch for a redex, with fresh ids from ``fresh_base``
+    up: ``(rhs_instance, j_prime, h_r, sigma)`` of ``apply_at``'s certificate,
+    where ``sigma`` pairs every new patch edge with the old one it derives from."""
+    cert = apply_at(redex.decomposition._host, redex, fresh_base)[1]
+    return cert.rhs_instance, cert.j_prime, cert.h_r, cert.sigma
 
 
 def apply_at(host: Graph, redex: Redex,
@@ -78,25 +84,32 @@ def apply_at(host: Graph, redex: Redex,
     the host and the rule).  It equals ``patch_compose`` of the context, the
     new patch and the new match, edge order included.
     """
-    result = host._draft()
-    return result, _step(result, redex, fresh_base)
+    h_r, sigma = {}, {}
+    result, inst = _successor(host, redex, fresh_base, h_r, sigma)
+    jp = {e: result.edges[e] for e in sigma}
+    j_prime = Graph._trusted(frozenset(x for s, _, t in jp.values() for x in (s, t)), jp)
+    return result, StepCertificate(redex, inst, j_prime, h_r, sigma)
 
 
-def _step(g: Graph, redex: Redex, fresh_base: int | None) -> StepCertificate:
-    """Edit ``g``, a draft of the redex's host, into the step's result."""
-    rule = redex.rule
-    floor = max(g.max_id(), rule.rhs.pattern.max_id()) + 1
-    if fresh_base is None:
-        fresh_base = floor
-    elif fresh_base < floor:
-        raise ValueError(f"fresh base {fresh_base} collides with existing ids "
-                         f"(needs at least {floor})")
-    inst, j_prime, h_r, sigma = construct_rhs_patch(redex, fresh_base)
-    vmap = inst.vmap
-    g._replace(redex.decomposition, j_prime, vmap.values(),
-               {inst.emap[e]: (vmap[s], lab, vmap[t])
-                for e, (s, lab, t) in rule.rhs.pattern.edges.items()})
-    return StepCertificate(redex, inst, j_prime, h_r, sigma)
+def _successor(host: Graph, redex: Redex, fresh_base: int | None = None, h_r=None,
+               sigma=None) -> tuple[Graph, Renaming]:
+    """``apply_at``'s result, composed afresh, and its instance: the host's
+    edges without J and M, then ``_rebuild``'s, to which ``h_r`` and ``sigma`` go."""
+    d, edges = redex.decomposition, dict(host.edges)
+    for e in itertools.chain(d._je, d._me):
+        del edges[e]
+    inst, top = _rebuild(redex, fresh_base, edges, h_r, sigma)
+    result = Graph._trusted((host.vertices - d._mv).union(inst.vmap.values()), edges)
+    result._max = top
+    return result, inst
+
+
+def _step(g: Graph, redex: Redex, fresh_base: int | None) -> Renaming:
+    """Edit ``g``, ``normalize``'s draft of the redex's host, into the step's
+    result, as ``apply_at`` composes it; returns the instance."""
+    inst, _ = _rebuild(redex, fresh_base, added := {})
+    g._replace(redex.decomposition, inst.vmap.values(), added)
+    return inst
 
 
 def verify_step(host: Graph, result: Graph, cert: StepCertificate) -> bool:
@@ -245,7 +258,7 @@ def _expand(host: Graph, system: dict[str, QuasiRule],
         if redexes:
             fired.add(name)
         for redex in redexes:
-            result, _ = apply_at(host, redex)
+            result = _successor(host, redex)[0]
             if seen is not None:
                 if (key := canonical_form(result)) in seen:
                     continue
@@ -278,8 +291,7 @@ def normalize(host: Graph, system: dict[str, QuasiRule], strategy: str = "first"
     carry (``QuasiRule.carried``); at a context end whose edges are all
     carried, the embeddings keep their place and only their patch ids and
     maps are read again.  The steps are those of ``apply_at``, but all edit
-    one draft copy of ``host``, with a mutable vertex set and a stack of its
-    ids, handed out, frozen, at the end.  A step's
+    one draft copy of ``host`` (``_step``), handed out at the end.  A step's
     record is ``truncated`` when a redex list it read was capped by the map
     cap (``PGR_MAX_MAPS``), so it chose from an incomplete list.  Raises
     StepLimitReached (carrying the partial trace) if no normal form is found
@@ -289,7 +301,7 @@ def normalize(host: Graph, system: dict[str, QuasiRule], strategy: str = "first"
     if strategy not in ("first", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = random_module.Random(seed)
-    g = host._draft(many=True)
+    g = host._draft()
     sets, edges = RedexSets(g, system), g.edges
     trace: list[StepRecord] = []
     for _ in range(max_steps):
@@ -308,10 +320,8 @@ def normalize(host: Graph, system: dict[str, QuasiRule], strategy: str = "first"
         touched, carried = set(redex.embedding.vmap.values()), set()
         for j, left in h_l.items():  # the ends of J, read before the edit
             (carried if left in carries else touched).update(edges[j][::2])
-        cert = _step(g, redex, None)
-        sets.advance(touched | cert.rhs_instance.image_vertices(), carried - touched)
-        mv, me = redex.match_summary()
-        trace.append(StepRecord(name, mv, me, truncated))
+        sets.advance(touched.union(_step(g, redex, None).vmap.values()), carried - touched)
+        trace.append(StepRecord(name, *entry.key[:2], truncated))
     # One more look: the limit only matters if a redex is still there.
     if any(sets.entries(name)[0] for name in system):
         raise StepLimitReached(g._handout(), trace)
@@ -321,28 +331,20 @@ def normalize(host: Graph, system: dict[str, QuasiRule], strategy: str = "first"
 def check_rule_determinism(rule: QuasiRule, hosts: list[Graph]) -> dict[str, int]:
     """Apply every redex at the default fresh base and at a far one; each
     result must be isomorphic to the first derivation at its location.
-
-    Only meaningful for rules with a simple left patch type; quasi rules are
-    rejected outright.
-    """
+    Only meaningful for a simple left patch type: quasi rules are rejected."""
     if not rule.deterministic:
         raise ValueError("rule is quasi; determinism is not claimed for it")
     checked = 0
     for host in hosts:
-        redexes, _ = find_redexes(host, rule)
         by_location: dict[tuple, list[Redex]] = {}
-        for redex in redexes:
+        for redex in find_redexes(host, rule)[0]:
             by_location.setdefault(redex.match_summary(), []).append(redex)
+        base = max(host.max_id(), rule.rhs.pattern.max_id()) + 7919
         for group in by_location.values():
-            # Same decomposition: every derivation from it must agree up to
-            # isomorphism, whatever instance ids or embedding variant.
+            # One decomposition: all derivations, whatever ids or embedding, are isomorphic.
             reference, _ = apply_at(host, group[0])
-            for redex in group:
-                base = max(host.max_id(), rule.rhs.pattern.max_id()) + 7919
-                for variant in (apply_at(host, redex)[0],
-                                apply_at(host, redex, fresh_base=base)[0]):
-                    if find_isomorphism(reference, variant) is None:
-                        raise DeterminismViolation(
-                            f"derivations at one location differ on {host!r}")
-                    checked += 1
+            for variant in (apply_at(host, r, b)[0] for r in group for b in (None, base)):
+                if find_isomorphism(reference, variant) is None:
+                    raise DeterminismViolation(f"derivations at one location differ on {host!r}")
+                checked += 1
     return {"hosts": len(hosts), "steps_checked": checked}

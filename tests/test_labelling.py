@@ -326,7 +326,7 @@ def test_one_search_per_successors_result(searches, monkeypatch):
     # twin classes is not built at all, so to depth 6 no result repeats.
     results: dict[int, list[Graph]] = {}
     maps = set()  # (host, rule, vertex map) of every redex of a full listing
-    build, apply_at = rewrite._twin_redexes, rewrite.apply_at
+    build, step = rewrite._twin_redexes, rewrite._successor
 
     def listed(host, rule, cap):
         maps.update((id(host), id(rule), frozenset(r.embedding.vmap.items()))
@@ -334,12 +334,12 @@ def test_one_search_per_successors_result(searches, monkeypatch):
         return build(host, rule, cap)
 
     def counted(host, redex):
-        result = apply_at(host, redex)
+        result = step(host, redex)
         results.setdefault(id(host), []).append(result[0])
         return result
 
     monkeypatch.setattr(rewrite, "_twin_redexes", listed)
-    monkeypatch.setattr(rewrite, "apply_at", counted)
+    monkeypatch.setattr(rewrite, "_successor", counted)
     # A fresh empty graph, so no earlier test has labelled the start.
     kept = grammar_reachable(6, start=Graph())
     assert len(kept) == 29

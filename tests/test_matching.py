@@ -444,7 +444,7 @@ class TestNoGraphsPerEmbedding:
         # redex to skip.  A step reads the patch off the host, so no redex
         # derives J or M.
         built, expected, applied, listed = [], [], [], [0]
-        build, step = rewrite._twin_redexes, rewrite.apply_at
+        build, step = rewrite._twin_redexes, rewrite._successor
 
         def recorded(host, rule, cap):
             out, first = build(host, rule, cap), {}
@@ -460,7 +460,7 @@ class TestNoGraphsPerEmbedding:
             return step(host, redex, *args)
 
         monkeypatch.setattr(rewrite, "_twin_redexes", recorded)
-        monkeypatch.setattr(rewrite, "apply_at", counted)
+        monkeypatch.setattr(rewrite, "_successor", counted)
         ds_explore(ds_initial_network([(0, 1), (1, 2)], 0), 2)
         assert list(map(id, built)) == list(map(id, applied))
         assert [r.embedding for r in applied] == [r.embedding for r in expected]

@@ -147,9 +147,9 @@ class TestAgainstFreshSearch:
         events, step, search = [], rewrite._step, matching._redex_entries
 
         def counted_step(g, redex, fresh_base):
-            cert = step(g, redex, fresh_base)
-            events.append(("step", redex.rule, cert.rhs_instance.image_vertices()))
-            return cert
+            inst = step(g, redex, fresh_base)
+            events.append(("step", redex.rule, inst.image_vertices()))
+            return inst
 
         def counted_search(host, rule, cap, anchors=None):
             events.append(("search", rule, anchors))
@@ -260,20 +260,46 @@ class TestAgainstFreshSearch:
                                   max_steps=20)
 
 
+def pattern_host(rng, rule, copies):
+    """``copies`` disjoint copies of ``rule``'s left pattern, vertex v of
+    copy c being 10c + v, and a few random edges.  One vertex of the first
+    copy has an edge of one label and direction with a vertex of each other
+    copy, so a step at the first copy has that many context ends that each
+    hold an embedding."""
+    vs, pattern = sorted(rule.lhs.pattern.vertices), rule.lhs.pattern
+    triples = [(10 * c + s, lab, 10 * c + t) for c in range(copies)
+               for s, lab, t in pattern.edges.values()]
+    hub, lab, out = rng.choice(vs), rng.choice("ab"), rng.random() < 0.5
+    for c in range(1, copies):
+        sender = 10 * c + rng.choice(vs)
+        triples.append((hub, lab, sender) if out else (sender, lab, hub))
+    vertices = [10 * c + v for c in range(copies) for v in vs]
+    triples += [(rng.choice(vertices), rng.choice("ab"), rng.choice(vertices))
+                for _ in range(rng.randint(0, 2))]
+    return Graph.from_triples(vertices, triples)
+
+
 def test_kept_sets_equal_a_fresh_search_after_drawn_steps():
     # The property: on drawn hosts and systems of deterministic and quasi
     # rules, under both strategies and map caps of none, 2 and 8, every
     # entry list that ``normalize`` reads equals a fresh ``find_redexes``.
     # Six steps at most, as a rule that copies patch edges can double its
-    # host per step.  Counted over the draws: steps with a patch edge at a
-    # context end whose type edge the rule carries, and steps with one
-    # whose type edge it does not.
+    # host per step.  The hosts are random, and built around a rule's
+    # pattern (``pattern_host``).  Counted over the draws: steps with a
+    # patch edge at a context end whose type edge the rule carries, steps
+    # with one whose type edge it does not, and steps with two carried
+    # context ends that both hold an embedding of the rule off the match.
     step, kinds = rewrite._step, Counter()
 
     def counted_step(g, redex, fresh_base):
-        types, carried = redex.rule.lhs.ptype.edges, redex.rule.carried
+        types, carried, mv = redex.rule.lhs.ptype.edges, redex.rule.carried, redex.decomposition._mv
         kinds.update({left in carried for left in redex.h_l.values()
                       if CONTEXT in types[left]})
+        ends = {x for j, left in redex.h_l.items() if left in carried
+                for x in g.edges[j][::2] if x not in mv}
+        kinds["two held carried ends"] += len(ends) > 1 and len(ends & {
+            x for r in find_redexes(g, redex.rule)[0] for x in r.embedding.vmap.values()
+            if mv.isdisjoint(r.embedding.vmap.values())}) > 1
         return step(g, redex, fresh_base)
 
     @PROPERTY
@@ -282,17 +308,23 @@ def test_kept_sets_equal_a_fresh_search_after_drawn_steps():
         with pytest.MonkeyPatch.context() as monkeypatch:
             set_map_cap(monkeypatch, cap)
             monkeypatch.setattr(rewrite, "_step", counted_step)
+            draw = lambda: (random_deterministic_rule if rng.random() < 0.5  # noqa: E731
+                            else random_quasi_rule)(rng)
+            drawn = []
             for _ in range(6):
                 host = random_graph(rng, list(range(rng.randint(1, 6))), 9)
-                system = {f"r{k}": random_deterministic_rule(rng) if rng.random() < 0.5
-                          else random_quasi_rule(rng) for k in range(rng.randint(1, 3))}
+                drawn.append((host, {f"r{k}": draw() for k in range(rng.randint(1, 3))}))
+            for _ in range(2):
+                rule = draw()
+                drawn.append((pattern_host(rng, rule, rng.randint(3, 4)), {"r": rule}))
+            for host, system in drawn:
                 for strategy in ("first", "random"):
                     _, reads = checked_normalize(monkeypatch, host, system, strategy=strategy,
                                                  seed=seed, max_steps=6)
                     assert reads > 0
 
     kept_sets_equal_a_fresh_search()
-    assert kinds[True] > 20 and kinds[False] > 100
+    assert kinds[True] > 20 and kinds[False] > 100 and kinds["two held carried ends"] > 3, kinds
 
 
 class TestAnchoredSearch:
@@ -431,8 +463,8 @@ def test_chain_steps_never_rescan_the_ids(monkeypatch):
     # handed out with a frozen vertex set.
     draft, drafts, max_id, lost, rescans = Graph._draft, [], Graph.max_id, [], []
 
-    def counted_draft(self, many=False):
-        drafts.append(g := draft(self, many))
+    def counted_draft(self):
+        drafts.append(g := draft(self))
         return g
 
     def counted_max_id(self):

@@ -7,8 +7,11 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fixtures import (
+    PROPERTY,
     assert_indexes_like_fresh,
     copy_vertex_rule,
     deadlock_workload_nets,
@@ -227,7 +230,7 @@ def assert_steps_like_reference(host, rule):
             assert_indexes_like_fresh(result)
             draft = host._draft()
             draft._indexes()
-            assert rewrite._step(draft, redex, base) == expected_cert
+            assert rewrite._step(draft, redex, base) == expected_cert.rhs_instance
             assert list(draft.edges.items()) == list(expected.edges.items())
             assert_indexes_like_fresh(draft)
             steps += 1
@@ -310,6 +313,64 @@ class TestStepAgainstReference:
         assert len(results) > len(ds_states())
         for result in results:
             assert_indexes_like_fresh(result)
+
+
+def step_paths(host, redex, base):
+    """The vertices and edges, in edge order, of each path that builds the
+    step at ``redex`` with fresh ids from ``base`` up (None: the default):
+    the walk's builder, ``apply_at``, ``reference_apply_at`` and the draft
+    edit of ``_step``, on a draft whose index is built; at the default base,
+    also ``_derived`` under the pairing ``brute_force_step_oracle`` builds,
+    if it derives one."""
+    parts = lambda g: (set(g.vertices), list(g.edges.items()))  # noqa: E731
+    draft = host._draft()
+    draft._indexes()
+    rewrite._step(draft, redex, base)
+    assert_indexes_like_fresh(draft)
+    paths = {"walk": parts(rewrite._successor(host, redex, base)[0]),
+             "apply_at": parts(apply_at(host, redex, base)[0]),
+             "reference": parts(reference_apply_at(host, redex, base)[0]),
+             "draft": parts(draft)}
+    derived, oracle_derived = [], rewrite._derived
+
+    def recorded(*args):
+        derived.append(out := oracle_derived(*args))
+        return out
+
+    if base is None:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(rewrite, "_derived", recorded)
+            brute_force_step_oracle(host, redex)
+        if derived and derived[0] is not None:
+            paths["oracle"] = set(derived[0][0]), list(derived[0][1].items())
+    return paths
+
+
+def test_step_paths_agree_id_for_id_on_drawn_hosts():
+    # The property: on drawn hosts with deterministic and quasi rules, for
+    # every redex, at the default fresh base and above it, every path that
+    # builds the step gives the same vertices and edges, id for id and in
+    # edge order (``step_paths``).  The oracle's pairing ``_derived`` is
+    # read for every deterministic redex.
+    compared = Counter()
+
+    @PROPERTY
+    @given(st.randoms(use_true_random=True))
+    def step_paths_agree(rng):
+        drawn = [(host, rule) for host, rule, _ in random_instances(rng, 3)]
+        drawn += [(random_graph(rng, list(range(rng.randint(1, 5))), 8), random_quasi_rule(rng))
+                  for _ in range(3)]
+        for host, rule in drawn:
+            floor = max(host.max_id(), rule.rhs.pattern.max_id()) + 1
+            for redex in find_redexes(host, rule)[0]:
+                for base in (None, floor + rng.randint(1, 9)):
+                    paths = step_paths(host, redex, base)
+                    assert rule.deterministic <= ("oracle" in paths) or base is not None
+                    assert all(got == paths["walk"] for got in paths.values()), paths
+                    compared.update(paths.keys())
+
+    step_paths_agree()
+    assert compared["oracle"] > 300 and compared["walk"] > 600, compared
 
 
 class TestConstructRhsPatch:
@@ -928,7 +989,7 @@ class TestSuccessors:
         # The sources are built first: their grammar walk runs with dedup.
         sources = list(successor_sources())
         listed, applied = [0], [0]
-        search, step = rewrite.find_redexes, rewrite.apply_at
+        search, step = rewrite.find_redexes, rewrite._successor
 
         def recorded(*args):
             out = search(*args)
@@ -940,7 +1001,7 @@ class TestSuccessors:
             return step(*args)
 
         monkeypatch.setattr(rewrite, "find_redexes", recorded)
-        monkeypatch.setattr(rewrite, "apply_at", counted)
+        monkeypatch.setattr(rewrite, "_successor", counted)
         for host, system in sources:
             successors(host, system, dedup=False)
         assert applied[0] == listed[0] > 0
