@@ -509,11 +509,14 @@ def _target_cell(lab, cell, end, n, twin) -> int | None:
     return min(starts, key=lambda c: end[c] - c, default=None)
 
 
-def _canonical_labelling(g: Graph) -> tuple[list[int], list[EdgeTriple], dict[int, int] | None]:
-    """A vertex order of ``g``, its certificate and its twins (``_twins`` in
-    ``g``'s ids, or None).  The certificate is the edges as sorted ``(pos(src),
-    label, pos(tgt))`` triples, the smallest over the leaves of the search
-    tree, so isomorphic graphs share it."""
+def _canonical_labelling(g: Graph) -> tuple[list[int], list[EdgeTriple], dict[int, int] | None,
+                                             list[dict[int, int]]]:
+    """A vertex order of ``g``, its certificate, its twins (``_twins`` in
+    ``g``'s ids, or None) and the automorphisms the search found, each in
+    ``g``'s ids and holding only the vertices it moves (none if the root is
+    discrete).  The certificate is the edges as sorted ``(pos(src), label,
+    pos(tgt))`` triples, the smallest over the leaves of the search tree, so
+    isomorphic graphs share it."""
     verts = sorted(g.vertices)
     n, index = len(verts), {v: i for i, v in enumerate(verts)}
     label_key = {label: 3 * i for i, label in enumerate(sorted(g.labels()))}
@@ -527,10 +530,10 @@ def _canonical_labelling(g: Graph) -> tuple[list[int], list[EdgeTriple], dict[in
             adj[s].append((k, t))
             adj[t].append((k + 1, s))
     (lab, pos, cell, end), cells = _colour_rounds(adj)
-    if cells == n:
-        return [verts[i] for i in lab], sorted([(pos[s], label, pos[t]) for s, label, t in edges]), None
+    if cells == n:  # a discrete root: the automorphism group is trivial
+        return [verts[i] for i in lab], sorted([(pos[s], lb, pos[t]) for s, lb, t in edges]), None, []
     node, twin = (lab, pos, cell, end), _twins(adj, cell, end)
-    orbit = list(range(n))  # union-find over the automorphisms found so far
+    orbit, autos = list(range(n)), []  # union-find over the automorphisms found so far; the list
 
     def find(x):
         while orbit[x] != x:
@@ -555,6 +558,7 @@ def _canonical_labelling(g: Graph) -> tuple[list[int], list[EdgeTriple], dict[in
             elif cert == first[0]:
                 # Equal leaves give an automorphism; the rest of this subtree
                 # repeats what its first-path sibling already explored.
+                autos.append({verts[a]: verts[b] for a, b in zip(first[1], lab) if a != b})
                 for a, b in zip(first[1], lab):
                     orbit[find(a)] = find(b)
                 while not stack[-1][4]:
@@ -583,16 +587,16 @@ def _canonical_labelling(g: Graph) -> tuple[list[int], list[EdgeTriple], dict[in
             cell[u] = c + 1
         _refine(adj, *node, [c])
     twins = {verts[x]: verts[r] for x, r in twin.items()} or None
-    return [verts[i] for i in best[1]], best[0], twins
+    return [verts[i] for i in best[1]], best[0], twins, autos
 
 
-def _labelling(g: Graph) -> tuple[list[int], Graph, dict[int, int] | None]:
-    """``g``'s canonical order, canonical form and twin classes, searched
-    once per graph."""
+def _labelling(g: Graph) -> tuple[list[int], Graph, dict[int, int] | None, list[dict[int, int]]]:
+    """``g``'s canonical order, canonical form, twin classes and the
+    automorphisms its search found, searched once per graph."""
     if g._labelling is None:
-        order, cert, twins = _canonical_labelling(g)
+        order, cert, twins, autos = _canonical_labelling(g)
         form = Graph._trusted(frozenset(range(len(order))), dict(enumerate(cert)))
-        g._labelling = order, form, twins
+        g._labelling = order, form, twins, autos
     return g._labelling
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .exceptions import DeterminismViolation, PgrError, StepLimitReached
 from .graph import Graph, Renaming, canonical_form, find_isomorphism, patch_edges
-from .matching import Redex, RedexSets, _twin_redexes, find_redexes
+from .matching import Redex, RedexSets, _orbit_redexes, find_redexes
 from .rules import CONTEXT, QuasiRule, default_map_cap, match_positions, patch_shapes
 
 
@@ -231,9 +231,11 @@ def successors(host: Graph, system: dict[str, QuasiRule],
                dedup: bool = True) -> tuple[list[tuple[str, Graph]], bool]:
     """All one-step results over all rules of the system, in rule order.
 
-    With ``dedup`` the list keeps one representative per isomorphism class
-    and builds no redex it skips (``_expand``); without it, every redex is
-    applied.  The flag: a redex list was cut at the map cap (``PGR_MAX_MAPS``).
+    With ``dedup`` the list keeps one representative per isomorphism class;
+    a deterministic rule steps one redex per orbit of the host's
+    automorphisms, twin classes included, and builds no redex it skips
+    (``_expand``).  Without it, every redex is applied.  The flag: a redex
+    list was cut at the map cap (``PGR_MAX_MAPS``).
     """
     out, _, truncated = _expand(host, system, set() if dedup else None)
     return out, truncated
@@ -244,15 +246,16 @@ def _expand(host: Graph, system: dict[str, QuasiRule],
     """``successors`` and the names of the rules with a redex, with the map cap
     read once; with a ``seen`` set, a result is kept only if its canonical form
     is new, and adds it.  There a deterministic rule steps only at its
-    ``_twin_redexes``: the others differ by a host automorphism (twins permuted,
-    parallel edges of equal triples swapped), which carries adherence over, and
-    the seen set would drop their results, so they get no patch, maps or redex.
-    A vertex map is keyed by its image vertices' twin classes, read off the
-    host's cached labelling; a host not labelled yet is labelled only if two
-    of the rule's vertex maps adhere."""
+    ``_orbit_redexes``, one per orbit of the host's automorphisms, twin classes
+    included: the others differ from the first of their orbit by a host
+    automorphism (twins permuted, parallel edges of equal triples swapped, or
+    one the labelling found), which carries adherence over, and the seen set
+    would drop their results, so they get no patch, maps or redex.  The twin
+    classes and automorphisms are read off the host's cached labelling; a host
+    not labelled yet is labelled only if two of the rule's vertex maps adhere."""
     out, fired, truncated, cap = [], set(), False, default_map_cap()
     for name, rule in system.items():
-        redexes, cut = ((_twin_redexes(host, rule, cap), False) if seen is not None
+        redexes, cut = ((_orbit_redexes(host, rule, cap), False) if seen is not None
                         and rule.deterministic else find_redexes(host, rule))
         truncated = truncated or cut
         if redexes:

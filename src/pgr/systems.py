@@ -439,14 +439,14 @@ def ds_explore(initial: DsState | Graph, max_sends_per_process: int = 2,
     A process's sends left are in the state graph: a ``budget`` edge to a
     vertex of its own with one ``left-k`` loop, which only the send rule of
     that k matches and lowers.  The walk is breadth-first over the
-    expansion of ``successors``, which builds and steps one redex per vertex
-    map up to twins and labels each result once against the walk's seen
-    set, to ``max_depth`` steps.  It records every state (budget vertices
-    removed), those in which the announce rule has a redex, and, among
-    these, those where a message is in transit or a non-initiator still
-    sits in the tree.  ``truncated`` tells that deeper states were left: the
-    walk's rules are deterministic, so the map cap (``PGR_MAX_MAPS``), read
-    once per state, never binds.
+    expansion of ``successors``, which builds and steps one redex per orbit
+    of the state's automorphisms, twin classes included, and labels each
+    result once against the walk's seen set, to ``max_depth`` steps.  It
+    records every state (budget vertices removed), those in which the
+    announce rule has a redex, and, among these, those where a message is in
+    transit or a non-initiator still sits in the tree.  ``truncated`` tells
+    that deeper states were left: the walk's rules are deterministic, so the
+    map cap (``PGR_MAX_MAPS``), read once per state, never binds.
     """
     g0 = initial.graph if isinstance(initial, DsState) else initial
     system = _walk_rules(max_sends_per_process)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import hub_host, three_spoke_rule
+from fixtures import PROPERTY, hub_host, three_spoke_rule
 from pgr.exceptions import (
     ContextPreservationViolation,
     ParseError,
@@ -71,7 +71,7 @@ class TestGraphParsing:
         assert parse_graph(serialize_graph(g)) == g
 
     @given(graphs())
-    @settings(max_examples=60)
+    @settings(PROPERTY, max_examples=60)
     def test_round_trip_random(self, g):
         assert parse_graph(serialize_graph(g)) == g
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import hub_host, shallow_recursion
+from fixtures import PROPERTY, hub_host, shallow_recursion
 from pgr.exceptions import DomainGap, EdgeIdClash, InvalidPatch, NotASubgraph
 from pgr.graph import (
     EMPTY_GRAPH,
@@ -29,17 +29,38 @@ from pgr.graph import (
 
 
 def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
-    """Oracle: try every vertex bijection and compare edge multisets."""
+    """Oracle: try every vertex bijection that keeps each vertex's in- and
+    out-degree per label, built one vertex at a time and dropped as soon as
+    two mapped vertices differ in their edges, and compare edge multisets."""
     if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
         return False
-    gv, hv = sorted(g.vertices), sorted(h.vertices)
-    target = Counter(h.edges.values())
-    for perm in itertools.permutations(hv):
-        vmap = dict(zip(gv, perm))
-        moved = Counter((vmap[s], lab, vmap[t]) for s, lab, t in g.edges.values())
-        if moved == target:
-            return True
-    return False
+    counts, labels = (Counter(g.edges.values()), Counter(h.edges.values())), g.labels() | h.labels()
+
+    def degrees(x):
+        out = {v: Counter() for v in x.vertices}
+        for s, lab, t in x.edges.values():
+            out[s][lab, "out"] += 1
+            out[t][lab, "in"] += 1
+        return {v: frozenset(c.items()) for v, c in out.items()}
+
+    (gd, hd), gv, vmap = map(degrees, (g, h)), sorted(g.vertices), {}
+    if Counter(gd.values()) != Counter(hd.values()):
+        return False
+
+    def extend(i):  # every bijection of gv[:i] that keeps the edges among them
+        if i == len(gv):
+            return Counter((vmap[s], lab, vmap[t]) for s, lab, t in g.edges.values()) == counts[1]
+        v, (gc, hc) = gv[i], counts
+        for w in sorted(h.vertices - set(vmap.values())):
+            vmap[v] = w
+            if gd[v] == hd[w] and all(gc[v, lab, u] == hc[w, lab, vmap[u]] and gc[u, lab, v] ==
+                                      hc[vmap[u], lab, w] for u in gv[:i + 1] for lab in labels):
+                if extend(i + 1):
+                    return True
+            del vmap[v]
+        return False
+
+    return extend(0)
 
 
 @st.composite
@@ -116,7 +137,7 @@ class TestUnion:
             graph_union(g, h)
 
     @given(graphs(), graphs())
-    @settings(max_examples=50)
+    @settings(PROPERTY, max_examples=50)
     def test_commutative_and_associative(self, g, h):
         h = rename_graph(h, shift_renaming(h, 100, 100))
         assert graph_union(g, h) == graph_union(h, g)
@@ -150,7 +171,7 @@ class TestRenaming:
             Renaming({1: 5, 2: 5}, {})
 
     @given(graphs())
-    @settings(max_examples=40)
+    @settings(PROPERTY, max_examples=40)
     def test_round_trip_property(self, g):
         phi = shift_renaming(g, 50, 70)
         assert rename_graph(rename_graph(g, phi), phi.inverse()) == g
@@ -203,7 +224,7 @@ class TestIsomorphism:
         assert find_isomorphism(g, h) is None
 
     @given(graphs(max_vertices=4, max_edges=5), graphs(max_vertices=4, max_edges=5))
-    @settings(max_examples=60)
+    @settings(PROPERTY, max_examples=60)
     def test_agrees_with_brute_force(self, g, h):
         assert (find_isomorphism(g, h) is not None) == brute_force_isomorphic(g, h)
 
@@ -226,7 +247,7 @@ class TestIsomorphism:
                 brute_force_isomorphic(g, h)
 
     @given(graphs(max_vertices=4, max_edges=5))
-    @settings(max_examples=40)
+    @settings(PROPERTY, max_examples=40)
     def test_witness_reproduces_target(self, g):
         h = rename_graph(g, shift_renaming(g, 11, 17))
         w = find_isomorphism(g, h)
@@ -317,7 +338,7 @@ class TestDecompose:
         assert short.patch.edges == {1: (1, "c", 2), 3: (2, "d", 3)}
 
     @given(graphs(), st.data())
-    @settings(max_examples=60)
+    @settings(PROPERTY, max_examples=60)
     def test_round_trip(self, g, data):
         vs = data.draw(st.sets(st.sampled_from(sorted(g.vertices))))  \
             if g.vertices else set()
@@ -384,7 +405,7 @@ class TestCanonicalForm:
 
     @given(graphs(max_vertices=4, max_edges=5), graphs(max_vertices=4, max_edges=5),
            st.randoms(use_true_random=False))
-    @settings(max_examples=60)
+    @settings(PROPERTY, max_examples=60)
     def test_respects_isomorphism_both_ways(self, g, h, rnd):
         assert (canonical_form(g) == canonical_form(h)) == brute_force_isomorphic(g, h)
         vs = sorted(g.vertices)

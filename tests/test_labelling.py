@@ -233,7 +233,7 @@ def test_labelling_is_canonical():
     for g in reference_cases():
         cert = graph._canonical_labelling(g)[1]
         for h in [g] + [shuffled(rng, g) for _ in range(3)]:
-            order, got, _ = graph._canonical_labelling(h)
+            order, got, *_ = graph._canonical_labelling(h)
             pos = {v: i for i, v in enumerate(order)}
             assert got == cert and len(pos) == len(h.vertices) == len(order), h
             assert sorted((pos[s], lab, pos[t]) for s, lab, t in h.edges.values()) == cert, h
@@ -322,11 +322,13 @@ def test_one_search_per_graph(searches):
 def test_one_search_per_successors_result(searches, monkeypatch):
     # Per host, the results that differ as graphs.  ``_expand`` labels every
     # result it applies, an exact repeat of an earlier result of the same
-    # call included.  A redex whose vertex map is another's up to the host's
-    # twin classes is not built at all, so to depth 6 no result repeats.
+    # call included.  A redex whose vertex map lies in the orbit of an
+    # earlier one under the host's automorphisms, twin permutations
+    # included, is not built at all, so to depth 6 no result repeats, and
+    # 49 results are labelled where the twin filter alone labelled 55.
     results: dict[int, list[Graph]] = {}
     maps = set()  # (host, rule, vertex map) of every redex of a full listing
-    build, step = rewrite._twin_redexes, rewrite._successor
+    build, step = rewrite._orbit_redexes, rewrite._successor
 
     def listed(host, rule, cap):
         maps.update((id(host), id(rule), frozenset(r.embedding.vmap.items()))
@@ -338,31 +340,34 @@ def test_one_search_per_successors_result(searches, monkeypatch):
         results.setdefault(id(host), []).append(result[0])
         return result
 
-    monkeypatch.setattr(rewrite, "_twin_redexes", listed)
+    monkeypatch.setattr(rewrite, "_orbit_redexes", listed)
     monkeypatch.setattr(rewrite, "_successor", counted)
     # A fresh empty graph, so no earlier test has labelled the start.
     kept = grammar_reachable(6, start=Graph())
     assert len(kept) == 29
     total = sum(map(len, results.values()))
     distinct = sum(len(set(rs)) for rs in results.values())
-    assert total == distinct > 50
+    assert total == distinct == 49
     assert searches[0] == distinct + 1
     # Every grammar rule is deterministic, so each vertex map of the full
-    # listing that was not applied was skipped by twin class.
-    assert len(maps) - total == 46
+    # listing that was not applied was skipped by orbit.
+    assert len(maps) - total == 52
 
 
 def test_fresh_host_is_labelled_for_twins_only_if_two_maps_adhere(searches):
-    # The twin classes matter only between two redexes.  The image of 2 -a-> 3
-    # has a patch edge out of pattern vertex 0 to the context, which no type
-    # edge admits, so it does not adhere: only the one result is labelled.
+    # The twin classes and automorphisms matter only between two redexes.
+    # The image of 2 -a-> 3 has a patch edge out of pattern vertex 0 to the
+    # context, which no type edge admits, so it does not adhere: only the
+    # one result is labelled.
     rule = build_rule(Graph([0, 1], [(0, 0, "a", 1)]), {"rest": (0, 1)},
                       Graph([10, 11], [(20, 10, "b", 11)]), [(10, 11, "rest")])
     host = Graph([0, 1, 2, 3, 4], [(0, 0, "a", 1), (1, 2, "a", 3), (2, 2, "b", 4)])
     assert len(rewrite.successors(host, {"r": rule})[0]) == 1 and searches[0] == 1
-    # Without that edge both maps adhere: the host and both results.
+    # Without that edge both maps adhere, so the host is labelled.  Its
+    # automorphism that swaps the two a-edges puts both maps in one orbit:
+    # the host and one result, where the twin filter labelled both results.
     host = Graph([0, 1, 2, 3], [(0, 0, "a", 1), (1, 2, "a", 3)])
-    assert len(rewrite.successors(host, {"r": rule})[0]) == 1 and searches[0] == 1 + 3
+    assert len(rewrite.successors(host, {"r": rule})[0]) == 1 and searches[0] == 1 + 2
 
 
 def test_equal_graph_built_anew_is_searched_again(searches):
@@ -452,6 +457,34 @@ def test_reported_twins_are_automorphic():
                 assert Counter(rename_graph(g, swap).edges.values()) == Counter(g.edges.values())
                 pairs += 1
     assert pairs > 700
+
+
+def test_reported_automorphisms_are_automorphic(monkeypatch):
+    # Renaming a graph by each automorphism its labelling reports, with
+    # every edge id kept, gives back its triples.  An automorphism holds
+    # only the vertices it moves, and a graph whose root refinement is
+    # discrete reports none: its automorphism group is trivial.
+    rounds, discrete, found = graph._colour_rounds, [], Counter()
+
+    def kept(adj):
+        node, cells = rounds(adj)
+        discrete.append(cells == len(adj))
+        return node, cells
+
+    monkeypatch.setattr(graph, "_colour_rounds", kept)
+    for g in itertools.chain(*twin_cases()):
+        autos = graph._canonical_labelling(g)[3]
+        assert autos == [] or not discrete[-1], g
+        for sigma in autos:
+            assert sigma and set(sigma) == set(sigma.values()) <= g.vertices
+            assert all(v != w for v, w in sigma.items())
+            moved = Renaming({v: sigma.get(v, v) for v in g.vertices}, {e: e for e in g.edges})
+            assert Counter(rename_graph(g, moved).edges.values()) == Counter(g.edges.values())
+        found[discrete[-1], len(autos) > 0] += 1
+        found["automorphisms"] += len(autos)
+    # 818 discrete roots, and 203 of the other 425 graphs with 339 automorphisms.
+    assert found[True, False] == 818 and found[False, False] + found[False, True] == 425
+    assert found[False, True] > 150 and found["automorphisms"] > 300
 
 
 def test_canonical_classes_equal_the_references():

@@ -444,7 +444,7 @@ class TestNoGraphsPerEmbedding:
         # redex to skip.  A step reads the patch off the host, so no redex
         # derives J or M.
         built, expected, applied, listed = [], [], [], [0]
-        build, step = rewrite._twin_redexes, rewrite._successor
+        build, step = rewrite._orbit_redexes, rewrite._successor
 
         def recorded(host, rule, cap):
             out, first = build(host, rule, cap), {}
@@ -459,7 +459,7 @@ class TestNoGraphsPerEmbedding:
             applied.append(redex)
             return step(host, redex, *args)
 
-        monkeypatch.setattr(rewrite, "_twin_redexes", recorded)
+        monkeypatch.setattr(rewrite, "_orbit_redexes", recorded)
         monkeypatch.setattr(rewrite, "_successor", counted)
         ds_explore(ds_initial_network([(0, 1), (1, 2)], 0), 2)
         assert list(map(id, built)) == list(map(id, applied))

@@ -76,6 +76,8 @@ from pgr.rules import (
 )
 from pgr.systems import (deadlock_rules, dijkstra_scholten_system, ds_initial_network,
                          waitfor_grammar)
+from test_graph import brute_force_isomorphic, disjoint_copies
+from test_redex_sets import pattern_host
 from test_systems import grammar_reachable
 
 
@@ -897,39 +899,94 @@ def redex_parts(redexes):
              r.decomposition._me, r.decomposition._je) for r in redexes]
 
 
+def orbit_filter_drops(host, rule, got, full):
+    """Check ``_orbit_redexes``'s redexes ``got`` against ``full``, all of
+    ``find_redexes``'s: they are an order-preserving sublist of those of the
+    twin filter (``previous_twin_redexes``), empty exactly when ``full`` is,
+    and each twin-filter redex they leave out steps to a result that
+    ``brute_force_isomorphic`` finds isomorphic to the result of an earlier
+    kept redex.  Returns how many they leave out."""
+    kept, dropped, rest = [], 0, redex_parts(got)
+    twins = previous_twin_redexes(host, full)
+    for redex, parts in zip(twins, redex_parts(twins)):
+        if rest and parts == rest[0]:
+            kept.append(redex)
+            rest.pop(0)
+        else:
+            result, _ = apply_at(host, redex)
+            assert any(brute_force_isomorphic(result, apply_at(host, k)[0]) for k in kept), \
+                (host, redex.embedding)
+            dropped += 1
+    assert not rest and bool(got) == bool(full)
+    return dropped
+
+
+def test_orbit_filter_on_drawn_hosts():
+    # The property: on drawn hosts with deterministic rules, random ones
+    # (``random_instances``) and ones built around the rule's pattern
+    # (``pattern_host``), each also as disjoint copies of itself, so that
+    # the host has automorphisms, ``_orbit_redexes`` passes
+    # ``orbit_filter_drops`` against ``find_redexes``: on a fresh host, whose
+    # embeddings it reads before it labels the host, and on the labelled host.
+    dropped = Counter()
+
+    @PROPERTY
+    @given(st.randoms(use_true_random=True))
+    def orbit_filter_holds(rng):
+        drawn = [(host, rule) for host, rule, _ in random_instances(rng, 2)]
+        drawn += [(pattern_host(rng, rule, rng.randint(1, 3)), rule)
+                  for rule in (random_deterministic_rule(rng) for _ in range(2))]
+        drawn += [(disjoint_copies(host, rng.randint(2, 3)), rule) for host, rule in drawn]
+        cap = matching.default_map_cap()
+        for host, rule in drawn:
+            full = find_redexes(host, rule)[0]
+            for labelled in (False, True):
+                got = matching._orbit_redexes(host, rule, cap)
+                dropped[labelled] += orbit_filter_drops(host, rule, got, full)
+
+    orbit_filter_holds()
+    assert dropped[False] == dropped[True] > 100, dropped
+
+
 class TestSuccessors:
     def test_twin_redexes_equal_the_previous_filter(self):
-        # ``_twin_redexes`` builds exactly the redexes that the filter it
-        # replaced kept of the full listing, in order, and fires when the
-        # full listing is not empty.  Every other grammar state to depth 7
-        # is a fresh copy, which ``_twin_redexes`` labels for its twins
-        # before the reference does.  On n parallel edges, a rule whose
-        # pattern has k of them builds one of the n!/(n-k)! embeddings, on
-        # the first edges.  ``vertex_map_sources`` are compared below.
+        # ``_orbit_redexes`` builds a sublist, in order, of the redexes that
+        # the twin filter kept of the full listing, fires when the full
+        # listing is not empty, and leaves out only redexes whose results
+        # are isomorphic to an earlier kept one's (``orbit_filter_drops``).
+        # Every other grammar state to depth 7 is a fresh copy, which
+        # ``_orbit_redexes`` labels for its twins and automorphisms before
+        # the reference does.  On n parallel edges, a rule whose pattern has
+        # k of them builds one of the n!/(n-k)! embeddings, on the first
+        # edges; the two vertices have no automorphism to join keys under.
+        # ``vertex_map_sources`` are compared below.
         one, pair = (build_rule(Graph([0, 1], [(e, 0, "a", 1) for e in range(k)]),
                                 {"rest": (0, 1)}, Graph([10, 11], [(20, 10, "b", 11)]),
                                 [(10, 11, "rest")]) for k in (1, 2))
-        grammar, cap, skipped = waitfor_grammar(), matching.default_map_cap(), Counter()
+        grammar, cap, skipped, dropped = waitfor_grammar(), matching.default_map_cap(), \
+            Counter(), Counter()
         sources = [(Graph(g.vertices, g.edges) if i % 2 else g, grammar)
                    for i, g in enumerate(grammar_reachable(7))]
         parallel = {"one": one, "pair": pair}
         sources += [(parallel_edge_host(n), parallel) for n in range(1, 7)]
         for host, system in sources:
             for rule in (r for r in system.values() if r.deterministic):
-                got, full = matching._twin_redexes(host, rule, cap), find_redexes(host, rule)[0]
-                assert redex_parts(got) == redex_parts(previous_twin_redexes(host, full))
-                assert bool(got) == bool(full)
+                got, full = matching._orbit_redexes(host, rule, cap), find_redexes(host, rule)[0]
+                dropped[system is parallel] += orbit_filter_drops(host, rule, got, full)
                 skipped[system is parallel] += len(full) - len(got)
-        first = matching._twin_redexes(parallel_edge_host(6), pair, cap)
+        first = matching._orbit_redexes(parallel_edge_host(6), pair, cap)
         assert [r.embedding.emap for r in first] == [{0: 0, 1: 1}]
         assert skipped[False] > 100 and skipped[True] == 15 + 65  # n - 1, n(n - 1) - 1
+        assert dropped[False] == 93 and dropped[True] == 0  # joined by an automorphism
 
     def test_twin_redexes_read_each_embedding_once(self, monkeypatch):
-        # Counted: on a host not labelled yet, ``_twin_redexes`` reads each
+        # Counted: on a host not labelled yet, ``_orbit_redexes`` reads each
         # embedding's patch and maps once and builds its redexes from those
         # reads; on the budgeted triangle, ``snd-b-2`` reads two embeddings
-        # for its two redexes.  The redexes are those of the filter it
-        # replaced, on the DS states with two sends left per process.
+        # and builds one redex, as the automorphism that swaps the two other
+        # processes joins their keys.  The redexes are a sublist of the twin
+        # filter's (``orbit_filter_drops``), on the DS states with two sends
+        # left per process.
         entry, reads = matching._entry, []
 
         def counted(host, rule, key, emb, cap):
@@ -945,13 +1002,12 @@ class TestSuccessors:
                 with monkeypatch.context() as m:
                     m.setattr(matching, "_entry", counted)
                     reads.clear()
-                    got = matching._twin_redexes(Graph(host.vertices, host.edges), rule, cap)
+                    got = matching._orbit_redexes(Graph(host.vertices, host.edges), rule, cap)
                 assert [id(emb) for emb in reads] == list(dict.fromkeys(map(id, reads)))
                 assert len(reads) == len(embs) >= len(got)
-                assert redex_parts(got) == redex_parts(
-                    previous_twin_redexes(host, find_redexes(host, rule)[0]))
+                orbit_filter_drops(host, rule, got, find_redexes(host, rule)[0])
                 counts[i, name] = len(reads), len(got)
-        assert counts[0, "snd-b-2"] == (2, 2)
+        assert counts[0, "snd-b-2"] == (2, 1)
         assert sum(n for _, n in counts.values()) > 100
 
     def test_redexes_with_one_vertex_map_give_equal_steps(self):
@@ -963,15 +1019,16 @@ class TestSuccessors:
         # edge order included.  Elsewhere a skipped result may number its
         # new patch edges in another order, when an edge of another label
         # runs between the same match vertices (wait-for ``grant``).
-        # ``_twin_redexes`` lists the first of them up to twins, as the
-        # filter it replaced did; the test above has the other inputs.
-        repeats, exact, cap = Counter(), Counter(), matching.default_map_cap()
+        # ``_orbit_redexes`` lists a sublist of the twin filter's first ones,
+        # leaving out only those whose results are isomorphic to an earlier
+        # listed one's (``orbit_filter_drops``); the test above has the
+        # other inputs.
+        repeats, exact, dropped, cap = Counter(), Counter(), Counter(), matching.default_map_cap()
         for host, system, ds in vertex_map_sources():
             for rule in (r for r in system.values() if r.deterministic):
-                groups, listed = {}, matching._twin_redexes(host, rule, cap)
+                groups, listed = {}, matching._orbit_redexes(host, rule, cap)
                 full = find_redexes(host, rule)[0]
-                assert redex_parts(listed) == redex_parts(previous_twin_redexes(host, full))
-                assert bool(listed) == bool(full)
+                dropped[ds] += orbit_filter_drops(host, rule, listed, full)
                 for redex in full:
                     groups.setdefault(frozenset(redex.embedding.vmap.items()), []).append(redex)
                 for first, *rest in groups.values():
@@ -984,6 +1041,7 @@ class TestSuccessors:
                         repeats[ds] += 1
         assert exact[True] == repeats[True] > 1000
         assert 0 < exact[False] < repeats[False]
+        assert dropped == {True: 165, False: 10}
 
     def test_without_dedup_every_listed_redex_is_applied(self, monkeypatch):
         # The sources are built first: their grammar walk runs with dedup.

@@ -480,7 +480,7 @@ class TestSendBudgetInTheGraph:
         # map), a search runs a compiled plan only if the host has every
         # label of the pattern, and no splitter refines a discrete partition.
         listed, triples, applied, searches, discrete = [0], set(), [0], [0], [0]
-        build, step, plan, refine = (rewrite._twin_redexes, rewrite._successor,
+        build, step, plan, refine = (rewrite._orbit_redexes, rewrite._successor,
                                      matching._Matcher.plan, graph._refine)
 
         def recorded(host, rule, cap):
@@ -505,7 +505,7 @@ class TestSendBudgetInTheGraph:
             adj.cell = cell
             return refine(adj, lab, pos, cell, end, splitters)
 
-        monkeypatch.setattr(rewrite, "_twin_redexes", recorded)
+        monkeypatch.setattr(rewrite, "_orbit_redexes", recorded)
         monkeypatch.setattr(rewrite, "_successor", counted(applied, step))
         monkeypatch.setattr(matching._Matcher, "plan", counted(searches, plan))
         monkeypatch.setattr(graph, "_refine", watched)

@@ -2,7 +2,7 @@
 ``pgr`` imports only standard modules and ``pgr`` itself.  A replaced path
 kept in ``tests/`` as a reference is run: every ``reference_*`` and
 ``previous_*`` function, and every ``previous_*`` module, is reached from a
-test."""
+test.  Every property-based test draws the same examples on each run."""
 
 import ast
 import sys
@@ -62,3 +62,35 @@ def test_every_kept_reference_is_run():
     assert [m for m in modules if not defined[m] & reached] == []
     assert {"reference_apply_at", "reference_normalize", "previous_successors"} <= set(kept)
     assert len(modules) >= 3
+
+
+def decorator_name(node):
+    """The name a decorator calls or is, ``given`` for ``hypothesis.given(...)``."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def applies_property(node):
+    """Whether a decorator is ``fixtures.PROPERTY`` or ``settings(PROPERTY, ...)``
+    with the seed and the example database left as ``PROPERTY`` sets them."""
+    if isinstance(node, ast.Name):
+        return node.id == "PROPERTY"
+    return (decorator_name(node) == "settings" and isinstance(node, ast.Call)
+            and [getattr(a, "id", None) for a in node.args] == ["PROPERTY"]
+            and not {k.arg for k in node.keywords} & {"derandomize", "database"})
+
+
+def test_every_property_test_is_deterministic():
+    # Each ``@given`` test, nested ones included, runs under ``PROPERTY``, so
+    # it draws the same examples on every run and writes no example database.
+    from fixtures import PROPERTY
+
+    assert PROPERTY.derandomize is True and PROPERTY.database is None
+    found = {}
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.FunctionDef) and any(
+                    decorator_name(d) == "given" for d in node.decorator_list):
+                found[f"{path.stem}.{node.name}"] = any(map(applies_property, node.decorator_list))
+    assert [name for name, ok in found.items() if not ok] == []
+    assert len(found) >= 12
