@@ -278,9 +278,10 @@ class Renaming:
 
 class PatchDecomposition:
     """A host split into context C, match M and the patch J between them: the
-    host and the ids of a valid match and its patch, from which each of C, J
-    and M is derived on first use.  ``decompose_at`` checks the match, and C
-    refuses an edge that touches it (a patch id missing), so each is a graph."""
+    host and the ids of a valid match and its patch, which each decomposition the
+    engine builds lists in id order, as ``patch_edges`` does.  Each of C, J and M
+    is derived on first use; ``decompose_at`` checks the match, and C refuses an
+    edge that touches it (a patch id missing), so each is a graph."""
 
     def __init__(self, host: Graph, match_vertices: frozenset[int], match_edges: frozenset[int],
                  patch_edges: list[int]):

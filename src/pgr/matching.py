@@ -231,16 +231,14 @@ def _entry(host: Graph, rule: QuasiRule, key: tuple, emb: Renaming, cap: int) ->
 
 
 def _orbit_redexes(host: Graph, rule: QuasiRule, cap: int) -> list[Redex]:
-    """The redexes of deterministic ``rule``, the first per orbit of its vertex
-    maps under the host's automorphisms: a map is keyed by its images' twin
-    classes, and keys are joined under each automorphism the labelling found."""
+    """The redexes of deterministic ``rule``, the first per orbit of its vertex maps
+    under the host's automorphisms (labelled if two maps are listed): maps are keyed by
+    twin class, keys joined per automorphism, and only each orbit's first key is read."""
     embs, first = _embeddings(host, rule.lhs.pattern, rule.lhs.ptype, None, True), {}
-    if read := host._labelling is None:  # labelled only if two maps adhere; each read once
-        embs = [x for key, emb in embs if (x := _entry(host, rule, key, emb, cap)).maps]
     twins, autos = _labelling(host)[2:] if len(embs) > 1 else (None, ())
     twins = twins or {}
-    for y in embs:  # a (key, embedding) pair, or its entry if read
-        first.setdefault(frozenset((v, twins.get(w, w)) for v, w in y[1].vmap.items()), y)
+    for key, emb in embs:
+        first.setdefault(frozenset((v, twins.get(w, w)) for v, w in emb.vmap.items()), (key, emb))
     # Each automorphism as a map of twin classes: a key's images are class representatives.
     moves, kept, reached = [{w: twins.get(x, x) for w, x in s.items()} for s in autos], [], set()
     for key, y in first.items():  # the first key of each orbit, then the orbit
@@ -255,7 +253,7 @@ def _orbit_redexes(host: Graph, rule: QuasiRule, cap: int) -> list[Redex]:
                 todo += images
     return [Redex(rule, x.embedding, PatchDecomposition(
         host, x.embedding.image_vertices(), x.embedding.image_edges(), list(x.maps[0])), x.maps[0])
-            for y in kept if (x := y if read else _entry(host, rule, *y, cap)).maps]
+            for y in kept if (x := _entry(host, rule, *y, cap)).maps]  # it adheres as its orbit does
 
 
 def find_redexes(host: Graph, rule: QuasiRule) -> tuple[list[Redex], bool]:

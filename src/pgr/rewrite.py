@@ -51,7 +51,7 @@ def _rebuild(redex: Redex, fresh_base: int | None, edges: dict, h_r: dict | None
                          f"(needs at least {floor})")
     counter = itertools.count(base := floor if fresh_base is None else fresh_base)
     inst, old, by_left = _instantiate_rhs(rule, counter), d._host.edges, {}
-    for j in sorted(d._je):
+    for j in d._je:  # in id order (``PatchDecomposition``)
         by_left.setdefault(h_l[j], []).append(j)
     ends = dict(vmap := inst.vmap)  # and CONTEXT, per old edge, to its context end
     for t, left, ts, tt, slot in rule._step_plan[2]:
@@ -251,8 +251,8 @@ def _expand(host: Graph, system: dict[str, QuasiRule],
     automorphism (twins permuted, parallel edges of equal triples swapped, or
     one the labelling found), which carries adherence over, and the seen set
     would drop their results, so they get no patch, maps or redex.  The twin
-    classes and automorphisms are read off the host's cached labelling; a host
-    not labelled yet is labelled only if two of the rule's vertex maps adhere."""
+    classes and automorphisms are read off the host's labelling, made before
+    any map is read once the rule lists two vertex maps, and cached."""
     out, fired, truncated, cap = [], set(), False, default_map_cap()
     for name, rule in system.items():
         redexes, cut = ((_orbit_redexes(host, rule, cap), False) if seen is not None

@@ -354,20 +354,21 @@ def test_one_search_per_successors_result(searches, monkeypatch):
     assert len(maps) - total == 52
 
 
-def test_fresh_host_is_labelled_for_twins_only_if_two_maps_adhere(searches):
-    # The twin classes and automorphisms matter only between two redexes.
-    # The image of 2 -a-> 3 has a patch edge out of pattern vertex 0 to the
-    # context, which no type edge admits, so it does not adhere: only the
-    # one result is labelled.
+def test_fresh_host_is_labelled_once_a_rule_lists_two_vertex_maps(searches):
+    # The twin classes and automorphisms join vertex maps before any map's
+    # patch is read, so a host is labelled as soon as a deterministic rule
+    # lists two maps, whether or not they adhere.  The image of 2 -a-> 3 has
+    # a patch edge out of pattern vertex 0 to the context, which no type
+    # edge admits, so it does not adhere: the host and its one result.
     rule = build_rule(Graph([0, 1], [(0, 0, "a", 1)]), {"rest": (0, 1)},
                       Graph([10, 11], [(20, 10, "b", 11)]), [(10, 11, "rest")])
     host = Graph([0, 1, 2, 3, 4], [(0, 0, "a", 1), (1, 2, "a", 3), (2, 2, "b", 4)])
-    assert len(rewrite.successors(host, {"r": rule})[0]) == 1 and searches[0] == 1
-    # Without that edge both maps adhere, so the host is labelled.  Its
-    # automorphism that swaps the two a-edges puts both maps in one orbit:
-    # the host and one result, where the twin filter labelled both results.
+    assert len(rewrite.successors(host, {"r": rule})[0]) == 1 and searches[0] == 2
+    # Without that edge both maps adhere.  The host's automorphism that
+    # swaps the two a-edges puts both maps in one orbit: the host and one
+    # result.
     host = Graph([0, 1, 2, 3], [(0, 0, "a", 1), (1, 2, "a", 3)])
-    assert len(rewrite.successors(host, {"r": rule})[0]) == 1 and searches[0] == 1 + 2
+    assert len(rewrite.successors(host, {"r": rule})[0]) == 1 and searches[0] == 2 + 2
 
 
 def test_equal_graph_built_anew_is_searched_again(searches):

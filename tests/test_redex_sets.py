@@ -27,6 +27,7 @@ from fixtures import (
     perfbench_module,
     random_deterministic_rule,
     random_graph,
+    random_instances,
     random_quasi_rule,
     redirect_rule,
     reference_apply_at,
@@ -325,6 +326,44 @@ def test_kept_sets_equal_a_fresh_search_after_drawn_steps():
 
     kept_sets_equal_a_fresh_search()
     assert kinds[True] > 20 and kinds[False] > 100 and kinds["two held carried ends"] > 3, kinds
+
+
+def test_normalize_equals_the_reference_on_drawn_hosts():
+    # The property: on drawn hosts and systems, ``normalize`` gives the
+    # result and trace of ``reference_normalize`` id for id, under both
+    # strategies, and every entry list it reads equals a fresh search
+    # (``assert_like_reference``).  The hosts are those of
+    # ``random_instances``, where a deterministic rule has a redex, each
+    # with that rule beside a quasi rule, and hosts built around a quasi
+    # rule's pattern (``pattern_host``).  Counted over the draws: outcomes,
+    # and steps with a patch edge at a context end whose type edge the rule
+    # carries, or does not.
+    step, kinds = rewrite._step, Counter()
+
+    def counted_step(g, redex, fresh_base):
+        types, carried = redex.rule.lhs.ptype.edges, redex.rule.carried
+        kinds.update({left in carried for left in redex.h_l.values()
+                      if CONTEXT in types[left]})
+        return step(g, redex, fresh_base)
+
+    @PROPERTY
+    @given(st.randoms(use_true_random=True), st.integers(0, 9))
+    def like_reference(rng, seed):
+        drawn = [(host, {"r": rule, "q": random_quasi_rule(rng)})
+                 for host, rule, _ in random_instances(rng, 2)]
+        rule = random_quasi_rule(rng)
+        drawn.append((pattern_host(rng, rule, rng.randint(2, 3)), {"q": rule}))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(rewrite, "_step", counted_step)
+            for host, system in drawn:
+                for strategy in ("first", "random"):
+                    kind, _, _ = assert_like_reference(
+                        monkeypatch, host, system, strategy=strategy, seed=seed, max_steps=6)
+                    kinds[kind] += 1
+
+    like_reference()
+    assert kinds["normal form"] > 100 and kinds["step limit"] > 100, kinds
+    assert kinds[True] > 50 and kinds[False] > 300, kinds
 
 
 class TestAnchoredSearch:

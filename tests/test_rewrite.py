@@ -926,8 +926,9 @@ def test_orbit_filter_on_drawn_hosts():
     # (``random_instances``) and ones built around the rule's pattern
     # (``pattern_host``), each also as disjoint copies of itself, so that
     # the host has automorphisms, ``_orbit_redexes`` passes
-    # ``orbit_filter_drops`` against ``find_redexes``: on a fresh host, whose
-    # embeddings it reads before it labels the host, and on the labelled host.
+    # ``orbit_filter_drops`` against ``find_redexes``: on a fresh host, which
+    # it labels before it reads any embedding, and on the labelled host,
+    # where it lists equal redexes (embedding maps, ``h_l`` and order).
     dropped = Counter()
 
     @PROPERTY
@@ -939,10 +940,11 @@ def test_orbit_filter_on_drawn_hosts():
         drawn += [(disjoint_copies(host, rng.randint(2, 3)), rule) for host, rule in drawn]
         cap = matching.default_map_cap()
         for host, rule in drawn:
-            full = find_redexes(host, rule)[0]
+            full, listed = find_redexes(host, rule)[0], []
             for labelled in (False, True):
-                got = matching._orbit_redexes(host, rule, cap)
-                dropped[labelled] += orbit_filter_drops(host, rule, got, full)
+                listed.append(matching._orbit_redexes(host, rule, cap))
+                dropped[labelled] += orbit_filter_drops(host, rule, listed[-1], full)
+            assert redex_parts(listed[0]) == redex_parts(listed[1])
 
     orbit_filter_holds()
     assert dropped[False] == dropped[True] > 100, dropped
@@ -980,18 +982,24 @@ class TestSuccessors:
         assert dropped[False] == 93 and dropped[True] == 0  # joined by an automorphism
 
     def test_twin_redexes_read_each_embedding_once(self, monkeypatch):
-        # Counted: on a host not labelled yet, ``_orbit_redexes`` reads each
-        # embedding's patch and maps once and builds its redexes from those
-        # reads; on the budgeted triangle, ``snd-b-2`` reads two embeddings
-        # and builds one redex, as the automorphism that swaps the two other
-        # processes joins their keys.  The redexes are a sublist of the twin
-        # filter's (``orbit_filter_drops``), on the DS states with two sends
-        # left per process.
-        entry, reads = matching._entry, []
+        # Counted: ``_orbit_redexes`` labels the host before it reads any
+        # embedding, then reads the patch and maps of each orbit's first key
+        # once and builds its redexes from those reads.  On these states
+        # every such key adheres, so each read builds one redex: 357 of the
+        # 375 embeddings listed.  On the budgeted triangle, ``snd-b-2``
+        # reads one embedding and builds one redex, as the automorphism that
+        # swaps the two other processes joins their keys.  The redexes are a
+        # sublist of the twin filter's (``orbit_filter_drops``), on the DS
+        # states with two sends left per process.
+        entry, reads, search, searches = matching._entry, [], graph._canonical_labelling, [0]
 
         def counted(host, rule, key, emb, cap):
             reads.append(emb)
             return entry(host, rule, key, emb, cap)
+
+        def labelled(g):
+            searches[0] += 1
+            return search(g)
 
         walk, cap, counts = systems._walk_rules(2), matching.default_map_cap(), {}
         triangle = ds_initial_network([(0, 1), (1, 2), (0, 2)], 0).graph
@@ -1004,11 +1012,35 @@ class TestSuccessors:
                     reads.clear()
                     got = matching._orbit_redexes(Graph(host.vertices, host.edges), rule, cap)
                 assert [id(emb) for emb in reads] == list(dict.fromkeys(map(id, reads)))
-                assert len(reads) == len(embs) >= len(got)
+                assert [id(r.embedding) for r in got] == [id(emb) for emb in reads]
                 orbit_filter_drops(host, rule, got, find_redexes(host, rule)[0])
-                counts[i, name] = len(reads), len(got)
-        assert counts[0, "snd-b-2"] == (2, 1)
-        assert sum(n for _, n in counts.values()) > 100
+                counts[i, name] = len(reads), len(got), len(embs)
+        assert counts[0, "snd-b-2"] == (1, 1, 2)
+        assert [sum(c[k] for c in counts.values()) for k in range(3)] == [357, 357, 375]
+        # Fresh symmetric hosts, where a rule lists many vertex maps and
+        # few orbits: the wait-for grammar on 64 isolated processes (its
+        # rules list 4,033 maps), and an a-edge rule with five placeholders
+        # on the complete 32-vertex a-digraph, whose 992 maps the
+        # automorphisms found put in one orbit.  Per host: results, reads
+        # and labelling searches (the host and each result).
+        flip = build_rule(
+            Graph([0, 1], [(0, 0, "a", 1)]), {"o0": (0, CONTEXT), "i0": (CONTEXT, 0),
+                                              "o1": (1, CONTEXT), "i1": (CONTEXT, 1),
+                                              "rev": (1, 0)},
+            Graph([10, 11], [(20, 10, "b", 11)]),
+            [(10, CONTEXT, "o0"), (CONTEXT, 10, "i0"), (11, CONTEXT, "o1"),
+             (CONTEXT, 11, "i1"), (11, 10, "rev")])
+        complete = Graph(range(32), [(32 * u + v, u, "a", v)
+                                     for u in range(32) for v in range(32) if u != v])
+        for host, system, expected in [(Graph(range(64)), waitfor_grammar(), (2, 2, 3)),
+                                       (complete, {"r": flip}, (1, 1, 2))]:
+            with monkeypatch.context() as m:
+                m.setattr(matching, "_entry", counted)
+                m.setattr(graph, "_canonical_labelling", labelled)
+                reads.clear()
+                searches[0] = 0
+                results, _ = successors(host, system)
+            assert (len(results), len(reads), searches[0]) == expected
 
     def test_redexes_with_one_vertex_map_give_equal_steps(self):
         # Under a seen set, ``_expand`` steps once per vertex map of a

@@ -2,11 +2,16 @@
 ``pgr`` imports only standard modules and ``pgr`` itself.  A replaced path
 kept in ``tests/`` as a reference is run: every ``reference_*`` and
 ``previous_*`` function, and every ``previous_*`` module, is reached from a
-test.  Every property-based test draws the same examples on each run."""
+test.  Every property-based test draws the same examples on each run.  The README's commands and library
+example run as documented."""
 
 import ast
+import shlex
 import sys
 from pathlib import Path
+
+from pgr.cli import main
+from pgr.rewrite import verify_step
 
 TESTS = Path(__file__).resolve().parent
 SOURCES = TESTS.parent / "src" / "pgr"
@@ -94,3 +99,32 @@ def test_every_property_test_is_deterministic():
                 found[f"{path.stem}.{node.name}"] = any(map(applies_property, node.decorator_list))
     assert [name for name, ok in found.items() if not ok] == []
     assert len(found) >= 12
+
+
+def readme_block(heading, language):
+    """The first ``language`` code block under ``## heading`` in the README."""
+    text = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    return text.split(f"\n## {heading}\n")[1].split(f"```{language}\n")[1].split("\n```")[0]
+
+
+def test_readme_commands_run_as_documented(monkeypatch, capsys):
+    # From the repo root, each command of the ``## Command line`` block
+    # through ``pgr.cli.main``: lines ending in a backslash joined, the
+    # leading ``pgr`` and any trailing comment dropped.  A comment that
+    # says ``exit n`` names the code; otherwise it is 0.  No command ends
+    # in an internal error.
+    monkeypatch.chdir(TESTS.parent)
+    codes = []
+    for line in readme_block("Command line", "sh").replace("\\\n", " ").splitlines():
+        command, _, comment = line.partition(" #")
+        program, *argv = shlex.split(command)
+        words = comment.split()
+        expected = int(words[words.index("exit") + 1].rstrip(":")) if "exit" in words else 0
+        codes.append(main(argv))
+        err = capsys.readouterr().err
+        assert (program, codes[-1]) == ("pgr", expected), (line, err)
+        assert not any(x.startswith("internal error") for x in err.splitlines()), (line, err)
+    assert len(codes) == 8 and codes.count(1) == 1
+    namespace = {}
+    exec(compile(readme_block("Library", "python"), "README.md", "exec"), namespace)
+    assert verify_step(namespace["host"], namespace["result"], namespace["certificate"])
