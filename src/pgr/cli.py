@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .exceptions import PgrError, StepLimitReached
@@ -122,13 +123,8 @@ def cmd_normalize(args) -> int:
     doc = _load([args.graphs, args.rules])
     gname, host = _pick(doc.graphs, args.graph, "graph")
     system = _system_of(doc, args.system)
-    try:
-        nf, trace = normalize(host, system, strategy=args.strategy,
-                              seed=args.seed, max_steps=args.max_steps)
-    except StepLimitReached as exc:
-        _warn_if_capped(exc.trace)
-        print(f"step limit reached after {len(exc.trace)} steps", file=sys.stderr)
-        return VERDICT_NEGATIVE
+    nf, trace = normalize(host, system, strategy=args.strategy,
+                          seed=args.seed, max_steps=args.max_steps)
     _warn_if_capped(trace)
     for i, rec in enumerate(trace):
         print(f"step {i}: {rec.rule} at vertices {list(rec.match_vertices)}")
@@ -146,12 +142,7 @@ def cmd_deadlock(args) -> int:
         for v in violations:
             print(f"invalid wait-for net: {v}", file=sys.stderr)
         return INPUT_ERROR
-    try:
-        report = detect_deadlock(net, max_steps=args.max_steps)
-    except StepLimitReached as exc:
-        _warn_if_capped(exc.trace)
-        print(f"step limit reached after {len(exc.trace)} steps", file=sys.stderr)
-        return VERDICT_NEGATIVE
+    report = detect_deadlock(net, max_steps=args.max_steps)
     _warn_if_capped(report.trace)
     print(f"{gname}: {report.verdict}")
     if report.deadlocked:
@@ -266,17 +257,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Each library warning as one ``warning:`` line on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (OSError, PgrError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return INTERNAL_ERROR
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")  # also a warning that repeats an earlier one
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except StepLimitReached as exc:  # normalize and deadlock
+            _warn_if_capped(exc.trace)
+            print(f"step limit reached after {len(exc.trace)} steps", file=sys.stderr)
+            return VERDICT_NEGATIVE
+        except (OSError, PgrError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return INPUT_ERROR
+        except Exception as exc:
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

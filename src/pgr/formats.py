@@ -51,7 +51,8 @@ from .rules import CONTEXT, QuasiRule, RuleSketch, desugar_rule
 
 # Order matters: edge arrows like -b-> must win over dashed identifiers
 # like 1-of-1, and both over the bare -> of type lines.  Edge arrows must be
-# surrounded by whitespace for dashed names to stay unambiguous.
+# surrounded by whitespace for dashed names to stay unambiguous.  Any other
+# character is a token of its own, so the parser reports it where it stands.
 _TOKEN_RE = re.compile(
     r"-[A-Za-z0-9_]+->|->|[A-Za-z0-9_.]+(?:-[A-Za-z0-9_.]+)*|[{}();:!\[\],]|\S")
 
@@ -62,21 +63,15 @@ class _Token:
     line: int
     column: int
 
+    def error(self, message: str, kind: type[ParseError] = ParseError) -> ParseError:
+        return kind(message, self.line, self.column)
+
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0]
-        pos = 0
-        while pos < len(body):
-            m = _TOKEN_RE.search(body, pos)
-            if m is None:
-                break
-            if body[pos:m.start()].strip():
-                raise ParseError(f"stray characters {body[pos:m.start()]!r}",
-                                 lineno, pos + 1)
+        for m in _TOKEN_RE.finditer(line.split("#", 1)[0]):
             tokens.append(_Token(m.group(), lineno, m.start() + 1))
-            pos = m.end()
     return tokens
 
 
@@ -91,11 +86,9 @@ class _Cursor:
     def next(self, expect: str | None = None) -> _Token:
         tok = self.peek()
         if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.column)
+            raise self.error("unexpected end of input")
         if expect is not None and tok.text != expect:
-            raise ParseError(f"expected {expect!r}, found {tok.text!r}",
-                             tok.line, tok.column)
+            raise tok.error(f"expected {expect!r}, found {tok.text!r}")
         self.pos += 1
         return tok
 
@@ -103,15 +96,22 @@ class _Cursor:
         tok = self.peek()
         return tok is not None and tok.text == text
 
-    def error(self, message: str):
+    def accept(self, text: str) -> bool:
+        """Consume the next token if it is ``text``."""
+        if self.at(text):
+            self.pos += 1
+            return True
+        return False
+
+    def error(self, message: str) -> ParseError:
+        """An error at the next token, or at the last one past the end."""
         tok = self.peek() or (self.tokens[-1] if self.tokens else _Token("", 1, 1))
-        raise ParseError(message, tok.line, tok.column)
+        return tok.error(message)
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*$")
 _INT_RE = re.compile(r"\d+$")
-# Edge arrow written  SRC -LABEL-> TGT ; the lexer splits it into the dash
-# run, so labels live in their own token between two dashes.
+# Edge arrow written  SRC -LABEL-> TGT ; the lexer keeps the arrow one token.
 _EDGE_RE = re.compile(r"-([A-Za-z0-9_]+)->$")
 
 
@@ -130,18 +130,12 @@ class Document:
 def _parse_int(cur: _Cursor, what: str) -> int:
     tok = cur.next()
     if not _INT_RE.match(tok.text):
-        raise ParseError(f"expected {what}, found {tok.text!r}", tok.line, tok.column)
+        raise tok.error(f"expected {what}, found {tok.text!r}")
     return int(tok.text)
 
 
 def _parse_endpoint(cur: _Cursor):
-    tok = cur.next()
-    if tok.text == "ctx":
-        return CONTEXT
-    if _INT_RE.match(tok.text):
-        return int(tok.text)
-    raise ParseError(f"expected vertex id or 'ctx', found {tok.text!r}",
-                     tok.line, tok.column)
+    return CONTEXT if cur.accept("ctx") else _parse_int(cur, "vertex id or 'ctx'")
 
 
 @dataclass
@@ -151,29 +145,20 @@ class _SideData:
     names: dict[int, tuple[str, ...]] = field(default_factory=dict)
     black: set[int] = field(default_factory=set)
     types: dict[str, tuple] = field(default_factory=dict)
-    cited_types: list[tuple] = field(default_factory=list)
+    cited_types: list[tuple] = field(default_factory=list)  # (src, tgt, key token)
     forbids: set[tuple[int, int, str, str]] = field(default_factory=set)
     next_edge_id: int = 0
 
 
 def _parse_edge_line(cur: _Cursor, side: _SideData, first: _Token):
-    if _INT_RE.match(first.text) and cur.at(":"):
-        eid = int(first.text)
-        cur.next(":")
-        src_tok = cur.next()
+    if cur.accept(":"):
+        eid, src = int(first.text), _parse_int(cur, "a vertex id")
     else:
-        eid = None
-        src_tok = first
-    if not _INT_RE.match(src_tok.text):
-        raise ParseError(f"expected a vertex id, found {src_tok.text!r}",
-                         src_tok.line, src_tok.column)
-    src = int(src_tok.text)
+        eid, src = None, int(first.text)
     arrow = cur.next()
-    m = _EDGE_RE.match(arrow.text) if arrow.text.startswith("-") else None
+    m = _EDGE_RE.match(arrow.text)
     if m is None:
-        raise ParseError(f"expected -label->, found {arrow.text!r}",
-                         arrow.line, arrow.column)
-    label = m.group(1)
+        raise arrow.error(f"expected -label->, found {arrow.text!r}")
     tgt = _parse_int(cur, "a target vertex id")
     cur.next(";")
     if eid is None:
@@ -181,69 +166,52 @@ def _parse_edge_line(cur: _Cursor, side: _SideData, first: _Token):
             side.next_edge_id += 1
         eid = side.next_edge_id
     if eid in side.edges:
-        raise ParseError(f"duplicate edge id {eid}", first.line, first.column)
+        raise first.error(f"duplicate edge id {eid}")
     for v in (src, tgt):
         if v not in side.vertices:
-            raise ParseError(f"edge endpoint {v} is not a declared node",
-                             first.line, first.column)
-    side.edges[eid] = (src, label, tgt)
+            raise first.error(f"edge endpoint {v} is not a declared node")
+    side.edges[eid] = (src, m.group(1), tgt)
 
 
 def _parse_side(cur: _Cursor) -> _SideData:
     side = _SideData()
     cur.next("{")
-    while not cur.at("}"):
-        tok = cur.peek()
-        if tok is None:
-            cur.error("unterminated block")
+    while not cur.accept("}"):
+        if cur.peek() is None:
+            raise cur.error("unterminated block")
+        tok = cur.next()
         if tok.text == "node":
-            cur.next()
             vid = _parse_int(cur, "a vertex id")
             if vid in side.vertices:
-                raise ParseError(f"duplicate node {vid}", tok.line, tok.column)
+                raise tok.error(f"duplicate node {vid}")
             side.vertices.add(vid)
-            if cur.at("!"):
-                cur.next("!")
+            if cur.accept("!"):
                 side.black.add(vid)
-            if cur.at("["):
-                cur.next("[")
+            if cur.accept("["):
                 names = []
-                while not cur.at("]"):
+                while not cur.accept("]"):
                     name_tok = cur.next()
                     if not _NAME_RE.match(name_tok.text):
-                        raise ParseError(f"bad name {name_tok.text!r}",
-                                         name_tok.line, name_tok.column)
+                        raise name_tok.error(f"bad name {name_tok.text!r}")
                     names.append(name_tok.text)
-                    if cur.at(","):
-                        cur.next(",")
-                cur.next("]")
+                    cur.accept(",")
                 side.names[vid] = tuple(names)
             cur.next(";")
-        elif tok.text == "type":
-            cur.next()
-            if cur.at(":"):
-                cur.next(":")
-                src = _parse_endpoint(cur)
-                cur.next("->")
-                tgt = _parse_endpoint(cur)
+        elif tok.text == "type":  # type KEY: SRC -> TGT;  or  type: SRC -> TGT from KEY;
+            key = None if cur.at(":") else cur.next()
+            cur.next(":")
+            src = _parse_endpoint(cur)
+            cur.next("->")
+            tgt = _parse_endpoint(cur)
+            if key is None:
                 cur.next("from")
-                key_tok = cur.next()
-                cur.next(";")
-                side.cited_types.append((src, tgt, key_tok.text,
-                                         key_tok.line, key_tok.column))
+                side.cited_types.append((src, tgt, cur.next()))
+            elif key.text in side.types:
+                raise key.error(f"duplicate type key {key.text!r}")
             else:
-                key_tok = cur.next()
-                cur.next(":")
-                src = _parse_endpoint(cur)
-                cur.next("->")
-                tgt = _parse_endpoint(cur)
-                cur.next(";")
-                if key_tok.text in side.types:
-                    raise ParseError(f"duplicate type key {key_tok.text!r}",
-                                     key_tok.line, key_tok.column)
-                side.types[key_tok.text] = (src, tgt)
+                side.types[key.text] = (src, tgt)
+            cur.next(";")
         elif tok.text == "forbid":
-            cur.next()
             cur.next("(")
             x = cur.next().text
             cur.next(",")
@@ -256,34 +224,33 @@ def _parse_side(cur: _Cursor) -> _SideData:
             cur.next(";")
             side.forbids.add((src, tgt, x, y))
         elif _INT_RE.match(tok.text):
-            _parse_edge_line(cur, side, cur.next())
+            _parse_edge_line(cur, side, tok)
         else:
-            raise ParseError(f"expected node/type/forbid/edge, found {tok.text!r}",
-                             tok.line, tok.column)
-    cur.next("}")
+            raise tok.error(f"expected node/type/forbid/edge, found {tok.text!r}")
     return side
 
 
 def _build_rule_from_sides(name_tok: _Token, lhs: _SideData, rhs: _SideData) -> QuasiRule:
-    for src, tgt, key, line, col in rhs.cited_types:
-        if key not in lhs.types:
-            raise UnknownTraceKey(f"type key {key!r} is not declared on the "
-                                  f"left side", line, col)
+    if lhs.cited_types:
+        raise lhs.cited_types[0][2].error(
+            "left-side type edges must carry a key, not cite one with 'from'")
+    for _, _, key in rhs.cited_types:
+        if key.text not in lhs.types:
+            raise key.error(f"type key {key.text!r} is not declared on the left side",
+                            UnknownTraceKey)
     if rhs.types:
-        raise ParseError("right-side type edges must cite a left key with "
-                         "'from'", name_tok.line, name_tok.column)
+        raise name_tok.error("right-side type edges must cite a left key with 'from'")
     clash = set(lhs.edges) & set(rhs.edges)
     if clash:
-        raise ParseError(f"edge ids reused across the sides: {sorted(clash)}",
-                         name_tok.line, name_tok.column)
+        raise name_tok.error(f"edge ids reused across the sides: {sorted(clash)}")
     sketch = RuleSketch(
-        Graph(lhs.vertices, {e: t for e, t in lhs.edges.items()}),
-        Graph(rhs.vertices, {e: t for e, t in rhs.edges.items()}),
-        lhs_names=dict(lhs.names),
-        rhs_names=dict(rhs.names),
+        Graph(lhs.vertices, lhs.edges),
+        Graph(rhs.vertices, rhs.edges),
+        lhs_names=lhs.names,
+        rhs_names=rhs.names,
         black=frozenset(lhs.black | rhs.black),
-        lhs_types=dict(lhs.types),
-        rhs_types=[(s, t, key) for s, t, key, _, _ in rhs.cited_types],
+        lhs_types=lhs.types,
+        rhs_types=[(s, t, key.text) for s, t, key in rhs.cited_types],
         lhs_forbids=frozenset(lhs.forbids),
         rhs_forbids=frozenset(rhs.forbids),
     )
@@ -304,48 +271,35 @@ def parse_document(text: str) -> Document:
     doc = Document()
     while cur.peek() is not None:
         tok = cur.next()
+        if tok.text not in ("graph", "rule", "system"):
+            raise tok.error(f"expected graph/rule/system, found {tok.text!r}")
+        store, name_tok = getattr(doc, tok.text + "s"), cur.next()
+        if name_tok.text in store:
+            raise name_tok.error(f"duplicate {tok.text} name {name_tok.text!r}")
         if tok.text == "graph":
-            name_tok = cur.next()
-            if name_tok.text in doc.graphs:
-                raise ParseError(f"duplicate graph name {name_tok.text!r}",
-                                 name_tok.line, name_tok.column)
             side = _parse_side(cur)
             if side.names or side.black or side.types or side.cited_types or side.forbids:
-                raise ParseError("graph blocks cannot carry rule annotations",
-                                 name_tok.line, name_tok.column)
-            doc.graphs[name_tok.text] = Graph(side.vertices, side.edges)
+                raise name_tok.error("graph blocks cannot carry rule annotations")
+            store[name_tok.text] = Graph(side.vertices, side.edges)
         elif tok.text == "rule":
-            name_tok = cur.next()
-            if name_tok.text in doc.rules:
-                raise ParseError(f"duplicate rule name {name_tok.text!r}",
-                                 name_tok.line, name_tok.column)
             cur.next("{")
             cur.next("lhs")
             lhs = _parse_side(cur)
             cur.next("rhs")
             rhs = _parse_side(cur)
             cur.next("}")
-            doc.rules[name_tok.text] = _build_rule_from_sides(name_tok, lhs, rhs)
-        elif tok.text == "system":
-            name_tok = cur.next()
-            if name_tok.text in doc.systems:
-                raise ParseError(f"duplicate system name {name_tok.text!r}",
-                                 name_tok.line, name_tok.column)
+            store[name_tok.text] = _build_rule_from_sides(name_tok, lhs, rhs)
+        else:
             cur.next("{")
             members = []
-            while not cur.at("}"):
+            while not cur.accept("}"):
                 cur.next("use")
                 member = cur.next()
                 if member.text not in doc.rules:
-                    raise ParseError(f"system uses unknown rule {member.text!r}",
-                                     member.line, member.column)
+                    raise member.error(f"system uses unknown rule {member.text!r}")
                 members.append(member.text)
                 cur.next(";")
-            cur.next("}")
-            doc.systems[name_tok.text] = members
-        else:
-            raise ParseError(f"expected graph/rule/system, found {tok.text!r}",
-                             tok.line, tok.column)
+            store[name_tok.text] = members
     return doc
 
 
@@ -354,11 +308,9 @@ def parse_graph(text: str) -> Graph:
     doc = parse_document(text)
     if doc.rules or doc.systems:
         raise ParseError("expected a plain graph document", 1, 1)
-    if not doc.graphs:
-        return Graph()
-    if len(doc.graphs) != 1:
+    if len(doc.graphs) > 1:
         raise ParseError("expected exactly one graph", 1, 1)
-    return next(iter(doc.graphs.values()))
+    return next(iter(doc.graphs.values()), Graph())
 
 
 def parse_rules(text: str) -> list[QuasiRule]:

@@ -87,6 +87,42 @@ def test_validate_bad_input(workdir, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_each_malformed_input_is_one_error_line(tmp_path, capsys):
+    # Every malformed document and topology that the parser tests pin gives
+    # its message on one stderr line, no output and exit 2.
+    from test_formats import TestParseRobustness
+
+    path = tmp_path / "bad.pgr"
+    cases = [("validate", text, message)
+             for text, message in TestParseRobustness.BROKEN + TestParseRobustness.UNBUILT]
+    cases += [("expand", "rule r { lhs { node 0; type: ctx -> 0 from k; } rhs { node 1; } }",
+               "1:44: left-side type edges must carry a key, not cite one with 'from'"),
+              ("ds-explore", "initiator 0\ninitiator 1\nlink 0 1\n", "2:1: second initiator line"),
+              ("ds-explore", "link 0 1\n", "1:1: topology lacks an initiator line")]
+    for command, text, message in cases:
+        path.write_text(text)
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n"), text
+    assert len(cases) > 40
+
+
+def test_forbid_that_matches_nothing_warns_on_one_line(tmp_path, capsys):
+    # One line per rule, and stdout and the exit code are those of the
+    # same rules without the mark.
+    rule = "rule r{} {{ lhs {{ node 0 [x];{} }} rhs {{ node 1; }} }}\n"
+    mark = " forbid (x,y) on 0 -> 0;"
+    (tmp_path / "plain.pgr").write_text(rule.format(1, "") + rule.format(2, ""))
+    (tmp_path / "marked.pgr").write_text(rule.format(1, mark) + rule.format(2, mark))
+    plain = main(["validate", str(tmp_path / "plain.pgr")]), capsys.readouterr()
+    marked = main(["validate", str(tmp_path / "marked.pgr")]), capsys.readouterr()
+    assert plain[0] == marked[0] == 0
+    assert plain[1].out == marked[1].out == "".join(
+        f"rule r{i}: ok, deterministic (3 left / 0 right type edges)\n" for i in (1, 2))
+    assert plain[1].err == ""
+    assert marked[1].err == "warning: forbidden mark (x,y) on 0->0 matches no implicit type edge\n" * 2
+
+
 def test_expand_prints_desugared(workdir, capsys):
     code = main(["expand", str(workdir / "rules.pgr")])
     out = capsys.readouterr().out
@@ -284,6 +320,17 @@ def test_ds_explore_output_is_pinned(capsys):
                                        "announce enabled in 15 state(s)\n"
                                        "announce is only enabled in quiescent states\n")
     assert code == 0
+
+
+def test_ds_explore_reports_a_safety_violation(workdir, capsys, monkeypatch):
+    # An injected fault: announce is judged unsafe in every state that
+    # enables it, so the walk's verdict is negative.
+    monkeypatch.setattr("pgr.systems.announce_safe", lambda g: False)
+    code = main(["ds-explore", str(workdir / "line3.topo"), "--max-sends", "1"])
+    explored, announced, verdict = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert explored.startswith("explored ") and announced.startswith("announce enabled in ")
+    assert verdict == f"SAFETY VIOLATION in {announced.split()[3]} state(s)"
 
 
 def test_ds_explore_depth_cap(workdir, capsys):

@@ -8,6 +8,7 @@ from fixtures import PROPERTY, hub_host, three_spoke_rule
 from pgr.exceptions import (
     ContextPreservationViolation,
     ParseError,
+    PgrError,
     SharedName,
     UnknownTraceKey,
 )
@@ -232,25 +233,88 @@ class TestDocument:
 
 
 class TestParseRobustness:
+    # Each malformed document with the exact message it raises.  A
+    # ParseError's message opens with the line and column it carries.
     BROKEN = [
-        "graph {",
-        "graph G { node; }",
-        "graph G { node 1; 1 -a-> ; }",
-        "graph G { node 1; 1 --> 1; }",
-        "rule r { lhs { } }",
-        "rule r { lhs { type : ; } rhs { } }",
-        "wibble",
-        "graph G { node 1; } trailing",
-        "rule r { lhs { node 1 [ }",
-        "system s { use }",
+        ("graph {", "1:7: unexpected end of input"),
+        ("graph G { node; }", "1:15: expected a vertex id, found ';'"),
+        ("graph G { node 1; 1 -a-> ; }", "1:26: expected a target vertex id, found ';'"),
+        ("graph G { node 1; 1 -a-> x; }", "1:26: expected a target vertex id, found 'x'"),
+        ("graph G { node 1; 1 --> 1; }", "1:21: expected -label->, found '-'"),
+        ("graph G { node 1; 0: a -b-> 1; }", "1:22: expected a vertex id, found 'a'"),
+        ("graph G { node 1; 1 -a-> 1 }", "1:28: expected ';', found '}'"),
+        ("graph G { node 1 @; }", "1:18: expected ';', found '@'"),
+        ("graph G { edge 1; }", "1:11: expected node/type/forbid/edge, found 'edge'"),
+        ("graph G { node 1;", "1:17: unterminated block"),
+        ("graph G {\n  node 1;\n  node 1;\n}", "3:3: duplicate node 1"),
+        ("graph G { node 1; 1 -a-> 2; }", "1:19: edge endpoint 2 is not a declared node"),
+        ("graph G { node 1; 3: 1 -a-> 1; 3: 1 -b-> 1; }", "1:32: duplicate edge id 3"),
+        ("graph G { node 1!; }", "1:7: graph blocks cannot carry rule annotations"),
+        ("graph G { node 1 [x]; }", "1:7: graph blocks cannot carry rule annotations"),
+        ("graph G { } graph G { }", "1:19: duplicate graph name 'G'"),
+        ("rule r { lhs { } }", "1:18: expected 'rhs', found '}'"),
+        ("rule r { lhs { type : ; } rhs { } }", "1:23: expected vertex id or 'ctx', found ';'"),
+        ("rule r { lhs { node 0; type k: q -> 0; } rhs { } }",
+         "1:32: expected vertex id or 'ctx', found 'q'"),
+        ("rule r { lhs { node 1 [ }", "1:25: bad name '}'"),
+        ("rule r { lhs { node 0 [1x]; } rhs { } }", "1:24: bad name '1x'"),
+        ("rule r { lhs { node 0; forbid (x,x) on a -> 0; } rhs { } }",
+         "1:40: expected a vertex id, found 'a'"),
+        ("rule r { lhs { node 0; type k: ctx -> 0; type k: 0 -> ctx; } rhs { } }",
+         "1:47: duplicate type key 'k'"),
+        ("rule r { lhs { node 0; type k: ctx -> 0; type: 0 -> ctx from k; } "
+         "rhs { node 1; type: ctx -> 1 from k; } }",
+         "1:62: left-side type edges must carry a key, not cite one with 'from'"),
+        ("rule r { lhs { node 0; } rhs { node 1; type k: ctx -> 1; } }",
+         "1:6: right-side type edges must cite a left key with 'from'"),
+        ("rule bad {\n  lhs { node 0; type k1: ctx -> 0; }\n  rhs { node 1; type: ctx -> 1 from nope; }\n}",
+         "3:37: type key 'nope' is not declared on the left side"),
+        ("rule r { lhs { node 0; 0: 0 -a-> 0; } rhs { node 1; 0: 1 -b-> 1; } }",
+         "1:6: edge ids reused across the sides: [0]"),
+        ("rule r { lhs { } rhs { } } rule r { lhs { } rhs { } }", "1:33: duplicate rule name 'r'"),
+        ("system s { use }", "1:16: system uses unknown rule '}'"),
+        ("system s { use ghost; }", "1:16: system uses unknown rule 'ghost'"),
+        ("rule r { lhs { } rhs { } } system s { use r; } system s { }",
+         "1:55: duplicate system name 's'"),
+        ("wibble", "1:1: expected graph/rule/system, found 'wibble'"),
+        ("@", "1:1: expected graph/rule/system, found '@'"),
+        ("graph G { node 1; } trailing", "1:21: expected graph/rule/system, found 'trailing'"),
+    ]
+    # Rules that parse but fail to build: their errors carry no location.
+    UNBUILT = [
+        ("rule r { lhs { node 0; type k: ctx -> ctx; } rhs { } }",
+         "type edge 0 lies entirely in the context"),
+        ("rule r { lhs { node 0; type k: ctx -> 7; } rhs { } }",
+         "type edge 0: endpoint 7 not a pattern vertex"),
+        ("rule bad { lhs { node 0; node 1; type k1: 0 -> 1; } "
+         "rhs { node 0; node 1; type: ctx -> 1 from k1; } }",
+         "rule 'bad': type edge 1 touches the context but its trace image 0 does not"),
+        ("rule bad { lhs { node 0 [x]; node 1 [x]; } rhs { node 2 [x]; } }",
+         "rule 'bad': name 'x' appears on distinct left nodes 0 and 1"),
+        ("rule bad { lhs { node 0; } rhs { node 2 [x]; } }",
+         "right name 'x' has no left counterpart"),
+        ("rule bad { lhs { node 0!; } rhs { node 2; } }",
+         "black node 0 is not present on both sides"),
     ]
 
     def test_malformed_inputs_raise_located_errors(self):
-        for text in self.BROKEN:
+        for text, message in self.BROKEN:
             with pytest.raises(ParseError) as info:
                 parse_document(text)
-            assert info.value.line >= 1
-            assert info.value.column >= 1
+            assert str(info.value) == message, text
+            assert message.startswith(f"{info.value.line}:{info.value.column}: ")
+
+    def test_rules_that_fail_to_build_name_the_fault(self):
+        for text, message in self.UNBUILT:
+            with pytest.raises((PgrError, ValueError)) as info:
+                parse_document(text)
+            assert str(info.value) == message, text
+
+    def test_parse_graph_wants_one_graph_and_nothing_else(self):
+        with pytest.raises(ParseError, match="^1:1: expected a plain graph document$"):
+            parse_graph("rule r { lhs { } rhs { } }")
+        with pytest.raises(ParseError, match="^1:1: expected exactly one graph$"):
+            parse_graph("graph G { } graph H { }")
 
 
 class TestTopology:
@@ -268,6 +332,10 @@ class TestTopology:
         with pytest.raises(ParseError) as info:
             parse_topology("initiator 0\nlink a b\n")
         assert info.value.line == 2
+
+    def test_second_initiator_line(self):
+        with pytest.raises(ParseError, match="^2:1: second initiator line$"):
+            parse_topology("initiator 0\ninitiator 1\nlink 0 1\n")
 
 
 class TestDot:

@@ -20,8 +20,10 @@ import random
 from collections import Counter, defaultdict, deque
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from fixtures import ds_states, hub_host
+from fixtures import PROPERTY, ds_states, hub_host
 from pgr import graph, rewrite
 from pgr.graph import (
     EdgeTriple,
@@ -33,7 +35,7 @@ from pgr.graph import (
     rename_graph,
 )
 from pgr.rules import build_rule
-from test_graph import random_multigraph_pairs, shuffled
+from test_graph import disjoint_copies, graphs, perturbed, random_multigraph_pairs, shuffled
 from test_systems import grammar_reachable
 
 
@@ -566,3 +568,38 @@ def test_a_twin_cell_is_split_without_branching(g, cells, root, refines):
     # node below the root is refined.
     canonical_form(g)
     assert refines == [{"rounds": 1, "cells": cells, "refines": root}]
+
+
+def with_twins(g, twinned, copies):
+    """``g`` with ``copies`` new vertices for each vertex ``v`` in
+    ``twinned``, each with ``v``'s edges to the vertices of ``g`` and a loop
+    for each loop of ``v``: ``v`` and its new vertices are twins."""
+    vertices, edges = set(g.vertices), dict(g.edges)
+    for v in twinned:
+        for _ in range(copies):
+            c = max(vertices) + 1
+            vertices.add(c)
+            for s, lab, t in g.edges.values():
+                if v in (s, t):
+                    edges[max(edges) + 1] = (c if s == v else s, lab, c if t == v else t)
+    return Graph(vertices, edges)
+
+
+@given(graphs(max_vertices=4, max_edges=5), st.integers(1, 2), st.integers(0, 3),
+       st.integers(1, 2), st.integers(0, 999))
+@PROPERTY
+def test_twin_cells_split_without_refinement_keep_the_reference_classes(g, parts, index, copies,
+                                                                         seed):
+    # A vertex of ``g`` and its copies are twins in each of ``parts``
+    # disjoint copies of ``g``.  ``_target_cell`` splits a cell of one twin
+    # class into singletons without branching or refinement; a cell that
+    # also holds the twins of another part must be branched on.  Renumbered
+    # and perturbed copies must fall into the reference's classes.
+    assume(g.vertices)
+    rng = random.Random(seed)
+    v = sorted(g.vertices)[index % len(g.vertices)]
+    h = with_twins(disjoint_copies(g, parts), [200 * i + v for i in range(parts)], copies)
+    cases = [h] + [shuffled(rng, h) for _ in range(3)]
+    cases += [shuffled(rng, perturbed(rng, h)) for _ in range(2) if h.edges]
+    assert graph._labelling(h)[2]
+    assert classes(cases, canonical_form) == classes(cases, certificate(reference_labelling))

@@ -3,14 +3,16 @@
 kept in ``tests/`` as a reference is run: every ``reference_*`` and
 ``previous_*`` function, and every ``previous_*`` module, is reached from a
 test.  Every property-based test draws the same examples on each run.  The README's commands and library
-example run as documented."""
+example run as documented, and its file-format example parses without a warning."""
 
 import ast
 import shlex
 import sys
+import warnings
 from pathlib import Path
 
 from pgr.cli import main
+from pgr.formats import parse_document
 from pgr.rewrite import verify_step
 
 TESTS = Path(__file__).resolve().parent
@@ -128,3 +130,7 @@ def test_readme_commands_run_as_documented(monkeypatch, capsys):
     namespace = {}
     exec(compile(readme_block("Library", "python"), "README.md", "exec"), namespace)
     assert verify_step(namespace["host"], namespace["result"], namespace["certificate"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        doc = parse_document(readme_block("File format", "text"))
+    assert (list(doc.graphs), list(doc.rules), doc.systems) == (["G"], ["r"], {"s": ["r"]})
