@@ -36,13 +36,14 @@ Comments run from ``#`` to the end of the line.
 from __future__ import annotations
 
 import re
+import warnings
 from dataclasses import dataclass, field
 
 from .exceptions import (
     ContextPreservationViolation,
     InvalidRule,
     ParseError,
-    SharedName,
+    PgrError,
     UnknownTraceKey,
 )
 from .graph import Graph
@@ -254,15 +255,18 @@ def _build_rule_from_sides(name_tok: _Token, lhs: _SideData, rhs: _SideData) -> 
         lhs_forbids=frozenset(lhs.forbids),
         rhs_forbids=frozenset(rhs.forbids),
     )
-    try:
-        return desugar_rule(sketch)
-    except InvalidRule as exc:
-        if any("context" in v for v in exc.violations):
-            raise ContextPreservationViolation(
-                f"rule {name_tok.text!r}: {exc}") from exc
+    try:  # each build error and warning names the rule
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            return desugar_rule(sketch)
+    except (PgrError, ValueError) as exc:
+        exc.args = (f"rule {name_tok.text!r}: {exc}",)
+        if isinstance(exc, InvalidRule) and any("context" in v for v in exc.violations):
+            raise ContextPreservationViolation(*exc.args) from exc
         raise
-    except SharedName as exc:
-        raise SharedName(f"rule {name_tok.text!r}: {exc}") from exc
+    finally:
+        for w in caught:
+            warnings.warn(f"rule {name_tok.text!r}: {w.message}", w.category, stacklevel=3)
 
 
 def parse_document(text: str) -> Document:

@@ -231,24 +231,24 @@ def _entry(host: Graph, rule: QuasiRule, key: tuple, emb: Renaming, cap: int) ->
 
 
 def _orbit_redexes(host: Graph, rule: QuasiRule, cap: int) -> list[Redex]:
-    """The redexes of deterministic ``rule``, the first per orbit of its vertex maps
-    under the host's automorphisms (labelled if two maps are listed): maps are keyed by
-    twin class, keys joined per automorphism, and only each orbit's first key is read."""
+    """Deterministic ``rule``'s redexes: its vertex maps keyed by twin class, joined under the
+    host's automorphisms (labelled if two maps are listed), and each orbit's first key read."""
     embs, first = _embeddings(host, rule.lhs.pattern, rule.lhs.ptype, None, True), {}
     twins, autos = _labelling(host)[2:] if len(embs) > 1 else (None, ())
-    twins = twins or {}
+    twins, filed, kept, reached = twins or {}, {}, [], set()
     for key, emb in embs:
         first.setdefault(frozenset((v, twins.get(w, w)) for v, w in emb.vmap.items()), (key, emb))
-    # Each automorphism as a map of twin classes: a key's images are class representatives.
-    moves, kept, reached = [{w: twins.get(x, x) for w, x in s.items()} for s in autos], [], set()
+    for s in autos:  # as a map of the class representatives it moves, filed under each
+        m = {w: r for w, x in s.items() if (r := twins.get(x, x)) != w == twins.get(w, w)}
+        for w in m:
+            filed.setdefault(w, []).append(m)
     for key, y in first.items():  # the first key of each orbit, then the orbit
         if key not in reached:
             kept.append(y)
             reached.add(key)
-            todo = [key]
-            while todo:
-                k = todo.pop()
-                images = {frozenset((v, m.get(w, w)) for v, w in k) for m in moves} - reached
+            for k in (todo := [key] if filed else []):  # each key of the orbit, once
+                images = {frozenset((v, m.get(w, w)) for v, w in k) for m in {
+                    id(a): a for _, u in k for a in filed.get(u, ())}.values()} - reached
                 reached |= images
                 todo += images
     return [Redex(rule, x.embedding, PatchDecomposition(

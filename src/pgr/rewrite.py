@@ -234,8 +234,9 @@ def successors(host: Graph, system: dict[str, QuasiRule],
     With ``dedup`` the list keeps one representative per isomorphism class;
     a deterministic rule steps one redex per orbit of the host's
     automorphisms, twin classes included, and builds no redex it skips
-    (``_expand``).  Without it, every redex is applied.  The flag: a redex
-    list was cut at the map cap (``PGR_MAX_MAPS``).
+    (``_expand``).  Without it, every redex is applied.  Rules with equal left
+    sides share one search.  The flag: a redex list was cut at the map cap
+    (``PGR_MAX_MAPS``).
     """
     out, _, truncated = _expand(host, system, set() if dedup else None)
     return out, truncated
@@ -244,20 +245,24 @@ def successors(host: Graph, system: dict[str, QuasiRule],
 def _expand(host: Graph, system: dict[str, QuasiRule],
             seen: set[Graph] | None) -> tuple[list[tuple[str, Graph]], set[str], bool]:
     """``successors`` and the names of the rules with a redex, with the map cap
-    read once; with a ``seen`` set, a result is kept only if its canonical form
-    is new, and adds it.  There a deterministic rule steps only at its
-    ``_orbit_redexes``, one per orbit of the host's automorphisms, twin classes
-    included: the others differ from the first of their orbit by a host
-    automorphism (twins permuted, parallel edges of equal triples swapped, or
-    one the labelling found), which carries adherence over, and the seen set
-    would drop their results, so they get no patch, maps or redex.  The twin
-    classes and automorphisms are read off the host's labelling, made before
-    any map is read once the rule lists two vertex maps, and cached."""
-    out, fired, truncated, cap = [], set(), False, default_map_cap()
+    read once.  A rule whose ``left_key`` an earlier one has is not searched: it
+    takes that rule's redexes (``_as_rule``).  With a ``seen`` set, a result is
+    kept only if its canonical form is new, and adds it.  There a deterministic
+    rule steps only at its ``_orbit_redexes``, one per orbit of the host's
+    automorphisms, twin classes included: the others differ from the first of
+    their orbit by a host automorphism (twins permuted, parallel edges of equal
+    triples swapped, or one the labelling found), which carries adherence over,
+    and the seen set would drop their results, so they get no patch, maps or
+    redex.  The twin classes and automorphisms are read off the host's
+    labelling, made before any map is read once the rule lists two vertex maps,
+    and cached."""
+    out, fired, truncated, cap, searched = [], set(), False, default_map_cap(), {}
     for name, rule in system.items():
-        redexes, cut = ((_orbit_redexes(host, rule, cap), False) if seen is not None
-                        and rule.deterministic else find_redexes(host, rule))
-        truncated = truncated or cut
+        if (found := searched.get(rule.left_key)) is None:
+            found = searched[rule.left_key] = (
+                (_orbit_redexes(host, rule, cap), False) if seen is not None
+                and rule.deterministic else find_redexes(host, rule))
+        redexes, truncated = _as_rule(found[0], rule), truncated or found[1]
         if redexes:
             fired.add(name)
         for redex in redexes:
@@ -268,6 +273,17 @@ def _expand(host: Graph, system: dict[str, QuasiRule],
                 seen.add(key)
             out.append((name, result))
     return out, fired, truncated
+
+
+def _as_rule(redexes: list[Redex], rule: QuasiRule) -> list[Redex]:
+    """``redexes``, of a rule with ``rule``'s ``left_key``, as ``rule``'s: each type edge
+    in ``h_l`` goes to ``rule``'s of equal shape and rank, which keeps the maps' order."""
+    if not redexes or (other := redexes[0].rule) is rule:
+        return redexes
+    ids = rule.lhs.ptype.by_shape()
+    to = {a: b for shape, xs in other.lhs.ptype.by_shape().items() for a, b in zip(xs, ids[shape])}
+    return [Redex(rule, r.embedding, r.decomposition, {j: to[t] for j, t in r.h_l.items()},
+                  r.capped) for r in redexes]
 
 
 @dataclass(frozen=True)

@@ -142,6 +142,11 @@ class QuasiRule:
         return self.lhs.ptype.is_simple()
 
     @functools.cached_property
+    def left_key(self) -> tuple:
+        """The left pattern and each type-edge shape's count: what fixes the redexes up to ids."""
+        return self.lhs.pattern, frozenset((s, len(x)) for s, x in self.lhs.ptype.by_shape().items())
+
+    @functools.cached_property
     def _step_plan(self):
         """What a step needs of the rule, worked out on first use: the right
         pattern's vertices and edges in id order, and per right type edge in

@@ -107,8 +107,21 @@ def test_each_malformed_input_is_one_error_line(tmp_path, capsys):
     assert len(cases) > 40
 
 
+def test_warning_before_a_build_error_names_the_rule(tmp_path, capsys):
+    # The unmatched left mark warns before the right side fails to build:
+    # both lines name the rule, and the error still exits 2.
+    path = tmp_path / "bad.pgr"
+    path.write_text("rule a { lhs { node 0 [x]; forbid (x,x) on 0 -> 0; forbid (x,z) on 0 -> 0; }"
+                    " rhs { node 0 [x]; } }\n")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "warning: rule 'a': forbidden mark (x,z) on 0->0 matches no implicit type edge\n"
+        "error: rule 'a': right name edge ('x', 'x') lacks a left counterpart"
+        " (absent or forbidden)\n")
+
+
 def test_forbid_that_matches_nothing_warns_on_one_line(tmp_path, capsys):
-    # One line per rule, and stdout and the exit code are those of the
+    # One line per rule, naming it, and stdout and the exit code are those of the
     # same rules without the mark.
     rule = "rule r{} {{ lhs {{ node 0 [x];{} }} rhs {{ node 1; }} }}\n"
     mark = " forbid (x,y) on 0 -> 0;"
@@ -120,7 +133,8 @@ def test_forbid_that_matches_nothing_warns_on_one_line(tmp_path, capsys):
     assert plain[1].out == marked[1].out == "".join(
         f"rule r{i}: ok, deterministic (3 left / 0 right type edges)\n" for i in (1, 2))
     assert plain[1].err == ""
-    assert marked[1].err == "warning: forbidden mark (x,y) on 0->0 matches no implicit type edge\n" * 2
+    assert marked[1].err == "".join(f"warning: rule 'r{i}': forbidden mark (x,y) on 0->0 matches "
+                                    "no implicit type edge\n" for i in (1, 2))
 
 
 def test_expand_prints_desugared(workdir, capsys):

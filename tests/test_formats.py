@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from fixtures import PROPERTY, hub_host, three_spoke_rule
 from pgr.exceptions import (
     ContextPreservationViolation,
+    DanglingRhsName,
     ParseError,
     PgrError,
+    PositionMismatch,
     SharedName,
     UnknownTraceKey,
 )
@@ -280,21 +282,22 @@ class TestParseRobustness:
         ("@", "1:1: expected graph/rule/system, found '@'"),
         ("graph G { node 1; } trailing", "1:21: expected graph/rule/system, found 'trailing'"),
     ]
-    # Rules that parse but fail to build: their errors carry no location.
+    # Rules that parse but fail to build: their errors carry no location,
+    # and each names its rule.
     UNBUILT = [
         ("rule r { lhs { node 0; type k: ctx -> ctx; } rhs { } }",
-         "type edge 0 lies entirely in the context"),
+         "rule 'r': type edge 0 lies entirely in the context"),
         ("rule r { lhs { node 0; type k: ctx -> 7; } rhs { } }",
-         "type edge 0: endpoint 7 not a pattern vertex"),
+         "rule 'r': type edge 0: endpoint 7 not a pattern vertex"),
         ("rule bad { lhs { node 0; node 1; type k1: 0 -> 1; } "
          "rhs { node 0; node 1; type: ctx -> 1 from k1; } }",
          "rule 'bad': type edge 1 touches the context but its trace image 0 does not"),
         ("rule bad { lhs { node 0 [x]; node 1 [x]; } rhs { node 2 [x]; } }",
          "rule 'bad': name 'x' appears on distinct left nodes 0 and 1"),
         ("rule bad { lhs { node 0; } rhs { node 2 [x]; } }",
-         "right name 'x' has no left counterpart"),
+         "rule 'bad': right name 'x' has no left counterpart"),
         ("rule bad { lhs { node 0!; } rhs { node 2; } }",
-         "black node 0 is not present on both sides"),
+         "rule 'bad': black node 0 is not present on both sides"),
     ]
 
     def test_malformed_inputs_raise_located_errors(self):
@@ -305,10 +308,14 @@ class TestParseRobustness:
             assert message.startswith(f"{info.value.line}:{info.value.column}: ")
 
     def test_rules_that_fail_to_build_name_the_fault(self):
-        for text, message in self.UNBUILT:
+        # Naming the rule keeps the library's exception types.
+        kinds = [ValueError, ValueError, ContextPreservationViolation, SharedName,
+                 DanglingRhsName, PositionMismatch]
+        for (text, message), kind in zip(self.UNBUILT, kinds, strict=True):
             with pytest.raises((PgrError, ValueError)) as info:
                 parse_document(text)
             assert str(info.value) == message, text
+            assert type(info.value) is kind, text
 
     def test_parse_graph_wants_one_graph_and_nothing_else(self):
         with pytest.raises(ParseError, match="^1:1: expected a plain graph document$"):

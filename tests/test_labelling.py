@@ -328,14 +328,24 @@ def test_one_search_per_successors_result(searches, monkeypatch):
     # earlier one under the host's automorphisms, twin permutations
     # included, is not built at all, so to depth 6 no result repeats, and
     # 49 results are labelled where the twin filter alone labelled 55.
+    # A rule that reuses the list of an earlier rule with its left side
+    # (``ext-1``, ``ext-0``'s) is listed in full too.
     results: dict[int, list[Graph]] = {}
     maps = set()  # (host, rule, vertex map) of every redex of a full listing
-    build, step = rewrite._orbit_redexes, rewrite._successor
+    build, share, step = rewrite._orbit_redexes, rewrite._as_rule, rewrite._successor
 
-    def listed(host, rule, cap):
+    def full(host, rule):
         maps.update((id(host), id(rule), frozenset(r.embedding.vmap.items()))
                     for r in rewrite.find_redexes(host, rule)[0])
+
+    def listed(host, rule, cap):
+        full(host, rule)
         return build(host, rule, cap)
+
+    def reused(redexes, rule):
+        if (out := share(redexes, rule)) is not redexes:
+            full(redexes[0].decomposition._host, rule)
+        return out
 
     def counted(host, redex):
         result = step(host, redex)
@@ -343,6 +353,7 @@ def test_one_search_per_successors_result(searches, monkeypatch):
         return result
 
     monkeypatch.setattr(rewrite, "_orbit_redexes", listed)
+    monkeypatch.setattr(rewrite, "_as_rule", reused)
     monkeypatch.setattr(rewrite, "_successor", counted)
     # A fresh empty graph, so no earlier test has labelled the start.
     kept = grammar_reachable(6, start=Graph())

@@ -7,7 +7,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import (
@@ -844,6 +844,27 @@ def previous_successors(host, system, dedup=True):
     return out, truncated
 
 
+def left_partner(rng, rule, pattern=None, extra=()):
+    """A rule with ``rule``'s left type-edge shapes plus ``extra``, keyed in a
+    shuffled order, on ``pattern`` (default: ``rule``'s left pattern or an
+    equal copy of it), and a fresh right side whose edge ids start at 300:
+    every type-edge id differs from ``rule``'s."""
+    shapes = list(rule.lhs.ptype.edges.values()) + list(extra)
+    rng.shuffle(shapes)
+    if pattern is None:
+        pattern = rule.lhs.pattern
+        pattern = pattern if rng.random() < 0.5 else Graph(pattern.vertices, pattern.edges)
+    vs = [20 + i for i in range(rng.randint(1, 2))]
+    rhs = Graph(vs, [(300, vs[0], "b", vs[-1])] + [
+        (301 + i, rng.choice(vs), rng.choice("ab"), rng.choice(vs)) for i in range(rng.randint(0, 1))])
+    types = []
+    for key, (s, t) in enumerate(shapes):
+        options = [(u, v) for u in vs for v in vs]
+        options += [(CONTEXT, v) for v in vs] + [(v, CONTEXT) for v in vs] if CONTEXT in (s, t) else []
+        types += [(*rng.choice(options), key) for _ in range(rng.randint(0, 2))]
+    return build_rule(pattern, dict(enumerate(shapes)), rhs, types)
+
+
 def successor_sources():
     """(host, system) pairs: the wait-for grammar on its states up to depth
     5, the termination-detection rules on the DS states, seeded
@@ -1077,13 +1098,21 @@ class TestSuccessors:
 
     def test_without_dedup_every_listed_redex_is_applied(self, monkeypatch):
         # The sources are built first: their grammar walk runs with dedup.
+        # A rule whose left side an earlier rule of its system shares runs
+        # no search: the list it reuses counts as listed for it.
         sources = list(successor_sources())
-        listed, applied = [0], [0]
-        search, step = rewrite.find_redexes, rewrite._successor
+        listed, applied, searched, grammar = [0], [0], [], sources[0][1]
+        search, share, step = rewrite.find_redexes, rewrite._as_rule, rewrite._successor
 
-        def recorded(*args):
-            out = search(*args)
+        def recorded(host, rule):
+            out = search(host, rule)
             listed[0] += len(out[0])
+            searched.append(rule)
+            return out
+
+        def reused(redexes, rule):
+            out = share(redexes, rule)
+            listed[0] += len(out) * (out is not redexes)
             return out
 
         def counted(*args):
@@ -1091,9 +1120,14 @@ class TestSuccessors:
             return step(*args)
 
         monkeypatch.setattr(rewrite, "find_redexes", recorded)
+        monkeypatch.setattr(rewrite, "_as_rule", reused)
         monkeypatch.setattr(rewrite, "_successor", counted)
         for host, system in sources:
+            searched.clear()
             successors(host, system, dedup=False)
+            if system is grammar:  # 3 searches, not 4: ``ext-1`` reuses ``ext-0``'s
+                assert list(map(id, searched)) == [
+                    id(grammar[name]) for name in ("create", "1-of-1", "ext-0")]
         assert applied[0] == listed[0] > 0
 
     @pytest.mark.parametrize("dedup", [True, False])
@@ -1125,6 +1159,69 @@ class TestSuccessors:
             assert truncated == flag is False
             twins += graph._labelling(host)[2] is not None
         assert twins > 20
+
+    def test_rules_with_one_left_side_share_its_redexes_on_drawn_hosts(self, monkeypatch):
+        # The property: on drawn hosts, a rule whose left side an earlier rule
+        # of its system has takes that rule's redexes (``_as_rule``), and
+        # ``successors`` still equals ``previous_successors`` in both modes.
+        # Each system is a drawn rule, deterministic or quasi, its
+        # ``left_partner`` (equal left key, every type-edge id other), and two
+        # rules that must not share with it: one more type edge of a shape it
+        # has (equal shape set, other counts) and one more pattern edge.  The
+        # hosts are random and built around the rule (``pattern_host``); a map
+        # cap of 2 on every other host cuts some quasi lists.  Then the
+        # parallel-drop rule and a partner, whose 2^n maps a cap of 2 cuts.
+        share, shared, flags, hosts = rewrite._as_rule, Counter(), set(), itertools.count()
+
+        def counted(redexes, rule):
+            if (out := share(redexes, rule)) is not redexes:
+                shared[rule.deterministic] += 1
+                shared["capped"] += out[-1].capped
+            return out
+
+        @settings(PROPERTY, max_examples=80)
+        @given(st.randoms(use_true_random=True))
+        def like_previous(rng):
+            rule = random_deterministic_rule(rng) if rng.random() < 0.3 else random_quasi_rule(rng)
+            if not rule.lhs.ptype.edges:
+                return
+            pattern = rule.lhs.pattern
+            vs = sorted(pattern.vertices)
+            wider = Graph(vs, {**pattern.edges, 50: (rng.choice(vs), "a", rng.choice(vs))})
+            rules = [rule, left_partner(rng, rule), left_partner(rng, rule, pattern=wider),
+                     left_partner(rng, rule, extra=[rng.choice(list(rule.lhs.ptype.edges.values()))])]
+            assert rules[0].left_key == rules[1].left_key
+            assert len({r.left_key for r in rules[1:]}) == 3
+            order = [0, *rng.sample([1, 2, 3], 3)]  # partners after the drawn rule
+            system = {f"r{i}": rules[i] for i in order}
+            drawn = [pattern_host(rng, rule, rng.randint(1, 3)),
+                     random_graph(rng, list(range(rng.randint(1, 4))), 5), pattern_host(rng, rule, 2)]
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                monkeypatch.setattr(rewrite, "_as_rule", counted)
+                for host in drawn:
+                    set_map_cap(monkeypatch, None if next(hosts) % 2 else 2)
+                    for dedup in (True, False):
+                        got, truncated = successors(host, system, dedup=dedup)
+                        expected, flag = previous_successors(host, system, dedup=dedup)
+                        assert [(n, list(g.edges.items()), g.vertices) for n, g in got] == \
+                            [(n, list(g.edges.items()), g.vertices) for n, g in expected]
+                        assert truncated == flag
+                        flags.add(flag)
+
+        like_previous()
+        assert shared[True] > 20 and shared[False] > 10, shared
+        drop = parallel_drop_rule()
+        system = {"drop": drop, "copy": left_partner(random.Random(5), drop)}
+        monkeypatch.setattr(rewrite, "_as_rule", counted)
+        for k, cap, dedup in itertools.product(range(1, 5), (None, 2), (True, False)):
+            set_map_cap(monkeypatch, cap)
+            got, truncated = successors(parallel_edge_host(k), system, dedup=dedup)
+            expected, flag = previous_successors(parallel_edge_host(k), system, dedup=dedup)
+            assert [(n, list(g.edges.items()), g.vertices) for n, g in got] == \
+                [(n, list(g.edges.items()), g.vertices) for n, g in expected]
+            assert truncated == flag
+            flags.add(flag)
+        assert flags == {True, False} and shared["capped"] > 0, shared
 
     def test_single_rule_single_successor(self):
         host = hub_host()

@@ -82,6 +82,22 @@ class TestWaitForGrammar:
         atomic, _ = apply_at(procs, find_redexes(procs, make_n_of_m_rule(2, 2))[0][0])
         assert isomorphic(g2, atomic)
 
+    def test_ext_rules_share_one_left_key(self):
+        # ``successors`` gives ``ext-1`` the redexes of ``ext-0``'s search only
+        # while their left keys are equal, though ``build_rule`` numbers their
+        # type edges apart; so are those of two rules built from one left side.
+        grammar = waitfor_grammar()
+        ext0, ext1 = grammar["ext-0"], grammar["ext-1"]
+        assert ext0.left_key == ext1.left_key
+        assert ext0.lhs.ptype.edges.keys() != ext1.lhs.ptype.edges.keys()
+        assert len({r.left_key for r in grammar.values()}) == 3
+        lhs, types = Graph([0, 1], [(0, 0, "a", 1)]), {"in": (CONTEXT, 0), "loop": (1, 1)}
+        plain = build_rule(lhs, types, Graph([5], [(7, 5, "b", 5)]), [(5, 5, "loop")])
+        wider = build_rule(lhs, types, Graph([5, 6], [(9, 5, "b", 6), (10, 6, "c", 6)]),
+                           [(CONTEXT, 6, "in"), (5, 6, "loop"), (6, 6, "loop")])
+        assert plain.left_key == wider.left_key
+        assert plain.lhs.ptype.edges.keys() != wider.lhs.ptype.edges.keys()
+
     def test_reachable_states_are_valid_nets(self):
         for g in grammar_reachable(5):
             net = WaitForNet(g)
